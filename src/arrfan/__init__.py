@@ -40,6 +40,7 @@ from .errors import (
     NotSmoothError,
     NotStronglySymmetricError,
     OrientationError,
+    UnsupportedRankError,
 )
 from .fan import (
     BlowupCertificate,

@@ -18,6 +18,7 @@ from typing import Sequence
 from . import intlinalg as la
 from .errors import (
     BadReferenceError,
+    CertificationError,
     InputFormatError,
     LatticeSpanError,
     NotCrystallographicError,
@@ -94,7 +95,7 @@ def load_arrangement(data: bytes | str) -> Arrangement:
     """Parse the arrangement JSON format {"rank": r, "positive_covectors": [[...], ...]}."""
     try:
         obj = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise InputFormatError(f"invalid JSON: {e}") from e
     if not isinstance(obj, dict) or "rank" not in obj or "positive_covectors" not in obj:
         raise InputFormatError("expected an object with 'rank' and 'positive_covectors'")
@@ -258,7 +259,10 @@ def enumerate_chambers(a: Arrangement) -> tuple[Chamber, ...]:
                     f"facet of chamber {s} lies on {len(walls)} hyperplanes"
                 )
             i = walls[0]
-            assert s[i] * la.vec_dot(covs[i], rays[j]) > 0
+            if s[i] * la.vec_dot(covs[i], rays[j]) <= 0:
+                raise CertificationError(
+                    f"ray {j} of chamber {s} is not on the chamber's side of wall {i}"
+                )
             basis.append((i, s[i]))
         chambers.append(
             Chamber(

@@ -47,6 +47,7 @@ from .errors import (
     NotSmoothError,
     NotStronglySymmetricError,
     OrientationError,
+    UnsupportedRankError,
 )
 from .fan import (
     Fan,
@@ -136,7 +137,7 @@ def _parse_rows(text: str) -> tuple[tuple[int, ...], ...]:
     try:
         rows = json.loads(text)
         return tuple(tuple(int(x) for x in row) for row in rows)
-    except (json.JSONDecodeError, TypeError, ValueError) as e:
+    except (json.JSONDecodeError, TypeError, ValueError, RecursionError) as e:
         raise InputFormatError(f"bad row list {text!r}") from e
 
 
@@ -144,7 +145,7 @@ def _load_any(data: bytes):
     """Sniff a JSON input: arrangement, fan, or weights."""
     try:
         obj = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise InputFormatError(f"invalid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise InputFormatError("expected a JSON object")
@@ -441,7 +442,7 @@ def cmd_surface(args) -> int:
     data = _read(args.path)
     f = _fan_input(data)
     if f.rank != 2:
-        raise _UnsupportedRank(f"surface commands require rank 2, got {f.rank}")
+        raise UnsupportedRankError(f"surface commands require rank 2, got {f.rank}")
     if sub == "graph":
         g = circular_graph(f)
         obj = {"weights": list(g.weights), "rays": [list(v) for v in g.rays]}
@@ -482,10 +483,6 @@ def cmd_surface(args) -> int:
     raise InputFormatError(f"unknown surface subcommand {sub}")
 
 
-class _UnsupportedRank(ArrfanError):
-    pass
-
-
 def cmd_plot(args) -> int:
     data = _read(args.path)
     obj = _load_any(data)
@@ -495,10 +492,10 @@ def cmd_plot(args) -> int:
         elif obj.rank == 3:
             svg = svgplot.render_rank3_arrangement(obj)
         else:
-            raise _UnsupportedRank(f"plot supports rank 2 and 3, got {obj.rank}")
+            raise UnsupportedRankError(f"plot supports rank 2 and 3, got {obj.rank}")
     else:
         if obj.rank != 2:
-            raise _UnsupportedRank(f"fan plots support rank 2 only, got {obj.rank}")
+            raise UnsupportedRankError(f"fan plots support rank 2 only, got {obj.rank}")
         labels = None
         try:
             g = circular_graph(obj)
@@ -576,7 +573,7 @@ def main(argv=None) -> int:
     except NotSimplicialError as e:
         print(f"error: {e}", file=sys.stderr)
         code = 11
-    except _UnsupportedRank as e:
+    except UnsupportedRankError as e:
         print(f"error: {e}", file=sys.stderr)
         code = 4
     except _REFERENCE_ERRORS as e:

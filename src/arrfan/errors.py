@@ -53,5 +53,9 @@ class BadReferenceError(ArrfanError):
     """A referenced object (cone, flat, hyperplane, catalog name) does not exist."""
 
 
+class UnsupportedRankError(ArrfanError):
+    """The command does not support the rank of its input."""
+
+
 class CertificationError(ArrfanError):
     """An internal consistency certificate failed; indicates an upstream bug."""

@@ -77,7 +77,8 @@ def _cone_h_rep(gens: Mat, rank: int) -> list[Vec]:
         for j in range(d):
             target = tuple(1 if i == j else 0 for i in range(d))
             col = la.particular_solution(gens, target)
-            assert col is not None
+            if col is None:
+                raise CertificationError(f"generators {gens} have no right inverse")
             rows.append(la.fraction_row_to_primitive(col))
     for eq in la.kernel_basis(gens) if d else la.identity(rank):
         rows.append(tuple(eq))
@@ -151,7 +152,7 @@ def load_fan(data: bytes | str) -> Fan:
     """
     try:
         obj = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise InputFormatError(f"invalid JSON: {e}") from e
     if not isinstance(obj, dict) or any(k not in obj for k in ("rank", "rays", "max_cones")):
         raise InputFormatError("expected an object with 'rank', 'rays' and 'max_cones'")
@@ -207,7 +208,8 @@ def fan_from_arrangement(a: Arrangement) -> Fan:
 
 def _facet_normal(f: Fan, facet: tuple[int, ...]) -> Vec:
     ker = la.kernel_basis(f.cone_vectors(facet))
-    assert len(ker) == 1
+    if len(ker) != 1:
+        raise CertificationError(f"facet {facet} does not span a hyperplane")
     return la.canonical_sign(la.primitive(ker[0]))
 
 
@@ -327,7 +329,8 @@ def roots_from_fan(f: Fan) -> Arrangement:
     for cone in f.max_cones:
         dual = la.dual_basis(f.cone_vectors(cone))
         for row in dual:
-            assert all(x.denominator == 1 for x in row)
+            if any(x.denominator != 1 for x in row):
+                raise CertificationError(f"cone {cone} of a smooth fan is not unimodular")
             covectors.add(la.canonical_sign(tuple(int(x) for x in row)))
     return make_arrangement(f.rank, sorted(covectors))
 
@@ -428,7 +431,8 @@ def restrict_fan(f: Fan, subspace_rows: Sequence[Sequence[int]]) -> Fan:
         vecs = []
         for i in cone:
             coords = la.solve_in_row_space(basis, f.rays[i])
-            assert coords is not None and all(x.denominator == 1 for x in coords)
+            if coords is None or any(x.denominator != 1 for x in coords):
+                raise CertificationError(f"ray {f.rays[i]} is not a lattice point of the subspace")
             vecs.append(tuple(int(x) for x in coords))
         cones.append(vecs)
     result = make_fan(d, cones, check_faces=False)

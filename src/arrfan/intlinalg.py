@@ -1,9 +1,10 @@
 """Exact integer and rational linear algebra.
 
-Everything here runs on Python's arbitrary-precision integers and
-``fractions.Fraction``; no floating point enters any computation, so every
-returned value is exact.  Matrices are sequences of equal-length rows and are
-returned as tuples of tuples.
+Everything runs on Python's arbitrary-precision integers; no floating point
+enters any computation, so every returned value is exact.  Rank, determinant,
+inverse and linear solves share one fraction-free (Bareiss) elimination;
+``fractions.Fraction`` appears only in the values they return.  Matrices are
+sequences of equal-length rows and are returned as tuples of tuples.
 """
 from __future__ import annotations
 
@@ -100,52 +101,55 @@ def fraction_row_to_primitive(row: Sequence[Fraction]) -> Vec:
     return primitive(ints)
 
 
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968), in place.
+
+    Pivots are sought only in the first `ncols` columns, so callers may append
+    right-hand sides.  Each step sets every other row to (p*row - row[c]*prow)/d,
+    p the new pivot and d the previous one; the division is exact because every
+    entry is a minor of the input.  Returns (pivots, d, sign): row k holds the
+    pivot of column pivots[k], every pivot entry equals d (1 without pivots),
+    the rest of each pivot column is 0, and sign is (-1)**(row swaps).
+    """
+    pivots: list[int] = []
+    d, sign = 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                rows[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+            elif p != d:
+                rows[i] = [p * x // d for x in row]
+        pivots.append(c)
+        d = p
+    return pivots, d, sign
+
+
 def det(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    """Exact determinant of a square integer matrix."""
     a = _rows(m)
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    pivots, d, sign = _eliminate(a, n)
+    return sign * d if len(pivots) == n else 0
 
 
 def rank(m: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals, by exact fraction-free elimination."""
-    a = [[Fraction(x) for x in row] for row in m]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nrows):
-            if a[i][c]:
-                f = a[i][c] / a[r][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank over the rationals."""
+    rows = [list(r) for r in m]
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
 def _row_sub(h: list[list[int]], u: list[list[int]], i: int, j: int, q: int) -> None:
@@ -287,20 +291,11 @@ def mat_inverse_fraction(m: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ..
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("inverse requires a square matrix")
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(tuple(row[n:]) for row in a)
+    a = [[*row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    pivots, d, _ = _eliminate(a, n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in a)
 
 
 def mat_inverse_unimodular(m: Sequence[Sequence[int]]) -> Mat:
@@ -345,42 +340,31 @@ def kernel_basis(m: Sequence[Sequence[int]]) -> Mat:
     return tuple(r for r in h2 if any(x != 0 for x in r))
 
 
+def _solve(a: Sequence[Sequence[int]], b: Sequence[int]):
+    """(rank of a, solution of a*x = b with free variables zero or None)."""
+    n = len(a[0]) if a else 0
+    rows = [[*a[i], b[i]] for i in range(len(a))]
+    pivots, d, _ = _eliminate(rows, n)
+    if any(row[n] for row in rows[len(pivots):]):
+        return len(pivots), None
+    x = [Fraction(0)] * n
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row[n], d)
+    return len(pivots), tuple(x)
+
+
 def solve_in_row_space(basis: Sequence[Sequence[int]], v: Sequence[int]):
     """Coefficients c with c*basis = v, or None when v is outside the span.
 
     `basis` must have linearly independent rows; the solution is then unique
     and returned as a tuple of Fractions.
     """
-    d = len(basis)
-    if d == 0:
+    if len(basis) == 0:
         return () if all(x == 0 for x in v) else None
-    n = len(basis[0])
-    # solve basis^T c^T = v^T by elimination on the augmented r x (d+1) system
-    a = [[Fraction(basis[i][j]) for i in range(d)] + [Fraction(v[j])] for j in range(n)]
-    pivots = []
-    r = 0
-    for c in range(d):
-        piv = next((i for i in range(r, n) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) != d:
+    r, c = _solve(transpose(basis), v)
+    if r != len(basis):
         raise ValueError("basis rows are linearly dependent")
-    for i in range(r, n):
-        if a[i][d] != 0:
-            return None
-    sol = [Fraction(0)] * d
-    for i, c in enumerate(pivots):
-        sol[c] = a[i][d]
-    return tuple(sol)
+    return c
 
 
 def particular_solution(a: Sequence[Sequence[int]], b: Sequence[int]):
@@ -388,31 +372,7 @@ def particular_solution(a: Sequence[Sequence[int]], b: Sequence[int]):
 
     Free variables are set to zero, so the output is deterministic.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rows = [[Fraction(x) for x in a[i]] + [Fraction(b[i])] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][n]
-    return tuple(x)
+    return _solve(a, b)[1]
 
 
 def complete_to_basis(rows: Sequence[Sequence[int]], ambient: int) -> tuple[Mat, Mat, int]:

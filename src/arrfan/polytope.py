@@ -26,10 +26,6 @@ class HalfLatticePolytope:
     doubled_vertices: Mat
     chamber_rays: tuple[Mat, ...]
 
-    @property
-    def chamber_of_vertex(self) -> dict[Vec, int]:
-        return {v: i for i, v in enumerate(self.doubled_vertices)}
-
 
 @dataclass(frozen=True)
 class PhiCertificate:

@@ -183,7 +183,8 @@ def parabolic_arrangement(a: Arrangement, delta: Sequence[int]) -> Arrangement:
     projected = set()
     for cov in vanishing:
         img = tuple(la.vec_dot(cov, lift) for lift in lifts)
-        assert img == la.primitive(img)
+        if img != la.primitive(img):
+            raise CertificationError(f"covector {cov} projects to a non-primitive {img}")
         projected.add(la.canonical_sign(img))
     from .arrangement import make_arrangement
 

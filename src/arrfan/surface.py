@@ -228,7 +228,8 @@ def _hilbert_middle_rays(u: Vec, w: Vec) -> list[Vec]:
     is kept when it is not a sum of two nonzero lattice points of the cone.
     """
     d = _det2(u, w)
-    assert d > 0
+    if d <= 0:
+        raise CertificationError(f"cone ({u}, {w}) is not counterclockwise")
     if d == 1:
         return []
     pts = set()
@@ -322,7 +323,8 @@ def y_divisor_class(g: CircularGraph) -> tuple[DivisorClass, int]:
     ys = []
     for nu in range(1, t - 1):
         coords = la.solve_in_row_space(basis, g.rays[nu])
-        assert coords is not None and all(c.denominator == 1 for c in coords)
+        if coords is None or any(c.denominator != 1 for c in coords):
+            raise CertificationError(f"ray {nu + 1} has no integer coordinates in (n_1, n_t)")
         ys.append(int(coords[1]))
     if ys[0] != 1:
         raise CertificationError("y_2 != 1 contradicts the ray relations")
@@ -363,7 +365,8 @@ def verify_picard_presentation(g: CircularGraph) -> bool:
     q_rows = []
     for nu in range(t):
         coords = la.solve_in_row_space(basis, g.rays[nu])
-        assert coords is not None and all(c.denominator == 1 for c in coords)
+        if coords is None or any(c.denominator != 1 for c in coords):
+            raise CertificationError(f"ray {nu + 1} has no integer coordinates in (n_1, n_t)")
         q_rows.append((int(coords[0]), int(coords[1])))
     q = la.freeze(q_rows)
     rel = [[0] * t for _ in range(t)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
 
 def catalan(n: int) -> int:
@@ -192,3 +193,153 @@ def equal_up_to_rotation(a, b) -> bool:
     if len(a) != len(b):
         return False
     return any(a[k:] + a[:k] == b for k in range(len(a)))
+
+
+# Reference elimination routines: the Fraction Gauss-Jordan and Bareiss loops
+# that arrfan.intlinalg used before its single fraction-free kernel.  The
+# property tests in test_intlinalg.py require the kernel wrappers to agree
+# with them, including on singular and dependent input.
+
+
+def ref_det(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    a = [list(r) for r in m]
+    n = len(a)
+    if any(len(r) != len(a[0]) for r in a):
+        raise ValueError("ragged matrix")
+    if any(len(r) != n for r in a):
+        raise ValueError("determinant requires a square matrix")
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def ref_rank(m: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals, by exact fraction-free elimination."""
+    a = [[Fraction(x) for x in row] for row in m]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, nrows):
+            if a[i][c]:
+                f = a[i][c] / a[r][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def ref_mat_inverse_fraction(m: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse of a square matrix, as Fractions.
+
+    Raises ValueError on non-square or singular input.
+    """
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise ValueError("inverse requires a square matrix")
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        a[c], a[piv] = a[piv], a[c]
+        inv = 1 / a[c][c]
+        a[c] = [x * inv for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def ref_solve_in_row_space(basis: Sequence[Sequence[int]], v: Sequence[int]):
+    """Coefficients c with c*basis = v, or None when v is outside the span.
+
+    `basis` must have linearly independent rows; the solution is then unique
+    and returned as a tuple of Fractions.
+    """
+    d = len(basis)
+    if d == 0:
+        return () if all(x == 0 for x in v) else None
+    n = len(basis[0])
+    # solve basis^T c^T = v^T by elimination on the augmented r x (d+1) system
+    a = [[Fraction(basis[i][j]) for i in range(d)] + [Fraction(v[j])] for j in range(n)]
+    pivots = []
+    r = 0
+    for c in range(d):
+        piv = next((i for i in range(r, n) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(n):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    if len(pivots) != d:
+        raise ValueError("basis rows are linearly dependent")
+    for i in range(r, n):
+        if a[i][d] != 0:
+            return None
+    sol = [Fraction(0)] * d
+    for i, c in enumerate(pivots):
+        sol[c] = a[i][d]
+    return tuple(sol)
+
+
+def ref_particular_solution(a: Sequence[Sequence[int]], b: Sequence[int]):
+    """Some rational x with a*x = b (columns act), or None when inconsistent.
+
+    Free variables are set to zero, so the output is deterministic.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rows = [[Fraction(x) for x in a[i]] + [Fraction(b[i])] for i in range(m)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, m):
+        if rows[i][n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = rows[i][n]
+    return tuple(x)

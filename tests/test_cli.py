@@ -1,7 +1,10 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import arrfan
 from arrfan.cli import main
 
 
@@ -50,6 +53,27 @@ def test_verify_exit_codes(tmp_path, capsys, a2_file):
     broken.write_text("{nope")
     code, _ = run(capsys, "verify", str(broken))
     assert code == 2
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, a2_file):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    # roots reads a fan, verify an arrangement, plot sniffs either
+    for command in ("roots", "verify", "plot"):
+        code, _ = run(capsys, command, str(deep))
+        assert code == 2
+    fan_path = str(tmp_path / "fan.json")
+    assert run(capsys, "fan", a2_file, "--out", fan_path)[0] == 0
+    code, _ = run(capsys, "restrict", fan_path, "--subspace", "[" * 5000 + "]" * 5000)
+    assert code == 2
+
+
+def test_no_assert_statements_in_library():
+    # asserts vanish under python -O; invariants raise CertificationError
+    src = Path(arrfan.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)], path.name
 
 
 def test_fan_roots_pipe_closure(tmp_path, capsys, a2_file):

@@ -3,11 +3,19 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from arrfan import intlinalg as la
 from arrfan.errors import NonPointedError
 
-from oracles import brute_extreme_rays
+from oracles import (
+    brute_extreme_rays,
+    ref_det,
+    ref_mat_inverse_fraction,
+    ref_particular_solution,
+    ref_rank,
+    ref_solve_in_row_space,
+)
 
 
 def _random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -184,3 +192,88 @@ def test_solve_in_row_space():
     assert la.solve_in_row_space([(1, 0, 1)], (0, 1, 0)) is None
     assert la.solve_in_row_space((), (0, 0)) == ()
     assert la.solve_in_row_space((), (1, 0)) is None
+
+
+# Property tests: the elimination wrappers against the reference routines in
+# oracles.py.  Half the matrices are products of an n x k and a k x m factor,
+# so singular, rank-deficient and dependent-basis inputs are common.
+
+_ENTRY = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-9, 9))
+_PROPERTY = settings(max_examples=300, deadline=None, database=None)
+
+
+def _dense(n, m):
+    return st.lists(st.tuples(*[_ENTRY] * m), min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def _matrices(draw, max_dim=6):
+    n, m = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    if draw(st.booleans()):
+        return draw(_dense(n, m))
+    k = draw(st.integers(0, min(n, m)))
+    a, b = draw(_dense(n, k)), draw(_dense(k, m))
+    return tuple(
+        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)) for i in range(n)
+    )
+
+
+@st.composite
+def _square_matrices(draw):
+    m = draw(_matrices())
+    n = min(len(m), len(m[0]) if m else 0)
+    return tuple(row[:n] for row in m[:n])
+
+
+@st.composite
+def _systems(draw, transpose):
+    """(m, b) for m*x = b, or for c*m = b when `transpose`; half are consistent."""
+    m = draw(_matrices())
+    if transpose and draw(st.booleans()):
+        width = draw(st.integers(1, 6))  # a basis that is most often independent
+        m = draw(_dense(draw(st.integers(1, width)), width))
+    n = (len(m[0]) if m else 0) if transpose else len(m)
+    k = len(m) if transpose else (len(m[0]) if m else 0)
+    if draw(st.booleans()):
+        return m, draw(st.tuples(*[_ENTRY] * n))
+    x = draw(st.tuples(*[_ENTRY] * k))
+    if transpose:
+        return m, tuple(sum(x[i] * m[i][j] for i in range(k)) for j in range(n))
+    return m, tuple(la.vec_dot(row, x) for row in m)
+
+
+def _outcome(f, *args):
+    """What f returns or raises, compared by repr so Fraction and int differ."""
+    try:
+        return repr(f(*args))
+    except ValueError as e:
+        return f"ValueError({e})"
+
+
+@_PROPERTY
+@given(_matrices())
+def test_rank_matches_reference(m):
+    assert la.rank(m) == ref_rank(m)
+
+
+@_PROPERTY
+@given(st.one_of(_square_matrices(), _matrices()))
+def test_det_and_inverse_match_reference(m):
+    assert _outcome(la.det, m) == _outcome(ref_det, m)
+    assert _outcome(la.mat_inverse_fraction, m) == _outcome(ref_mat_inverse_fraction, m)
+
+
+@_PROPERTY
+@given(_systems(transpose=False))
+def test_particular_solution_matches_reference(system):
+    assert _outcome(la.particular_solution, *system) == _outcome(
+        ref_particular_solution, *system
+    )
+
+
+@_PROPERTY
+@given(_systems(transpose=True))
+def test_solve_in_row_space_matches_reference(system):
+    assert _outcome(la.solve_in_row_space, *system) == _outcome(
+        ref_solve_in_row_space, *system
+    )
