@@ -13,6 +13,9 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property, reduce
+from math import lcm
+from operator import and_
 from typing import Sequence
 
 from . import intlinalg as la
@@ -35,6 +38,11 @@ class Arrangement:
     @property
     def n_hyperplanes(self) -> int:
         return len(self.positive_covectors)
+
+    @cached_property
+    def chambers(self) -> tuple[Chamber, ...]:
+        """`enumerate_chambers(self)`, computed once and shared by every consumer."""
+        return enumerate_chambers(self)
 
 
 @dataclass(frozen=True)
@@ -86,7 +94,7 @@ def make_arrangement(rank: int, covectors: Sequence[Sequence[int]]) -> Arrangeme
         if v in seen:
             raise InputFormatError(f"parallel covector pair at {v}")
         seen.add(v)
-    if la.snf(canon) != (1,) * rank:
+    if len(canon) < rank or la.snf(canon) != (1,) * rank:
         raise LatticeSpanError("covectors do not generate the full integer lattice")
     return Arrangement(rank=rank, positive_covectors=tuple(sorted(canon)))
 
@@ -224,59 +232,73 @@ def _seed_sign_vector(a: Arrangement) -> tuple[int, ...]:
 
 
 def enumerate_chambers(a: Arrangement) -> tuple[Chamber, ...]:
-    """All chambers, by wall-crossing search from a deterministic seed.
+    """All chambers, by a breadth-first wall-crossing walk from a deterministic seed.
 
-    The seed is the chamber containing the first generic point of the
-    sequence (1, t, t^2, ...), t = 1, 2, ...; from each chamber the walls are
-    crossed in the order of its lex-sorted rays.  Raises NotSimplicialError
-    as soon as a chamber with more than `rank` extreme rays is found.
+    The seed chamber contains the first generic point of (1, t, t^2, ...),
+    t = 1, 2, ...; only its rays come from a double description.  Crossing
+    wall j (in lex order of the rays) keeps the facet F = rays minus r_j; the
+    new wall opposite r_k is the hyperplane gamma through F minus r_k that
+    maximises gamma(r_j)/gamma(r_k), gamma(r_k) > 0.  NotSimplicialError is
+    raised when a covector, signed by the new chamber, is negative on the
+    new ray: that chamber has more than `rank` extreme rays.
     """
-    covs = a.positive_covectors
-    n = len(covs)
-    r = a.rank
+    covs, n, r = a.positive_covectors, a.n_hyperplanes, a.rank
+
+    @cache
+    def values(ray: Vec) -> tuple[int, ...]:  # every covector's value on the ray
+        return tuple(la.vec_dot(c, ray) for c in covs)
+
+    @cache
+    def zeros(ray: Vec) -> int:  # bitmask of the covectors vanishing on the ray
+        return sum(1 << i for i, x in enumerate(values(ray)) if x == 0)
+
+    def meet(rays) -> int:  # bitmask of the covectors vanishing on all the rays
+        return reduce(and_, map(zeros, rays), (1 << n) - 1)
+
+    def cross(rays: Mat, walls: list[int], j: int, t: tuple[int, ...]):
+        # v/den = -r_j + sum of gamma(r_j)/gamma(r_k) r_k vanishes on each new wall gamma
+        facet = rays[:j] + rays[j + 1:]
+        v, den, new_walls = la.vec_neg(rays[j]), 1, {}
+        for rk in facet:
+            best = None  # (index, gamma(r_k), gamma(r_j)) of the new wall opposite r_k
+            pencil = meet(x for x in facet if x != rk) & ~(1 << walls[j])
+            for i in [i for i in range(n) if pencil >> i & 1]:
+                gk, gj = values(rk)[i], values(rays[j])[i]
+                if gk < 0:
+                    gk, gj = -gk, -gj
+                if best is None or gj * best[1] > best[2] * gk:
+                    best = (i, gk, gj)
+            new_walls[rk], gk, gj = best
+            step = lcm(den, gk)
+            v = la.vec_add(la.vec_scale(step // den, v), la.vec_scale(step // gk * gj, rk))
+            den = step
+        v = la.primitive(v)
+        if any(t[i] * x < 0 for i, x in enumerate(values(v))):
+            raise NotSimplicialError(f"chamber {t} has more than {r} extreme rays")
+        new_walls[v] = walls[j]
+        new_rays = tuple(sorted(new_walls))
+        return t, new_rays, [new_walls[x] for x in new_rays]
+
     seed = _seed_sign_vector(a)
+    rays = la.extreme_rays([la.vec_scale(x, c) for x, c in zip(seed, covs)])
+    if len(rays) != r:
+        raise NotSimplicialError(
+            f"chamber with sign vector {seed} has {len(rays)} extreme rays (rank {r})"
+        )
+    walls = [meet(rays[:j] + rays[j + 1:]).bit_length() - 1 for j in range(r)]
+    if any(seed[i] * values(ray)[i] <= 0 for i, ray in zip(walls, rays)):
+        raise CertificationError(f"a ray of chamber {seed} is not on its side of its wall")
     chambers: list[Chamber] = []
     seen = {seed}
-    queue: deque[tuple[int, ...]] = deque([seed])
+    queue = deque([(seed, rays, walls)])
     while queue:
-        s = queue.popleft()
-        rows = [la.vec_scale(s[i], covs[i]) for i in range(n)]
-        rays = la.extreme_rays(rows)
-        if len(rays) != r:
-            raise NotSimplicialError(
-                f"chamber with sign vector {s} has {len(rays)} extreme rays (rank {r})"
-            )
-        basis = []
-        for j in range(r):
-            others = [rays[k] for k in range(r) if k != j]
-            walls = [
-                i
-                for i in range(n)
-                if all(la.vec_dot(covs[i], v) == 0 for v in others)
-            ]
-            if len(walls) != 1:
-                raise NotSimplicialError(
-                    f"facet of chamber {s} lies on {len(walls)} hyperplanes"
-                )
-            i = walls[0]
-            if s[i] * la.vec_dot(covs[i], rays[j]) <= 0:
-                raise CertificationError(
-                    f"ray {j} of chamber {s} is not on the chamber's side of wall {i}"
-                )
-            basis.append((i, s[i]))
-        chambers.append(
-            Chamber(
-                index=len(chambers),
-                rays=rays,
-                basis=tuple(basis),
-                sign_vector=s,
-            )
-        )
-        for i, _ in basis:
-            neighbor = tuple(-s[k] if k == i else s[k] for k in range(n))
-            if neighbor not in seen:
-                seen.add(neighbor)
-                queue.append(neighbor)
+        s, rays, walls = queue.popleft()
+        chambers.append(Chamber(len(chambers), rays, tuple((i, s[i]) for i in walls), s))
+        for j, i in enumerate(walls):
+            t = s[:i] + (-s[i],) + s[i + 1:]
+            if t not in seen:
+                seen.add(t)
+                queue.append(cross(rays, walls, j, t))
     return tuple(chambers)
 
 
@@ -291,17 +313,23 @@ def positive_roots(a: Arrangement, k: Chamber) -> Mat:
 def is_crystallographic(a: Arrangement) -> CrystallographicReport:
     """Do all covectors have integer coordinates in every chamber's wall basis?
 
-    On failure the witness is the first violating (chamber, root, coordinates)
-    triple in chamber/root enumeration order.
+    Wall b_k is dual to ray r_k up to b_k(r_k) > 0, so the k-th coordinate of
+    beta is beta(r_k)/b_k(r_k), tested by integer division.  On failure the
+    witness is the first violating (chamber, root, coordinates) triple in
+    chamber/root enumeration order.
     """
-    chambers = enumerate_chambers(a)
-    for k in chambers:
-        b = k.basis_covectors(a)
-        binv = la.mat_inverse_fraction(b)
-        for root in a.positive_covectors:
-            coords = la.vec_mat(root, binv)
-            if any(c.denominator != 1 for c in coords):
-                return CrystallographicReport(False, (k.index, root, tuple(coords)))
+
+    @cache
+    def values(ray: Vec) -> tuple[int, ...]:  # every covector's value on the ray
+        return tuple(la.vec_dot(c, ray) for c in a.positive_covectors)
+
+    for k in a.chambers:
+        cols = [values(ray) for ray in k.rays]
+        diag = [sign * col[i] for (i, sign), col in zip(k.basis, cols)]
+        for m, root in enumerate(a.positive_covectors):
+            if any(col[m] % d for col, d in zip(cols, diag)):
+                coords = tuple(Fraction(col[m], d) for col, d in zip(cols, diag))
+                return CrystallographicReport(False, (k.index, root, coords))
     return CrystallographicReport(True, None)
 
 
@@ -316,10 +344,12 @@ def decompose(a: Arrangement) -> tuple[tuple[Arrangement, ...], tuple[tuple[int,
     report = is_crystallographic(a)
     if not report.verdict:
         raise NotCrystallographicError("decompose requires a crystallographic arrangement")
-    chambers = enumerate_chambers(a)
-    k0 = chambers[0]
-    binv = la.mat_inverse_fraction(k0.basis_covectors(a))
-    coords = [tuple(int(c) for c in la.vec_mat(root, binv)) for root in a.positive_covectors]
+    k0 = a.chambers[0]
+    walls = k0.basis_covectors(a)
+    coords = [
+        tuple(la.vec_dot(root, ray) // la.vec_dot(b, ray) for b, ray in zip(walls, k0.rays))
+        for root in a.positive_covectors
+    ]
 
     parent = list(range(a.rank))
 

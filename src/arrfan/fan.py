@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import intlinalg as la
-from .arrangement import Arrangement, enumerate_chambers, make_arrangement
+from .arrangement import Arrangement, is_crystallographic, make_arrangement
 from .errors import (
     BadReferenceError,
     CertificationError,
@@ -131,8 +131,12 @@ def make_fan(
         gens = [rays[i] for i in cone]
         if la.rank(gens) != len(gens):
             raise NotSimplicialError(f"cone {gens} is not simplicial")
-    for a, b in itertools.combinations(cone_idx, 2):
-        if set(a) <= set(b) or set(b) <= set(a):
+    # distinct cones of one size never contain each other, so a pure fan skips this
+    by_size: dict[int, list[frozenset]] = {}
+    for cone in cone_idx:
+        by_size.setdefault(len(cone), []).append(frozenset(cone))
+    for lo, hi in itertools.combinations(sorted(by_size), 2):
+        if any(s <= b for s in by_size[lo] for b in by_size[hi]):
             raise InputFormatError("listed cones must be mutually maximal")
     f = Fan(rank=rank, rays=tuple(rays), max_cones=tuple(cone_idx))
     if check_faces:
@@ -202,8 +206,7 @@ def fan_faces(f: Fan) -> tuple[tuple[int, ...], ...]:
 
 def fan_from_arrangement(a: Arrangement) -> Fan:
     """The fan whose maximal cones are the closed chambers of the arrangement."""
-    chambers = enumerate_chambers(a)
-    return make_fan(a.rank, [k.rays for k in chambers], check_faces=False)
+    return make_fan(a.rank, [k.rays for k in a.chambers], check_faces=False)
 
 
 def _facet_normal(f: Fan, facet: tuple[int, ...]) -> Vec:
@@ -473,8 +476,6 @@ def insert_hyperplane(a: Arrangement, h: Sequence[int]) -> tuple[Fan, BlowupCert
     (ray_a, ray_b) that was subdivided and checks that the unique new ray is
     exactly ray_a + ray_b.
     """
-    from .arrangement import is_crystallographic
-
     hv = la.canonical_sign(la.primitive(tuple(h)))
     if hv in a.positive_covectors:
         raise BadReferenceError(f"hyperplane {tuple(h)} already in the arrangement")

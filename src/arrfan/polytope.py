@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlinalg as la
-from .arrangement import Arrangement, Chamber, enumerate_chambers, is_crystallographic
+from .arrangement import Arrangement, Chamber, is_crystallographic, positive_roots
 from .errors import CertificationError, BadReferenceError, NotCrystallographicError
-from .fan import Fan, fan_faces
+from .fan import Fan, fan_faces, fan_from_arrangement
 from .intlinalg import Mat, Vec
 
 
@@ -61,20 +61,19 @@ def build_polytope(a: Arrangement) -> HalfLatticePolytope:
 
     For every ordered chamber pair (K, K') the difference of their vertices
     equals the doubled sum of the covectors positive on K' but not on K, and
-    its coordinates in K'-s wall basis are nonnegative (so each vertex lies in
-    every other chamber's supporting cone).  The vertex multiset is also
-    checked to be negation-stable and duplicate-free.
+    it is nonnegative on the rays of K' (so each vertex lies in every other
+    chamber's supporting cone).  The vertex multiset is also checked to be
+    negation-stable and duplicate-free.
     """
     if not is_crystallographic(a).verdict:
         raise NotCrystallographicError("polytope requires a crystallographic arrangement")
-    chambers = enumerate_chambers(a)
+    chambers = a.chambers
     vertices = tuple(rho(a, k) for k in chambers)
     if len(set(vertices)) != len(vertices):
         raise CertificationError("duplicate chamber vertices")
     if {la.vec_neg(v) for v in vertices} != set(vertices):
         raise CertificationError("vertex set is not negation-stable")
     for kp in chambers:
-        binv = la.mat_inverse_fraction(kp.basis_covectors(a))
         vp = vertices[kp.index]
         for k in chambers:
             diff = la.vec_sub(vp, vertices[k.index])
@@ -86,8 +85,7 @@ def build_polytope(a: Arrangement) -> HalfLatticePolytope:
                 raise CertificationError(
                     f"vertex difference identity fails for chambers {k.index}, {kp.index}"
                 )
-            coords = la.vec_mat(diff, binv)
-            if any(c < 0 for c in coords):
+            if any(la.vec_dot(diff, ray) < 0 for ray in kp.rays):
                 raise CertificationError(
                     f"vertex of chamber {k.index} escapes the cone of chamber {kp.index}"
                 )
@@ -163,15 +161,14 @@ def phi_certificate(a: Arrangement) -> PhiCertificate:
     base chamber's ray basis (wall basis first, giving an identity block),
     checks its Smith form is all ones, records the sign vector of every fan
     face and checks they are pairwise distinct, and verifies that each
-    chamber's full sign pattern cuts out exactly the chamber's closed cone.
+    chamber's full sign pattern cuts out exactly the chamber's closed cone:
+    every signed covector is >= 0 on its rays, and wall b_p is positive on
+    ray r_q exactly when p = q.
     """
     if not is_crystallographic(a).verdict:
         raise NotCrystallographicError("embedding requires a crystallographic arrangement")
-    from .fan import fan_from_arrangement
-
-    chambers = enumerate_chambers(a)
+    chambers = a.chambers
     base = chambers[0]
-    n = len(a.positive_covectors)
 
     basis_signed = base.basis_covectors(a)
     rest = []
@@ -201,12 +198,11 @@ def phi_certificate(a: Arrangement) -> PhiCertificate:
         sign_rows.append((gens, sv))
 
     for k in chambers:
-        rows = [la.vec_scale(k.sign_vector[i], a.positive_covectors[i]) for i in range(n)]
-        cut = la.extreme_rays(rows)
-        if set(cut) != set(k.rays):
-            raise CertificationError(
-                f"sign pattern of chamber {k.index} cuts out {cut}, not its cone"
-            )
+        pairing = [[la.vec_dot(b, ray) for ray in k.rays] for b in k.basis_covectors(a)]
+        if any(la.vec_dot(c, ray) < 0 for c in positive_roots(a, k) for ray in k.rays) or any(
+            (x > 0) != (p == q) for p, row in enumerate(pairing) for q, x in enumerate(row)
+        ):
+            raise CertificationError(f"chamber {k.index} is not cut out by its sign pattern")
     return PhiCertificate(
         matrix=matrix,
         row_roots=row_roots,

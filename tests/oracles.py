@@ -8,6 +8,7 @@ meaningful.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 from math import comb
 from typing import Sequence
@@ -343,3 +344,73 @@ def ref_particular_solution(a: Sequence[Sequence[int]], b: Sequence[int]):
     for i, c in enumerate(pivots):
         x[c] = rows[i][n]
     return tuple(x)
+
+
+# Reference chamber enumeration and integrality test: the per-chamber double
+# description and the Fraction-inverse test that arrfan.arrangement used
+# before its wall-crossing walk and integer divisibility test.  The tests
+# require the library to return equal chamber tuples and reports.
+
+
+def ref_enumerate_chambers(a):
+    """All chambers, by wall-crossing search with one double description per chamber."""
+    from arrfan import intlinalg as la
+    from arrfan.arrangement import Chamber, _seed_sign_vector
+    from arrfan.errors import CertificationError, NotSimplicialError
+
+    covs = a.positive_covectors
+    n = len(covs)
+    r = a.rank
+    seed = _seed_sign_vector(a)
+    chambers = []
+    seen = {seed}
+    queue = deque([seed])
+    while queue:
+        s = queue.popleft()
+        rows = [la.vec_scale(s[i], covs[i]) for i in range(n)]
+        rays = la.extreme_rays(rows)
+        if len(rays) != r:
+            raise NotSimplicialError(
+                f"chamber with sign vector {s} has {len(rays)} extreme rays (rank {r})"
+            )
+        basis = []
+        for j in range(r):
+            others = [rays[k] for k in range(r) if k != j]
+            walls = [
+                i
+                for i in range(n)
+                if all(la.vec_dot(covs[i], v) == 0 for v in others)
+            ]
+            if len(walls) != 1:
+                raise NotSimplicialError(
+                    f"facet of chamber {s} lies on {len(walls)} hyperplanes"
+                )
+            i = walls[0]
+            if s[i] * la.vec_dot(covs[i], rays[j]) <= 0:
+                raise CertificationError(
+                    f"ray {j} of chamber {s} is not on the chamber's side of wall {i}"
+                )
+            basis.append((i, s[i]))
+        chambers.append(
+            Chamber(index=len(chambers), rays=rays, basis=tuple(basis), sign_vector=s)
+        )
+        for i, _ in basis:
+            neighbor = tuple(-s[k] if k == i else s[k] for k in range(n))
+            if neighbor not in seen:
+                seen.add(neighbor)
+                queue.append(neighbor)
+    return tuple(chambers)
+
+
+def ref_is_crystallographic(a):
+    """Integrality of every covector in every wall basis, by Fraction inverses."""
+    from arrfan import intlinalg as la
+    from arrfan.arrangement import CrystallographicReport
+
+    for k in ref_enumerate_chambers(a):
+        binv = ref_mat_inverse_fraction(k.basis_covectors(a))
+        for root in a.positive_covectors:
+            coords = la.vec_mat(root, binv)
+            if any(c.denominator != 1 for c in coords):
+                return CrystallographicReport(False, (k.index, root, tuple(coords)))
+    return CrystallographicReport(True, None)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arrfan import intlinalg as la
 from arrfan.arrangement import (
@@ -22,7 +23,12 @@ from arrfan.errors import (
     NotSimplicialError,
 )
 
-from oracles import brute_chamber_signs, gauss_solve
+from oracles import (
+    brute_chamber_signs,
+    gauss_solve,
+    ref_enumerate_chambers,
+    ref_is_crystallographic,
+)
 
 
 def test_load_basic():
@@ -79,7 +85,9 @@ def test_catalog_ngon():
 
 @pytest.mark.parametrize(
     "name,count",
-    [("A_2", 6), ("B_2", 8), ("A_3", 24), ("B_3", 48)],
+    # Weyl group orders: (r+1)! for A_r, 2^r r! for B_r, 2^(r-1) r! for D_r
+    [("A_2", 6), ("B_2", 8), ("A_3", 24), ("B_3", 48),
+     ("D_4", 2**3 * 24), ("B_4", 2**4 * 24), ("A_5", 720)],
 )
 def test_chamber_counts(name, count):
     assert len(enumerate_chambers(catalog(name))) == count
@@ -185,6 +193,69 @@ def test_non_simplicial_rejected():
     a = make_arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)])
     with pytest.raises(NotSimplicialError):
         enumerate_chambers(a)
+
+
+def test_non_simplicial_chamber_found_by_the_walk():
+    # the seed chamber (the positive orthant) is simplicial; the chamber
+    # x, y > 0 > z, x + y + z > 0 behind one of its walls has four rays
+    a = make_arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    seed_rows = [la.vec_scale(s, c) for s, c in zip((1, 1, 1, 1), a.positive_covectors)]
+    assert len(la.extreme_rays(seed_rows)) == 3
+    with pytest.raises(NotSimplicialError):
+        enumerate_chambers(a)
+    with pytest.raises(NotSimplicialError):
+        ref_enumerate_chambers(a)
+    with pytest.raises(NotSimplicialError):
+        is_crystallographic(a)
+
+
+# Equality gate: the walk and the integer integrality test against the
+# per-chamber double description and the Fraction-inverse test they replaced.
+# The full ladder (also B_4, A_5 and every ngon:8/ngon:10 index) is too slow
+# for the reference path here; these rungs cover every family.
+@pytest.mark.parametrize(
+    "name",
+    ["A_2", "A_3", "A_4", "B_2", "B_3", "C_3", "D_4",
+     "ngon:8:0", "ngon:8:77", "ngon:10:0", "ngon:10:1000"],
+)
+def test_walk_matches_reference_on_ladder(name):
+    a = catalog(name)
+    assert enumerate_chambers(a) == ref_enumerate_chambers(a)
+    assert a.chambers == enumerate_chambers(a)
+    assert is_crystallographic(a) == ref_is_crystallographic(a)
+
+
+@st.composite
+def _small_arrangements(draw):
+    """Random rank-2..4 arrangements with entries in [-2, 2], most not simplicial.
+
+    The unit covectors are added only when the drawn ones do not span Z^r.
+    """
+    r = draw(st.integers(2, 4))
+    drawn = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * r), min_size=1, max_size=7 - r))
+    covs = {la.canonical_sign(la.primitive(v)) for v in drawn if any(v)}
+    try:
+        return make_arrangement(r, sorted(covs))
+    except LatticeSpanError:
+        return make_arrangement(r, sorted(covs | set(la.identity(r))))
+
+
+def _chambers_or_not_simplicial(enumerate_, a):
+    try:
+        return enumerate_(a)
+    except NotSimplicialError:
+        return NotSimplicialError
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_small_arrangements())
+def test_walk_matches_reference_on_random_arrangements(a):
+    got = _chambers_or_not_simplicial(enumerate_chambers, a)
+    assert got == _chambers_or_not_simplicial(ref_enumerate_chambers, a)
+    if got is NotSimplicialError:
+        return
+    assert {k.sign_vector for k in got} == brute_chamber_signs(a.positive_covectors, a.rank)
+    assert is_crystallographic(a) == ref_is_crystallographic(a)
 
 
 def test_decompose():

@@ -68,6 +68,51 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, a2_file):
     assert code == 2
 
 
+def test_absurd_rank_is_a_lattice_span_verdict(tmp_path, capsys):
+    # fewer covectors than the rank cannot span Z^r: exit 10 before the
+    # rank-length all-ones Smith form is ever built
+    huge = write(tmp_path, "huge.json", {"rank": 10**30, "positive_covectors": []})
+    assert (tmp_path / "huge.json").read_text() == (
+        '{"rank": 1000000000000000000000000000000, "positive_covectors": []}'
+    )
+    assert run(capsys, "verify", huge) == (10, "")
+
+
+def test_verify_non_simplicial_chamber_behind_a_simplicial_seed(tmp_path, capsys):
+    # the seed chamber, the positive orthant, is simplicial; a neighbour is not
+    path = write(
+        tmp_path, "neg3.json",
+        {"rank": 3, "positive_covectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]},
+    )
+    code, out = run(capsys, "verify", path)
+    assert code == 11
+    assert json.loads(out)["verdicts"] == {"simplicial": False, "crystallographic": None}
+
+
+# stdout of `verify` on these exact file bytes, recorded from the former
+# Fraction-inverse integrality test (chamber index, root, coordinates)
+_PINNED_WITNESSES = [
+    (
+        {"rank": 2, "positive_covectors": [[1, 0], [0, 1], [1, 2]]},
+        '{"command":"verify","input_digest":"sha256:4d92e0a62117475d4bd5d570f7cc6fc771f6c9221'
+        '06d437dc06b6414c7563044","outputs":{},"verdicts":{"crystallographic":false,'
+        '"simplicial":true},"witnesses":{"chamber":2,"coordinates":["1/2","1/2"],"root":[0,1]}}',
+    ),
+    (
+        {"rank": 3, "positive_covectors": [[0, 0, 1], [2, 1, -2], [2, 1, 3], [3, 1, -2]]},
+        '{"command":"verify","input_digest":"sha256:075832406b77c96536a586d6a7f5482c1e8201869'
+        '5489cd3c98840ffe7da70a4","outputs":{},"verdicts":{"crystallographic":false,'
+        '"simplicial":true},"witnesses":{"chamber":1,"coordinates":["1/5","0","1/5"],'
+        '"root":[0,0,1]}}',
+    ),
+]
+
+
+@pytest.mark.parametrize("obj,expected", _PINNED_WITNESSES)
+def test_verify_witness_is_pinned(tmp_path, capsys, obj, expected):
+    assert run(capsys, "verify", write(tmp_path, "neg.json", obj)) == (10, expected + "\n")
+
+
 def test_no_assert_statements_in_library():
     # asserts vanish under python -O; invariants raise CertificationError
     src = Path(arrfan.__file__).parent

@@ -323,6 +323,16 @@ def test_face_checks_on_lower_dimensional_cones():
         make_fan(2, [[(1, 0), (0, 1)], [(1, 2)]], check_faces=True)
 
 
+def test_listed_face_of_another_cone_is_rejected():
+    octant = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    mixed = [octant, [(-1, 0, 0), (0, -1, 0)], [(0, 0, -1)]]
+    f = make_fan(3, mixed + [octant[::-1]], check_faces=False)  # a repeat is merged
+    assert sorted(len(c) for c in f.max_cones) == [1, 2, 3]
+    for face in ([(0, 1, 0), (0, 0, 1)], [(1, 0, 0)], [(-1, 0, 0)]):
+        with pytest.raises(InputFormatError):
+            make_fan(3, mixed + [face], check_faces=False)
+
+
 def test_fan_faces():
     f = fan_from_arrangement(catalog("A_2"))
     faces = fan_faces(f)
