@@ -1,18 +1,22 @@
 """The intersection poset of an arrangement and its reflection in the fan.
 
-Flats are subspaces cut out by hyperplane subsets, stored as the
+Flats are subspaces cut out by hyperplane subsets, keyed by the
 Hermite-canonical basis of the saturated sublattice they carry, so equality
-of flats is equality of basis rows.  The toric-arrangement report verifies,
-purely on cones, the statements that make the family of flat subfans an
-embedded copy of the poset.
+of flats is equality of basis rows.  A flat X is also the intersection of
+the set H(X) of hyperplanes containing it, held as an int bitmask over the
+covectors, so order, covers and containment are set operations: X <= Y
+exactly when H(Y) is a subset of H(X), and covers are one dimension apart.
+The toric-arrangement report verifies, purely on cones, the statements that
+make the family of flat subfans an embedded copy of the poset.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from . import intlinalg as la
-from .arrangement import Arrangement, is_crystallographic
+from .arrangement import Arrangement, is_crystallographic, make_arrangement
 from .errors import BadReferenceError, CertificationError, NotCrystallographicError
 from .fan import (
     fan_faces,
@@ -60,84 +64,59 @@ def flat_from_generators(rank: int, vectors: Sequence[Vec]) -> FlatSubspace:
     return FlatSubspace(dim=len(basis), basis=basis)
 
 
-def flat_contains(e: FlatSubspace, v: Vec) -> bool:
-    if e.dim == 0:
-        return all(x == 0 for x in v)
-    return la.solve_in_row_space(e.basis, v) is not None
+def _held(a: Arrangement, basis: Mat) -> int:
+    """Bitmask of the covectors vanishing on every basis row: H(X) for a flat X."""
+    return sum(
+        1 << i
+        for i, cov in enumerate(a.positive_covectors)
+        if all(la.vec_dot(cov, row) == 0 for row in basis)
+    )
 
 
-def flat_leq(e: FlatSubspace, f: FlatSubspace) -> bool:
-    return all(flat_contains(f, row) for row in e.basis) if e.dim else True
-
-
-def flat_intersection(rank: int, e: FlatSubspace, f: FlatSubspace) -> FlatSubspace:
-    constraints = []
-    for g in (e, f):
-        if g.dim == rank:
-            continue
-        if g.dim == 0:
-            return FlatSubspace(dim=0, basis=())
-        constraints.extend(la.kernel_basis(g.basis))
-    return flat_from_constraints(rank, constraints)
-
-
-def _annihilator(rank: int, e: FlatSubspace) -> Mat:
-    """Covectors vanishing on the flat (basis of the orthogonal sublattice)."""
-    if e.dim == 0:
-        return la.identity(rank)
-    if e.dim == rank:
-        return ()
-    return la.kernel_basis(e.basis)
+def _covectors(a: Arrangement, held: int) -> Mat:
+    return tuple(cov for i, cov in enumerate(a.positive_covectors) if held >> i & 1)
 
 
 def intersection_poset(a: Arrangement) -> IntersectionPoset:
     """All intersections of hyperplane subsets, with cover relations.
 
-    Closure by repeated single-hyperplane refinement starting from the whole
-    space; flats are deduplicated by canonical basis and sorted by dimension.
+    A flat X is the intersection of the set H(X) of hyperplanes containing
+    it.  Closure refines each flat X by each hyperplane H outside H(X),
+    starting from the whole space, as the kernel of H together with the
+    codim X members of H(X) that first cut X out: their kernel is already
+    X, and at most `rank` rows keep the elimination small.  Flats are
+    deduplicated by canonical basis and sorted by dimension.  X <= Y exactly
+    when H(Y) is a subset of H(X), and since the intersection lattice is
+    geometric, hence graded by dimension, Y covers X exactly when moreover
+    dim Y = dim X + 1.
     """
     r = a.rank
     top = flat_from_constraints(r, ())
-    flats = {top.basis: top}
-    frontier = [top]
+    held = {top: 0}
+    frontier = [(top, ())]  # each flat with the codim-many hyperplanes that cut it out
     while frontier:
         nxt = []
-        for flat in frontier:
-            for cov in a.positive_covectors:
-                if all(la.vec_dot(cov, row) == 0 for row in flat.basis):
+        for flat, rows in frontier:
+            for i, cov in enumerate(a.positive_covectors):
+                if held[flat] >> i & 1:
                     continue  # hyperplane contains the flat
-                cut = flat_from_constraints(
-                    r, tuple(_annihilator(r, flat)) + (cov,)
-                )
-                if cut.basis not in flats:
-                    flats[cut.basis] = cut
-                    nxt.append(cut)
+                cut = flat_from_constraints(r, rows + (cov,))
+                if cut not in held:
+                    held[cut] = _held(a, cut.basis)
+                    nxt.append((cut, rows + (cov,)))
         frontier = nxt
-    ordered = sorted(flats.values(), key=lambda f: (f.dim, f.basis))
-    covers = []
-    for i, low in enumerate(ordered):
-        for j, high in enumerate(ordered):
-            if low.dim < high.dim and flat_leq(low, high):
-                between = any(
-                    low.dim < mid.dim < high.dim
-                    and flat_leq(low, mid)
-                    and flat_leq(mid, high)
-                    for mid in ordered
-                )
-                if not between:
-                    covers.append((i, j))
-    return IntersectionPoset(flats=tuple(ordered), cover_pairs=tuple(covers))
+    ordered = sorted(held, key=lambda f: (f.dim, f.basis))
+    covers = tuple(
+        (i, j)
+        for i, low in enumerate(ordered)
+        for j, high in enumerate(ordered)
+        if high.dim == low.dim + 1 and held[high] & ~held[low] == 0
+    )
+    return IntersectionPoset(flats=tuple(ordered), cover_pairs=covers)
 
 
 def _require_flat(a: Arrangement, e: FlatSubspace) -> None:
-    containing = [
-        cov
-        for cov in a.positive_covectors
-        if all(la.vec_dot(cov, row) == 0 for row in e.basis)
-    ]
-    if e.dim < a.rank and len(containing) < a.rank - e.dim:
-        raise BadReferenceError("subspace is not a flat of the arrangement")
-    if flat_from_constraints(a.rank, containing).basis != e.basis:
+    if flat_from_constraints(a.rank, _covectors(a, _held(a, e.basis))) != e:
         raise BadReferenceError("subspace is not a flat of the arrangement")
 
 
@@ -175,19 +154,12 @@ def parabolic_arrangement(a: Arrangement, delta: Sequence[int]) -> Arrangement:
     if len(dl) == a.rank:
         raise ValueError("parabolic arrangement needs a cone of dimension below the rank")
     _, lifts, d = quotient_data(gens, a.rank)
-    vanishing = [
-        cov
-        for cov in a.positive_covectors
-        if all(la.vec_dot(cov, g) == 0 for g in gens)
-    ]
     projected = set()
-    for cov in vanishing:
+    for cov in _covectors(a, _held(a, gens)):
         img = tuple(la.vec_dot(cov, lift) for lift in lifts)
         if img != la.primitive(img):
             raise CertificationError(f"covector {cov} projects to a non-primitive {img}")
         projected.add(la.canonical_sign(img))
-    from .arrangement import make_arrangement
-
     result = make_arrangement(a.rank - d, sorted(projected))
     star_side = roots_from_fan(star_fan(f, dl))
     if result != star_side:
@@ -204,8 +176,11 @@ def toric_arrangement_report(a: Arrangement) -> ToricArrangementReport:
     Checked: (a) S(E n F) = S(E) n S(F) for all flat pairs; (b) slicing each
     face by E's vanishing covectors lands on a face and reproduces S(E)
     (the two descriptions of the flat subfan agree); (c) E <= F exactly when
-    S(E) <= S(F); (d) faces with equal span have identical star fans; and the
-    top dimension of S(E) equals dim E.  Any failure raises
+    S(E) <= S(F); (d) faces with equal span have identical star fans, all
+    projected through one quotient basis of that span; and the top dimension
+    of S(E) equals dim E.  Flats enter through their hyperplane sets H(E):
+    a face lies in E when every covector of H(E) vanishes on its rays, and
+    E n F is the kernel of H(E) with H(F).  Any failure raises
     CertificationError; the report records sizes and dimensions.
     """
     if not is_crystallographic(a).verdict:
@@ -215,33 +190,31 @@ def toric_arrangement_report(a: Arrangement) -> ToricArrangementReport:
     poset = intersection_poset(a)
     faces = fan_faces(f)
 
-    members: list[frozenset] = []
-    for flat in poset.flats:
-        inside = frozenset(
-            face
-            for face in faces
-            if all(flat_contains(flat, f.rays[i]) for i in face)
-        )
-        members.append(inside)
+    held = [_held(a, flat.basis) for flat in poset.flats]
+    ray_zeros = [_held(a, (ray,)) for ray in f.rays]
+    ray_values = [
+        tuple(la.vec_dot(cov, ray) for cov in a.positive_covectors) for ray in f.rays
+    ]
+    # a face lies in a flat when every held covector vanishes on every ray of the face
+    members = [
+        frozenset(face for face in faces if all(h & ~ray_zeros[i] == 0 for i in face))
+        for h in held
+    ]
 
     checks = []
     # (b) slicing each face by the flat's annihilating covectors is a face op
     for fi, flat in enumerate(poset.flats):
-        ann = [
-            cov
-            for cov in a.positive_covectors
-            if all(la.vec_dot(cov, row) == 0 for row in flat.basis)
-        ]
+        ann = [c for c in range(a.n_hyperplanes) if held[fi] >> c & 1]
         sliced = set()
         for face in faces:
             cur = face
-            for cov in ann:
-                vals = [la.vec_dot(cov, f.rays[i]) for i in cur]
+            for c in ann:
+                vals = [ray_values[i][c] for i in cur]
                 if any(v > 0 for v in vals) and any(v < 0 for v in vals):
                     raise CertificationError(
-                        f"covector {cov} cuts the interior of face {cur}"
+                        f"covector {a.positive_covectors[c]} cuts the interior of face {cur}"
                     )
-                cur = tuple(i for i in cur if la.vec_dot(cov, f.rays[i]) == 0)
+                cur = tuple(i for i, v in zip(cur, vals) if v == 0)
             sliced.add(cur)
         if sliced != set(members[fi]):
             raise CertificationError(
@@ -250,10 +223,14 @@ def toric_arrangement_report(a: Arrangement) -> ToricArrangementReport:
     checks.append("slice-vs-containment")
 
     # (a) intersections of flats match intersections of subfans
+    @cache
+    def meet(h: int) -> FlatSubspace:  # the kernel of H(E) and H(G) together
+        return flat_from_constraints(r, _covectors(a, h))
+
     index_of = {flat.basis: i for i, flat in enumerate(poset.flats)}
     for i, e in enumerate(poset.flats):
         for j, g in enumerate(poset.flats):
-            cap = flat_intersection(r, e, g)
+            cap = meet(held[i] | held[j])
             if cap.basis not in index_of:
                 raise CertificationError("poset is not intersection-closed")
             if members[index_of[cap.basis]] != members[i] & members[j]:
@@ -263,20 +240,28 @@ def toric_arrangement_report(a: Arrangement) -> ToricArrangementReport:
                 )
     checks.append("pairwise-intersections")
 
-    # (c) order isomorphism onto the image
-    for i, e in enumerate(poset.flats):
-        for j, g in enumerate(poset.flats):
-            if flat_leq(e, g) != (members[i] <= members[j]):
+    # (c) order isomorphism onto the image: E <= G exactly when H(G) is in H(E)
+    for i in range(len(poset.flats)):
+        for j in range(len(poset.flats)):
+            if (held[j] & ~held[i] == 0) != (members[i] <= members[j]):
                 raise CertificationError("subfan inclusion does not mirror flat order")
     checks.append("order-isomorphism")
 
-    # (d) equal spans give identical star fans
+    # (d) equal spans give identical star fans, all in one quotient basis per span
     by_span: dict[Mat, list] = {}
     for face in faces:
         span = flat_from_generators(r, f.cone_vectors(face))
         by_span.setdefault(span.basis, []).append(face)
     for span_basis, group in sorted(by_span.items()):
-        stars = {star_fan(f, face) for face in group}
+        kappa, _, _ = quotient_data(span_basis, r)
+        stars = {
+            frozenset(
+                frozenset(la.primitive(kappa(f.rays[i])) for i in cone if i not in face)
+                for cone in f.max_cones
+                if set(face) <= set(cone)
+            )
+            for face in group
+        }
         if len(stars) != 1:
             raise CertificationError(
                 f"faces spanning {span_basis} have {len(stars)} distinct star fans"

@@ -414,3 +414,109 @@ def ref_is_crystallographic(a):
             if any(c.denominator != 1 for c in coords):
                 return CrystallographicReport(False, (k.index, root, tuple(coords)))
     return CrystallographicReport(True, None)
+
+
+# Reference flat order and intersection poset: the elimination-based flat
+# tests and the cover search over middle flats that arrfan.poset used before
+# it compared hyperplane sets.  The tests require equal posets.
+
+
+def ref_flat_contains(e, v) -> bool:
+    from arrfan import intlinalg as la
+
+    if e.dim == 0:
+        return all(x == 0 for x in v)
+    return la.solve_in_row_space(e.basis, v) is not None
+
+
+def ref_flat_leq(e, f) -> bool:
+    return all(ref_flat_contains(f, row) for row in e.basis) if e.dim else True
+
+
+def ref_flat_intersection(rank: int, e, f):
+    from arrfan import intlinalg as la
+    from arrfan.poset import FlatSubspace, flat_from_constraints
+
+    constraints = []
+    for g in (e, f):
+        if g.dim == rank:
+            continue
+        if g.dim == 0:
+            return FlatSubspace(dim=0, basis=())
+        constraints.extend(la.kernel_basis(g.basis))
+    return flat_from_constraints(rank, constraints)
+
+
+def ref_intersection_poset(a):
+    """Closure by single-hyperplane refinement; a cover has no flat strictly between."""
+    from arrfan import intlinalg as la
+    from arrfan.poset import IntersectionPoset, flat_from_constraints
+
+    r = a.rank
+
+    def annihilator(e):
+        if e.dim == 0:
+            return la.identity(r)
+        if e.dim == r:
+            return ()
+        return la.kernel_basis(e.basis)
+
+    top = flat_from_constraints(r, ())
+    flats = {top.basis: top}
+    frontier = [top]
+    while frontier:
+        nxt = []
+        for flat in frontier:
+            for cov in a.positive_covectors:
+                if all(la.vec_dot(cov, row) == 0 for row in flat.basis):
+                    continue
+                cut = flat_from_constraints(r, tuple(annihilator(flat)) + (cov,))
+                if cut.basis not in flats:
+                    flats[cut.basis] = cut
+                    nxt.append(cut)
+        frontier = nxt
+    ordered = sorted(flats.values(), key=lambda f: (f.dim, f.basis))
+    covers = []
+    for i, low in enumerate(ordered):
+        for j, high in enumerate(ordered):
+            if low.dim < high.dim and ref_flat_leq(low, high):
+                between = any(
+                    low.dim < mid.dim < high.dim
+                    and ref_flat_leq(low, mid)
+                    and ref_flat_leq(mid, high)
+                    for mid in ordered
+                )
+                if not between:
+                    covers.append((i, j))
+    return IntersectionPoset(flats=tuple(ordered), cover_pairs=tuple(covers))
+
+
+def ref_build_polytope(a):
+    """Doubled chamber vertices, with the vertex condition checked for every chamber pair."""
+    from arrfan import intlinalg as la
+    from arrfan.errors import CertificationError
+    from arrfan.polytope import HalfLatticePolytope, rho
+
+    chambers = a.chambers
+    vertices = tuple(rho(a, k) for k in chambers)
+    for kp in chambers:
+        vp = vertices[kp.index]
+        for k in chambers:
+            diff = la.vec_sub(vp, vertices[k.index])
+            gained = (0,) * a.rank
+            for i, cov in enumerate(a.positive_covectors):
+                if kp.sign_vector[i] != k.sign_vector[i]:
+                    gained = la.vec_add(gained, la.vec_scale(2 * kp.sign_vector[i], cov))
+            if diff != gained:
+                raise CertificationError(
+                    f"vertex difference identity fails for chambers {k.index}, {kp.index}"
+                )
+            if any(la.vec_dot(diff, ray) < 0 for ray in kp.rays):
+                raise CertificationError(
+                    f"vertex of chamber {k.index} escapes the cone of chamber {kp.index}"
+                )
+    return HalfLatticePolytope(
+        rank=a.rank,
+        doubled_vertices=vertices,
+        chamber_rays=tuple(k.rays for k in chambers),
+    )

@@ -37,7 +37,7 @@ from arrfan.surface import (
     y_divisor_class,
 )
 
-from oracles import equal_up_to_rotation
+from oracles import equal_up_to_rotation, ref_build_polytope
 
 CATALANS = {3: 1, 4: 2, 5: 5, 6: 14, 7: 42, 8: 132, 9: 429, 10: 1430}
 CHAMBER_COUNTS = {"A_2": 6, "A_3": 24, "A_4": 120, "B_3": 48, "B_4": 384, "D_4": 192}
@@ -142,7 +142,8 @@ def test_criterion_5_polytope():
     instances = [catalog(n) for n in _classical_names(3)]
     instances += _ngon_arrangements(8)
     for a in instances:
-        poly = build_polytope(a)  # pairwise vertex condition checked inside
+        poly = build_polytope(a)
+        assert ref_build_polytope(a) == poly  # pairwise vertex condition checked inside
         assert {la.vec_neg(v) for v in poly.doubled_vertices} == set(poly.doubled_vertices)
         assert verify_normal_fan(poly, fan_from_arrangement(a))
 

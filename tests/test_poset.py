@@ -1,22 +1,33 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from arrfan import intlinalg as la
 from arrfan.arrangement import catalog, is_crystallographic, make_arrangement
 from arrfan.errors import BadReferenceError, NotCrystallographicError
 from arrfan.fan import fan_faces, fan_from_arrangement, roots_from_fan, star_fan
 from arrfan.poset import (
+    FlatSubspace,
     flat_from_constraints,
     flat_from_generators,
-    flat_intersection,
-    flat_leq,
     intersection_poset,
     parabolic_arrangement,
     poset_to_json,
     restricted_arrangement,
     toric_arrangement_report,
 )
+
+from oracles import (
+    catalan,
+    ref_flat_intersection,
+    ref_flat_leq,
+    ref_intersection_poset,
+)
+from test_arrangement import _small_arrangements
+
+LADDER = ("A_2", "A_3", "A_4", "B_2", "B_3", "B_4", "C_3", "D_4")
 
 
 def brute_flats(a):
@@ -47,6 +58,42 @@ def test_intersection_poset_matches_brute_force():
         assert {f.basis for f in intersection_poset(a).flats} == brute_flats(a)
 
 
+@pytest.mark.parametrize("name", LADDER + ("ngon:8:77", "ngon:10:1000"))
+def test_poset_matches_reference_on_ladder(name):
+    a = catalog(name)
+    assert intersection_poset(a) == ref_intersection_poset(a)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_small_arrangements())
+def test_poset_matches_reference_on_random_arrangements(a):
+    assert intersection_poset(a) == ref_intersection_poset(a)
+
+
+def _zaslavsky_count(p):
+    """Sum over flats X of |mu(V, X)|, with the order read off the cover pairs alone."""
+    up = {i: set() for i in range(len(p.flats))}
+    for i, j in p.cover_pairs:
+        up[i].add(j)
+
+    @functools.cache
+    def above(i):  # every flat strictly containing flats[i]
+        return frozenset(up[i]).union(*(above(j) for j in up[i]))
+
+    @functools.cache
+    def mu(i):
+        return 1 if not above(i) else -sum(mu(j) for j in above(i))
+
+    return sum(abs(mu(i)) for i in range(len(p.flats)))
+
+
+def test_zaslavsky_count_from_covers():
+    ngons = [f"ngon:{t}:{k}" for t in range(3, 9) for k in range(catalan(t - 2))]
+    for name in LADDER + tuple(ngons):
+        a = catalog(name)
+        assert _zaslavsky_count(intersection_poset(a)) == len(a.chambers), name
+
+
 def test_cover_relations():
     p = intersection_poset(catalog("A_2"))
     # zero flat covered by all three lines, lines covered by the whole space
@@ -57,15 +104,15 @@ def test_cover_relations():
     assert len(lows) == 3 and len(highs) == 3
     for i, j in p.cover_pairs:
         assert p.flats[i].dim + 1 == p.flats[j].dim
-        assert flat_leq(p.flats[i], p.flats[j])
+        assert ref_flat_leq(p.flats[i], p.flats[j])
 
 
 def test_flat_algebra():
     e = flat_from_constraints(3, [(1, 0, 0)])
     f = flat_from_constraints(3, [(0, 1, 0)])
-    cap = flat_intersection(3, e, f)
+    cap = ref_flat_intersection(3, e, f)
     assert cap.dim == 1 and cap.basis == ((0, 0, 1),)
-    assert flat_leq(cap, e) and flat_leq(cap, f)
+    assert ref_flat_leq(cap, e) and ref_flat_leq(cap, f)
     assert flat_from_generators(3, [(0, 0, 2)]).basis == ((0, 0, 1),)
     # flat bases are saturated: all-ones Smith form
     for flat in intersection_poset(catalog("B_3")).flats:
@@ -89,7 +136,7 @@ def test_restricted_arrangement():
             for cov in a3.positive_covectors:
                 if all(la.vec_dot(cov, row) == 0 for row in flat.basis):
                     continue
-                cut = flat_intersection(
+                cut = ref_flat_intersection(
                     3, flat, flat_from_constraints(3, [cov])
                 )
                 traces.add(cut.basis)
@@ -103,6 +150,19 @@ def test_restricted_arrangement():
         restricted_arrangement(a3, flat_from_constraints(3, ((1, -1, 0),)))
     with pytest.raises(BadReferenceError):
         restricted_arrangement(b2, flat_from_constraints(2, ((1, 0), (0, 1))))
+
+
+def test_restriction_requires_the_canonical_flat():
+    a3 = catalog("A_3")
+    plane = FlatSubspace(dim=2, basis=((0, 1, 0), (0, 0, 1)))
+    assert restricted_arrangement(a3, plane).rank == 2
+    for bad in (
+        FlatSubspace(dim=2, basis=((0, 1, 0), (0, 1, 1))),  # same plane, other basis
+        FlatSubspace(dim=1, basis=plane.basis),  # wrong dimension
+        FlatSubspace(dim=2, basis=((1, 0, 0), (0, 1, 1))),  # not a flat
+    ):
+        with pytest.raises(BadReferenceError):
+            restricted_arrangement(a3, bad)
 
 
 def test_parabolic_arrangement():
@@ -170,6 +230,24 @@ def test_poset_order_isomorphism_across_catalog():
     for name in ("A_2", "B_2", "C_2", "D_2", "A_3", "C_3", "D_3", "ngon:4:0", "ngon:5:1"):
         rep = toric_arrangement_report(catalog(name))
         assert "order-isomorphism" in rep.checks
+
+
+@pytest.mark.parametrize("name", ["A_4", "D_4"])
+def test_toric_arrangement_report_rank_4(name):
+    # faces with one span are projected through one quotient basis, so their
+    # star fans compare equal even where each face's own basis differs
+    a = catalog(name)
+    flats = intersection_poset(a).flats
+    rep = toric_arrangement_report(a)
+    assert rep.checks == (
+        "slice-vs-containment",
+        "pairwise-intersections",
+        "order-isomorphism",
+        "stars-depend-on-span",
+        "dimensions",
+    )
+    assert rep.flat_count == len(flats)
+    assert rep.subfan_dims == tuple(f.dim for f in flats)
 
 
 def test_toric_arrangement_report():
