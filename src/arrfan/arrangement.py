@@ -188,8 +188,9 @@ def catalog(name: str) -> Arrangement:
 
     The classical families are given by their positive roots in simple-root
     coordinates.  ngon:t:index enumerates the rank-2 family: triangulation
-    `index` of the convex t-gon -> self-intersection weights -> rank-2 fan of
-    the doubled weight sequence -> its wall covectors.
+    `index` of the convex t-gon (3 <= t <= surface.MAX_TRIANGULATION_T) ->
+    self-intersection weights -> rank-2 fan of the doubled weight sequence ->
+    its wall covectors.
     """
     m = _CATALOG_RE.match(name)
     if m:
@@ -205,19 +206,19 @@ def catalog(name: str) -> Arrangement:
         return make_arrangement(r, builders[letter](r))
     m = _NGON_RE.match(name)
     if m:
-        t, index = int(m.group(1)), int(m.group(2))
-        if t < 3:
-            raise BadReferenceError("ngon requires t >= 3")
+        from . import surface
         from .fan import roots_from_fan
-        from .surface import triangulation_to_weights, triangulations, weights_to_fan
 
-        tris = triangulations(t)
+        t, index = int(m.group(1)), int(m.group(2))
+        if not 3 <= t <= surface.MAX_TRIANGULATION_T:
+            raise BadReferenceError(f"ngon requires 3 <= t <= {surface.MAX_TRIANGULATION_T}")
+        tris = surface.triangulations(t)
         if not 0 <= index < len(tris):
             raise BadReferenceError(
                 f"triangulation index {index} out of range (t={t} has {len(tris)})"
             )
-        half = triangulation_to_weights(t, tris[index])
-        return roots_from_fan(weights_to_fan(half + half))
+        half = surface.triangulation_to_weights(t, tris[index])
+        return roots_from_fan(surface.weights_to_fan(half + half))
     raise BadReferenceError(f"unknown catalog name {name!r}")
 
 

@@ -67,6 +67,7 @@ from .poset import (
     poset_to_json,
 )
 from .surface import (
+    MAX_TRIANGULATION_T,
     circular_graph,
     desingularize,
     symmetrize,
@@ -511,6 +512,16 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def _polygon_size(text: str) -> int:
+    try:
+        t = int(text)
+    except ValueError:
+        t = 0
+    if not 3 <= t <= MAX_TRIANGULATION_T:
+        raise argparse.ArgumentTypeError(f"must be an integer from 3 to {MAX_TRIANGULATION_T}")
+    return t
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arrfan",
@@ -555,7 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out")
         sp.set_defaults(func=cmd_surface)
     sp = ssubs.add_parser("triangulations")
-    sp.add_argument("--count", type=int, required=True)
+    sp.add_argument("--count", type=_polygon_size, required=True,
+                    help=f"polygon size t, 3 <= t <= {MAX_TRIANGULATION_T}")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_surface)
 

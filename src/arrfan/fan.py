@@ -63,34 +63,23 @@ class BlowupCertificate:
 
 
 def _cone_h_rep(gens: Mat, rank: int) -> list[Vec]:
-    """Inequality rows cutting out a simplicial cone (span equalities as +/- pairs)."""
-    d = len(gens)
-    rows: list[Vec] = []
-    if d == rank:
-        inv = la.mat_inverse_fraction(gens)
-        for j in range(rank):
-            rows.append(la.fraction_row_to_primitive([inv[i][j] for i in range(rank)]))
-        return rows
-    if d > 0:
-        # a right inverse column per generator: p_j with gens * p_j = e_j, so on
-        # the span of the gens the functional x -> x . p_j reads off coefficient j
-        for j in range(d):
-            target = tuple(1 if i == j else 0 for i in range(d))
-            col = la.particular_solution(gens, target)
-            if col is None:
-                raise CertificationError(f"generators {gens} have no right inverse")
-            rows.append(la.fraction_row_to_primitive(col))
-    for eq in la.kernel_basis(gens) if d else la.identity(rank):
-        rows.append(tuple(eq))
-        rows.append(la.vec_neg(eq))
+    """Inequality rows cutting out a simplicial cone (span equalities as +/- pairs).
+
+    The dual rays of the generators read off each generator's coefficient on
+    their span; the kernel rows pin that span down.
+    """
+    rows = list(la.dual_rays(gens)) if gens else []
+    if len(gens) < rank:
+        for eq in la.kernel_basis(gens) if gens else la.identity(rank):
+            rows += [eq, la.vec_neg(eq)]
     return rows
 
 
-def _is_common_face(f: Fan, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
-    g1, g2 = f.cone_vectors(c1), f.cone_vectors(c2)
-    system = _cone_h_rep(g1, f.rank) + _cone_h_rep(g2, f.rank)
-    inter = la.extreme_rays(system)
-    common = set(g1) & set(g2)
+def _is_common_face(
+    f: Fan, c1: tuple[int, ...], c2: tuple[int, ...], h_reps: dict
+) -> bool:
+    inter = la.extreme_rays(h_reps[c1] + h_reps[c2])
+    common = set(f.cone_vectors(c1)) & set(f.cone_vectors(c2))
     return all(ray in common for ray in inter) and len(inter) == len(
         set(c1) & set(c2)
     )
@@ -140,8 +129,9 @@ def make_fan(
             raise InputFormatError("listed cones must be mutually maximal")
     f = Fan(rank=rank, rays=tuple(rays), max_cones=tuple(cone_idx))
     if check_faces:
+        h_reps = {c: _cone_h_rep(f.cone_vectors(c), rank) for c in cone_idx}
         for a, b in itertools.combinations(cone_idx, 2):
-            if not _is_common_face(f, a, b):
+            if not _is_common_face(f, a, b, h_reps):
                 raise MalformedFanError(
                     f"cones {f.cone_vectors(a)} and {f.cone_vectors(b)} overlap"
                 )
@@ -209,13 +199,6 @@ def fan_from_arrangement(a: Arrangement) -> Fan:
     return make_fan(a.rank, [k.rays for k in a.chambers], check_faces=False)
 
 
-def _facet_normal(f: Fan, facet: tuple[int, ...]) -> Vec:
-    ker = la.kernel_basis(f.cone_vectors(facet))
-    if len(ker) != 1:
-        raise CertificationError(f"facet {facet} does not span a hyperplane")
-    return la.canonical_sign(la.primitive(ker[0]))
-
-
 def check_properties(f: Fan) -> PropertyReport:
     """Smoothness, completeness, central and strong symmetry, with witnesses.
 
@@ -277,31 +260,25 @@ def check_properties(f: Fan) -> PropertyReport:
     strongly = complete
     hyperplanes: tuple[Vec, ...] | None = None
     if strongly:
-        if f.rank == 1:
-            hyperplanes = ((1,),)
-        else:
-            normals: list[Vec] = []
+        normals = sorted(
+            {la.canonical_sign(h) for c in f.max_cones for h in la.dual_rays(f.cone_vectors(c))}
+        )
+        for h in normals:
             for cone in f.max_cones:
-                for facet in itertools.combinations(cone, f.rank - 1):
-                    h = _facet_normal(f, facet)
-                    if h not in normals:
-                        normals.append(h)
-            for h in sorted(normals):
-                for cone in f.max_cones:
-                    vals = [la.vec_dot(h, v) for v in f.cone_vectors(cone)]
-                    if any(x > 0 for x in vals) and any(x < 0 for x in vals):
-                        strongly = False
-                        if witness is None:
-                            witness = {
-                                "property": "strongly_symmetric",
-                                "hyperplane": h,
-                                "cone": f.cone_vectors(cone),
-                            }
-                        break
-                if not strongly:
+                vals = [la.vec_dot(h, v) for v in f.cone_vectors(cone)]
+                if any(x > 0 for x in vals) and any(x < 0 for x in vals):
+                    strongly = False
+                    if witness is None:
+                        witness = {
+                            "property": "strongly_symmetric",
+                            "hyperplane": h,
+                            "cone": f.cone_vectors(cone),
+                        }
                     break
-            if strongly:
-                hyperplanes = tuple(sorted(normals))
+            if not strongly:
+                break
+        if strongly:
+            hyperplanes = tuple(normals)
     return PropertyReport(
         smooth=smooth,
         complete=complete,
@@ -315,9 +292,11 @@ def check_properties(f: Fan) -> PropertyReport:
 def roots_from_fan(f: Fan) -> Arrangement:
     """Recover the arrangement whose chambers are the maximal cones.
 
-    Requires a smooth strongly symmetric fan; the covectors are the union of
+    Requires a smooth strongly symmetric fan.  The covectors are the union of
     the dual bases of the maximal cones' generator matrices, so that
-    fan_from_arrangement inverts this map exactly.
+    fan_from_arrangement inverts this map exactly; for a unimodular cone the
+    dual basis is its set of facet normals, so they are the hyperplanes that
+    `check_properties` reports.
     """
     if f.rank < 1:
         raise ValueError("roots_from_fan requires rank >= 1")
@@ -328,14 +307,7 @@ def roots_from_fan(f: Fan) -> Arrangement:
         raise NotStronglySymmetricError(
             f"fan is not strongly symmetric: {props.failure_witness}"
         )
-    covectors: set[Vec] = set()
-    for cone in f.max_cones:
-        dual = la.dual_basis(f.cone_vectors(cone))
-        for row in dual:
-            if any(x.denominator != 1 for x in row):
-                raise CertificationError(f"cone {cone} of a smooth fan is not unimodular")
-            covectors.add(la.canonical_sign(tuple(int(x) for x in row)))
-    return make_arrangement(f.rank, sorted(covectors))
+    return make_arrangement(f.rank, props.hyperplanes)
 
 
 def quotient_data(gens: Mat, rank: int):
@@ -462,11 +434,6 @@ def star_subdivide(f: Fan, cone: Sequence[int]) -> Fan:
     return make_fan(f.rank, cones, check_faces=False)
 
 
-def _memberships(gens: Mat, v: Vec) -> bool:
-    coords = la.solve_in_row_space(gens, v)
-    return coords is not None and all(x >= 0 for x in coords)
-
-
 def insert_hyperplane(a: Arrangement, h: Sequence[int]) -> tuple[Fan, BlowupCertificate]:
     """Add one hyperplane and certify the subdivision as 2-face splits.
 
@@ -493,10 +460,11 @@ def insert_hyperplane(a: Arrangement, h: Sequence[int]) -> tuple[Fan, BlowupCert
         gens = f1.cone_vectors(cone)
         vals = [la.vec_dot(hv, g) for g in gens]
         if any(x > 0 for x in vals) and any(x < 0 for x in vals):
+            normals = la.dual_rays(gens)  # the cone is where they all are >= 0
             pieces = [
                 f2.cone_vectors(c)
                 for c in f2.max_cones
-                if all(_memberships(gens, v) for v in f2.cone_vectors(c))
+                if all(la.vec_dot(h, v) >= 0 for h in normals for v in f2.cone_vectors(c))
             ]
             if len(pieces) != 2:
                 raise CertificationError(
@@ -538,17 +506,16 @@ def fan_automorphisms(f: Fan) -> tuple[Mat, ...]:
     props = check_properties(f)
     if not props.complete:
         raise NotCompleteError("automorphism search requires a complete fan")
-    base = f.cone_vectors(f.max_cones[0])
-    binv = la.mat_inverse_fraction(base)
+    binv, d = la.scaled_inverse(f.cone_vectors(f.max_cones[0]))  # base * binv = d * I
     ray_index = {v: i for i, v in enumerate(f.rays)}
     cone_set = set(f.max_cones)
     found = set()
     for cone in f.max_cones:
         for perm in itertools.permutations(f.cone_vectors(cone)):
             g = la.mat_mul(binv, perm)
-            if any(x.denominator != 1 for row in g for x in row):
+            if any(x % d for row in g for x in row):
                 continue
-            gi = tuple(tuple(int(x) for x in row) for row in g)
+            gi = tuple(tuple(x // d for x in row) for row in g)
             if abs(la.det(gi)) != 1:
                 continue
             images = [la.vec_mat(v, gi) for v in f.rays]

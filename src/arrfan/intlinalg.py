@@ -1,9 +1,11 @@
 """Exact integer and rational linear algebra.
 
 Everything runs on Python's arbitrary-precision integers; no floating point
-enters any computation, so every returned value is exact.  Rank, determinant,
-inverse and linear solves share one fraction-free (Bareiss) elimination;
-``fractions.Fraction`` appears only in the values they return.  Matrices are
+enters any computation, so every returned value is exact.  Rank and
+determinant read one fraction-free (Bareiss) elimination; one integer
+inverse on top of it, `scaled_inverse` (m*D = d*I), serves inverses, linear
+solves and a simplicial cone's dual rays (facet normals, inequality rows).
+``fractions.Fraction`` appears only in returned values.  Matrices are
 sequences of equal-length rows and are returned as tuples of tuples.
 """
 from __future__ import annotations
@@ -89,16 +91,6 @@ def canonical_sign(v: Sequence[int]) -> Vec:
         if a != 0:
             return tuple(v) if a > 0 else vec_neg(v)
     raise ValueError("zero vector has no canonical sign")
-
-
-def fraction_row_to_primitive(row: Sequence[Fraction]) -> Vec:
-    """Scale a rational row by a positive factor to a primitive integer vector."""
-    denom = 1
-    for x in row:
-        f = Fraction(x)
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(x * denom) for x in row]
-    return primitive(ints)
 
 
 def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
@@ -283,6 +275,36 @@ def snf(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(d for d in diag if d != 0)
 
 
+def scaled_inverse(m: Sequence[Sequence[int]]) -> tuple[Mat, int]:
+    """(D, d) with m*D = d*I and d > 0, for a matrix m with independent rows.
+
+    D has one row per column of m and is zero in every row off the pivot
+    columns (free variables are set to zero), so for square m, D = d * m^-1,
+    and column j of D over d solves m*x = e_j.  Raises ValueError("singular
+    matrix") when the rows of m are linearly dependent.
+    """
+    k = len(m)
+    a = [[*row] + [int(i == j) for j in range(k)] for i, row in enumerate(_rows(m))]
+    n = len(a[0]) - k if a else 0
+    pivots, d, _ = _eliminate(a, n)
+    if len(pivots) < k:
+        raise ValueError("singular matrix")
+    s = 1 if d > 0 else -1
+    inv = [[0] * k for _ in range(n)]
+    for row, c in zip(a, pivots):
+        inv[c] = [s * x for x in row[n:]]
+    return freeze(inv), s * d
+
+
+def dual_rays(m: Sequence[Sequence[int]]) -> Mat:
+    """Primitive columns of `scaled_inverse(m)`, one per row of m.
+
+    Ray j vanishes on every row of m but row j and is positive on it.
+    """
+    inv, _ = scaled_inverse(m)
+    return tuple(primitive(col) for col in transpose(inv))
+
+
 def mat_inverse_fraction(m: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
     """Exact inverse of a square matrix, as Fractions.
 
@@ -291,22 +313,16 @@ def mat_inverse_fraction(m: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ..
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("inverse requires a square matrix")
-    a = [[*row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    pivots, d, _ = _eliminate(a, n)
-    if len(pivots) < n:
-        raise ValueError("singular matrix")
-    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in a)
+    inv, d = scaled_inverse(m)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in inv)
 
 
 def mat_inverse_unimodular(m: Sequence[Sequence[int]]) -> Mat:
     """Integer inverse of a unimodular matrix."""
-    inv = mat_inverse_fraction(m)
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    inv, d = scaled_inverse(m)
+    if d != 1 or len(inv) != len(m):
+        raise ValueError("matrix is not unimodular")
+    return inv
 
 
 def dual_basis(b: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -340,19 +356,6 @@ def kernel_basis(m: Sequence[Sequence[int]]) -> Mat:
     return tuple(r for r in h2 if any(x != 0 for x in r))
 
 
-def _solve(a: Sequence[Sequence[int]], b: Sequence[int]):
-    """(rank of a, solution of a*x = b with free variables zero or None)."""
-    n = len(a[0]) if a else 0
-    rows = [[*a[i], b[i]] for i in range(len(a))]
-    pivots, d, _ = _eliminate(rows, n)
-    if any(row[n] for row in rows[len(pivots):]):
-        return len(pivots), None
-    x = [Fraction(0)] * n
-    for row, c in zip(rows, pivots):
-        x[c] = Fraction(row[n], d)
-    return len(pivots), tuple(x)
-
-
 def solve_in_row_space(basis: Sequence[Sequence[int]], v: Sequence[int]):
     """Coefficients c with c*basis = v, or None when v is outside the span.
 
@@ -361,18 +364,14 @@ def solve_in_row_space(basis: Sequence[Sequence[int]], v: Sequence[int]):
     """
     if len(basis) == 0:
         return () if all(x == 0 for x in v) else None
-    r, c = _solve(transpose(basis), v)
-    if r != len(basis):
-        raise ValueError("basis rows are linearly dependent")
-    return c
-
-
-def particular_solution(a: Sequence[Sequence[int]], b: Sequence[int]):
-    """Some rational x with a*x = b (columns act), or None when inconsistent.
-
-    Free variables are set to zero, so the output is deterministic.
-    """
-    return _solve(a, b)[1]
+    try:
+        inv, d = scaled_inverse(basis)
+    except ValueError:
+        raise ValueError("basis rows are linearly dependent") from None
+    c = vec_mat(v, inv)
+    if vec_mat(c, basis) != tuple(d * x for x in v):
+        return None
+    return tuple(Fraction(x, d) for x in c)
 
 
 def complete_to_basis(rows: Sequence[Sequence[int]], ambient: int) -> tuple[Mat, Mat, int]:
@@ -435,8 +434,7 @@ def extreme_rays(inequalities: Sequence[Sequence[int]]) -> Mat:
             base.append(row)
         else:
             rest.append(row)
-    inv = mat_inverse_fraction(base)
-    rays = [fraction_row_to_primitive([inv[i][j] for i in range(r)]) for j in range(r)]
+    rays = list(dual_rays(base))
     processed: list[Vec] = list(base)
 
     for h in rest:

@@ -154,11 +154,11 @@ def phi_certificate(a: Arrangement) -> PhiCertificate:
 
     Builds the matrix of all 2n signed covectors in the coordinates of the
     base chamber's ray basis (wall basis first, giving an identity block),
-    checks its Smith form is all ones, records the sign vector of every fan
-    face and checks they are pairwise distinct, and verifies that each
-    chamber's full sign pattern cuts out exactly the chamber's closed cone:
-    every signed covector is >= 0 on its rays, and wall b_p is positive on
-    ray r_q exactly when p = q.
+    checks its Smith form is all ones, verifies that each chamber's full
+    sign pattern cuts out exactly the chamber's closed cone (every signed
+    covector is >= 0 on its rays, and wall b_p is positive on ray r_q exactly
+    when p = q), then records the sign vector of every fan face, read on the
+    sum of its rays, and checks they are pairwise distinct.
     """
     if not is_crystallographic(a).verdict:
         raise NotCrystallographicError("embedding requires a crystallographic arrangement")
@@ -179,25 +179,28 @@ def phi_certificate(a: Arrangement) -> PhiCertificate:
     if factors != (1,) * a.rank:
         raise CertificationError(f"sign-map matrix has Smith form {factors}, not all ones")
 
-    f = fan_from_arrangement(a)
-    sign_rows = []
-    seen: dict[tuple[int, ...], Mat] = {}
-    for face in fan_faces(f):
-        sv = sign_vector(f, face, a)
-        gens = f.cone_vectors(face)
-        if sv in seen:
-            raise CertificationError(
-                f"cones {seen[sv]} and {gens} share the sign vector {sv}"
-            )
-        seen[sv] = gens
-        sign_rows.append((gens, sv))
-
     for k in chambers:
         pairing = [[la.vec_dot(b, ray) for ray in k.rays] for b in k.basis_covectors(a)]
         if not _cut_out_by_signs(a, k) or any(
             (x > 0) != (p == q) for p, row in enumerate(pairing) for q, x in enumerate(row)
         ):
             raise CertificationError(f"chamber {k.index} is not cut out by its sign pattern")
+
+    # each face lies in a chamber, on whose rays every covector takes one sign
+    # or 0 (checked above), so its sign on the face is its sign on the ray sum
+    f = fan_from_arrangement(a)
+    sign_rows = []
+    seen: dict[tuple[int, ...], Mat] = {}
+    for face in fan_faces(f):
+        gens = f.cone_vectors(face)
+        values = [sum(la.vec_dot(cov, g) for g in gens) for cov in a.positive_covectors]
+        sv = tuple((v > 0) - (v < 0) for v in values)
+        if sv in seen:
+            raise CertificationError(
+                f"cones {seen[sv]} and {gens} share the sign vector {sv}"
+            )
+        seen[sv] = gens
+        sign_rows.append((gens, sv))
     return PhiCertificate(
         matrix=matrix,
         row_roots=row_roots,

@@ -12,7 +12,8 @@ make the family of flat subfans an embedded copy of the poset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
+from operator import and_
 from typing import Sequence
 
 from . import intlinalg as la
@@ -177,8 +178,10 @@ def toric_arrangement_report(a: Arrangement) -> ToricArrangementReport:
     face by E's vanishing covectors lands on a face and reproduces S(E)
     (the two descriptions of the flat subfan agree); (c) E <= F exactly when
     S(E) <= S(F); (d) faces with equal span have identical star fans, all
-    projected through one quotient basis of that span; and the top dimension
-    of S(E) equals dim E.  Flats enter through their hyperplane sets H(E):
+    projected through one quotient basis of that span (the flat of the
+    face's dimension held by the covectors vanishing on all its rays); and
+    the top dimension of S(E) equals dim E.  Flats enter through their
+    hyperplane sets H(E):
     a face lies in E when every covector of H(E) vanishes on its rays, and
     E n F is the kernel of H(E) with H(F).  Any failure raises
     CertificationError; the report records sizes and dimensions.
@@ -248,9 +251,13 @@ def toric_arrangement_report(a: Arrangement) -> ToricArrangementReport:
     checks.append("order-isomorphism")
 
     # (d) equal spans give identical star fans, all in one quotient basis per span
+    flat_of = dict(zip(held, poset.flats))
+    everything = (1 << a.n_hyperplanes) - 1
     by_span: dict[Mat, list] = {}
     for face in faces:
-        span = flat_from_generators(r, f.cone_vectors(face))
+        span = flat_of.get(reduce(and_, (ray_zeros[i] for i in face), everything))
+        if span is None or span.dim != len(face):
+            raise CertificationError(f"face {face} does not span a flat of its dimension")
         by_span.setdefault(span.basis, []).append(face)
     for span_basis, group in sorted(by_span.items()):
         kappa, _, _ = quotient_data(span_basis, r)

@@ -520,3 +520,185 @@ def ref_build_polytope(a):
         doubled_vertices=vertices,
         chamber_rays=tuple(k.rays for k in chambers),
     )
+
+
+# Reference fan routines: the Fraction inverses and per-facet kernels that
+# arrfan.fan used before it read one scaled integer inverse per cone.  The
+# tests require equal inequality rows, property reports, arrangements and
+# automorphism groups.
+
+
+def _ref_fraction_row_to_primitive(row):
+    denom = 1
+    for x in row:
+        f = Fraction(x)
+        denom = denom * f.denominator // _gcd(denom, f.denominator)
+    ints = [int(x * denom) for x in row]
+    g = 0
+    for v in ints:
+        g = _gcd(g, abs(v))
+    return tuple(v // g for v in ints)
+
+
+def ref_cone_h_rep(gens, rank):
+    """Inequality rows of a simplicial cone from a Fraction inverse or right inverse."""
+    from arrfan import intlinalg as la
+
+    d = len(gens)
+    rows = []
+    if d == rank:
+        inv = ref_mat_inverse_fraction(gens)
+        return [_ref_fraction_row_to_primitive([inv[i][j] for i in range(rank)])
+                for j in range(rank)]
+    for j in range(d):
+        col = ref_particular_solution(gens, tuple(int(i == j) for i in range(d)))
+        rows.append(_ref_fraction_row_to_primitive(col))
+    for eq in la.kernel_basis(gens) if d else la.identity(rank):
+        rows.append(tuple(eq))
+        rows.append(la.vec_neg(eq))
+    return rows
+
+
+def ref_overlapping_pair(f):
+    """The first pair of cones that do not meet in a common face, or None."""
+    from arrfan import intlinalg as la
+
+    for c1, c2 in itertools.combinations(f.max_cones, 2):
+        g1, g2 = f.cone_vectors(c1), f.cone_vectors(c2)
+        inter = la.extreme_rays(ref_cone_h_rep(g1, f.rank) + ref_cone_h_rep(g2, f.rank))
+        common = set(g1) & set(g2)
+        if not (all(ray in common for ray in inter)
+                and len(inter) == len(set(c1) & set(c2))):
+            return c1, c2
+    return None
+
+
+def ref_facet_normal(f, facet):
+    from arrfan import intlinalg as la
+
+    ker = la.kernel_basis(f.cone_vectors(facet))
+    assert len(ker) == 1, f"facet {facet} does not span a hyperplane"
+    return la.canonical_sign(la.primitive(ker[0]))
+
+
+def ref_check_properties(f):
+    """Property report with one integer kernel per (cone, facet) pair."""
+    from arrfan import intlinalg as la
+    from arrfan.fan import PropertyReport
+
+    if f.rank == 0:
+        return PropertyReport(True, True, True, True, hyperplanes=())
+    smooth = True
+    witness = None
+    for cone in f.max_cones:
+        if la.snf(f.cone_vectors(cone)) != (1,) * len(cone):
+            smooth = False
+            witness = {"property": "smooth", "cone": f.cone_vectors(cone)}
+            break
+    complete = bool(f.max_cones) and all(len(c) == f.rank for c in f.max_cones)
+    if complete:
+        facet_count = {}
+        for ci, cone in enumerate(f.max_cones):
+            for facet in itertools.combinations(cone, f.rank - 1):
+                facet_count.setdefault(facet, []).append(ci)
+        complete = all(len(v) == 2 for v in facet_count.values())
+        if complete and len(f.max_cones) > 1:
+            adj = {}
+            for a, b in facet_count.values():
+                adj.setdefault(a, set()).add(b)
+                adj.setdefault(b, set()).add(a)
+            seen, stack = {0}, [0]
+            while stack:
+                for nb in adj.get(stack.pop(), ()):
+                    if nb not in seen:
+                        seen.add(nb)
+                        stack.append(nb)
+            complete = len(seen) == len(f.max_cones)
+        if not complete and witness is None:
+            witness = {"property": "complete"}
+    centrally = {la.vec_neg(v) for v in f.rays} == set(f.rays)
+    if centrally:
+        idx = {v: i for i, v in enumerate(f.rays)}
+        centrally = all(
+            tuple(sorted(idx[la.vec_neg(f.rays[i])] for i in cone)) in set(f.max_cones)
+            for cone in f.max_cones
+        )
+    if not centrally and witness is None:
+        witness = {"property": "centrally_symmetric"}
+    strongly = complete
+    hyperplanes = None
+    if strongly:
+        if f.rank == 1:
+            hyperplanes = ((1,),)
+        else:
+            normals = []
+            for cone in f.max_cones:
+                for facet in itertools.combinations(cone, f.rank - 1):
+                    h = ref_facet_normal(f, facet)
+                    if h not in normals:
+                        normals.append(h)
+            for h in sorted(normals):
+                for cone in f.max_cones:
+                    vals = [la.vec_dot(h, v) for v in f.cone_vectors(cone)]
+                    if any(x > 0 for x in vals) and any(x < 0 for x in vals):
+                        strongly = False
+                        if witness is None:
+                            witness = {"property": "strongly_symmetric", "hyperplane": h,
+                                       "cone": f.cone_vectors(cone)}
+                        break
+                if not strongly:
+                    break
+            if strongly:
+                hyperplanes = tuple(sorted(normals))
+    return PropertyReport(smooth, complete, centrally, strongly, hyperplanes, witness)
+
+
+def ref_roots_from_fan(f):
+    """The union of the Fraction dual bases of the maximal cones."""
+    from arrfan import intlinalg as la
+    from arrfan.arrangement import make_arrangement
+    from arrfan.errors import NotSmoothError, NotStronglySymmetricError
+
+    props = ref_check_properties(f)
+    if not props.smooth:
+        raise NotSmoothError(f"fan is not smooth: {props.failure_witness}")
+    if not props.strongly_symmetric:
+        raise NotStronglySymmetricError(f"fan is not strongly symmetric: {props.failure_witness}")
+    covectors = set()
+    for cone in f.max_cones:
+        inv = ref_mat_inverse_fraction(f.cone_vectors(cone))
+        for j in range(f.rank):
+            col = [inv[i][j] for i in range(f.rank)]
+            assert all(x.denominator == 1 for x in col)
+            covectors.add(la.canonical_sign(tuple(int(x) for x in col)))
+    return make_arrangement(f.rank, sorted(covectors))
+
+
+def ref_fan_automorphisms(f):
+    """Every candidate base-cone image, filtered through a Fraction matrix product."""
+    from arrfan import intlinalg as la
+    from arrfan.errors import NotCompleteError
+
+    if f.rank == 0:
+        return ((),)
+    if not ref_check_properties(f).complete:
+        raise NotCompleteError("automorphism search requires a complete fan")
+    binv = ref_mat_inverse_fraction(f.cone_vectors(f.max_cones[0]))
+    ray_index = {v: i for i, v in enumerate(f.rays)}
+    cone_set = set(f.max_cones)
+    found = set()
+    for cone in f.max_cones:
+        for perm in itertools.permutations(f.cone_vectors(cone)):
+            g = la.mat_mul(binv, perm)
+            if any(x.denominator != 1 for row in g for x in row):
+                continue
+            gi = tuple(tuple(int(x) for x in row) for row in g)
+            if abs(la.det(gi)) != 1:
+                continue
+            images = [la.vec_mat(v, gi) for v in f.rays]
+            if any(w not in ray_index for w in images):
+                continue
+            perm_map = [ray_index[w] for w in images]
+            if all(tuple(sorted(perm_map[i] for i in c)) in cone_set for c in f.max_cones):
+                found.add(gi)
+    return tuple(sorted(found))

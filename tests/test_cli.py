@@ -305,3 +305,29 @@ def test_catalog_sporadic_dir(tmp_path, capsys):
     assert json.loads(open(out_path).read())["positive_covectors"] == [[0, 1], [1, 0], [1, 1]]
     code, _ = run(capsys, "catalog", "nothere", "--sporadic-dir", str(tmp_path))
     assert code == 3
+
+
+@pytest.mark.parametrize("count", ["2", "13", "x"])
+def test_triangulation_count_is_bounded_at_parse_time(capsys, count):
+    with pytest.raises(SystemExit) as e:
+        main(["surface", "triangulations", "--count", count])
+    assert e.value.code == 2
+    assert "from 3 to 12" in capsys.readouterr().err
+
+
+def test_catalog_ngon_outside_bound_is_a_bad_reference(capsys):
+    code, _ = run(capsys, "catalog", "ngon:13:0")
+    assert code == 3
+    code, _ = run(capsys, "catalog", "ngon:12:0")
+    assert code == 0
+
+
+def test_roots_of_fan_missing_a_cone_is_a_verdict(tmp_path, capsys):
+    code, _ = run(capsys, "catalog", "A_3", "--out", str(tmp_path / "a3.json"))
+    assert code == 0
+    fan_path = str(tmp_path / "fan.json")
+    run(capsys, "fan", str(tmp_path / "a3.json"), "--out", fan_path)
+    obj = json.loads(Path(fan_path).read_text())
+    obj["max_cones"].pop()
+    code, out = run(capsys, "roots", write(tmp_path, "missing.json", obj))
+    assert code == 10 and out == ""

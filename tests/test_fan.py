@@ -1,4 +1,7 @@
+import json
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from arrfan import intlinalg as la
 from arrfan.arrangement import catalog, make_arrangement
@@ -13,6 +16,7 @@ from arrfan.errors import (
     NotStronglySymmetricError,
 )
 from arrfan.fan import (
+    _cone_h_rep,
     check_properties,
     fan_automorphisms,
     fan_faces,
@@ -26,6 +30,17 @@ from arrfan.fan import (
     star_fan,
     star_subdivide,
 )
+
+from oracles import (
+    ref_check_properties,
+    ref_cone_h_rep,
+    ref_fan_automorphisms,
+    ref_overlapping_pair,
+    ref_roots_from_fan,
+)
+from test_arrangement import _small_arrangements
+
+LADDER = ("A_2", "A_3", "A_4", "B_2", "B_3", "B_4", "C_3", "D_4", "ngon:8:77", "ngon:10:1000")
 
 
 def _ray_index(f, v):
@@ -340,3 +355,112 @@ def test_fan_faces():
     assert len([c for c in faces if len(c) == 1]) == 6
     assert len([c for c in faces if len(c) == 2]) == 6
     assert len(faces) == 13
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:  # the exception type is the outcome being compared
+        return type(e)
+
+
+def _assert_matches_reference(f, autos=True):
+    assert check_properties(f) == ref_check_properties(f)
+    assert _outcome(roots_from_fan, f) == _outcome(ref_roots_from_fan, f)
+    for face in fan_faces(f):
+        gens = f.cone_vectors(face)
+        assert _cone_h_rep(gens, f.rank) == ref_cone_h_rep(gens, f.rank)
+    if autos:
+        assert _outcome(fan_automorphisms, f) == _outcome(ref_fan_automorphisms, f)
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_fan_routines_match_reference_on_ladder(name):
+    """One scaled inverse per cone gives the former Fraction and per-facet results.
+
+    The automorphism search is compared up to rank 3 and on A_4 and the
+    ngons; the Fraction search alone takes several seconds on B_4 and D_4.
+    """
+    a = catalog(name)
+    f = fan_from_arrangement(a)
+    _assert_matches_reference(f, autos=name not in ("B_4", "D_4"))
+    assert roots_from_fan(f) == a
+    if len(f.max_cones) <= 48:
+        assert load_fan(json.dumps(fan_to_json(f))) == f
+        assert ref_overlapping_pair(f) is None
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_small_arrangements())
+def test_fan_routines_match_reference_on_random_arrangements(a):
+    try:
+        f = fan_from_arrangement(a)
+    except NotSimplicialError:
+        return
+    _assert_matches_reference(f, autos=len(f.max_cones) <= 48)
+
+
+@st.composite
+def _cone_lists(draw):
+    """2-4 random cones of rank 2 or 3, full-dimensional or one short, entries in [-2, 2]."""
+    r = draw(st.integers(2, 3))
+    vec = st.tuples(*[st.integers(-2, 2)] * r).filter(any).map(la.primitive)
+    size = st.integers(r - 1, r)
+    return r, draw(st.lists(size.flatmap(lambda k: st.lists(vec, min_size=k, max_size=k)),
+                            min_size=2, max_size=4))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_cone_lists())
+def test_face_check_matches_reference_on_random_cones(data):
+    rank, cones = data
+    try:
+        f = make_fan(rank, cones, check_faces=False)
+    except (InputFormatError, NotSimplicialError):
+        assume(False)
+    checked = _outcome(make_fan, rank, cones)
+    assert (checked is MalformedFanError) == (ref_overlapping_pair(f) is not None)
+    if checked is not MalformedFanError:
+        assert checked == f
+
+
+def test_automorphisms_of_a_singular_fan():
+    """The base cone has |det| 2, so candidates need divisibility by d = 2."""
+    from arrfan.surface import symmetrize
+
+    sy = symmetrize(
+        make_fan(2, [[(1, 0), (0, 1)], [(0, 1), (-1, 2)], [(-1, 2), (0, -1)], [(0, -1), (1, 0)]])
+    )
+    assert la.scaled_inverse(sy.cone_vectors(sy.max_cones[0]))[1] == 2
+    autos = fan_automorphisms(sy)
+    assert autos == ref_fan_automorphisms(sy)
+    assert ((-1, 0), (0, -1)) in autos and len(autos) == 4
+
+
+def test_load_fan_rejects_doubly_wound_and_one_sided_fans():
+    # a pentagram: five rank-2 cones of ~144 degrees winding twice around 0
+    wound = {
+        "rank": 2,
+        "rays": [[-4, -3], [-4, 3], [1, -3], [1, 0], [1, 3]],
+        "max_cones": [[3, 1], [1, 2], [2, 4], [4, 0], [0, 3]],
+    }
+    with pytest.raises(MalformedFanError):
+        load_fan(json.dumps(wound))
+    # both cones at the facet cone(e1, e2) lie on the side z > 0
+    one_sided = {
+        "rank": 3,
+        "rays": [[-1, 0, 1], [0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        "max_cones": [[3, 2, 1], [3, 2, 0]],
+    }
+    with pytest.raises(MalformedFanError):
+        load_fan(json.dumps(one_sided))
+
+
+def test_fan_missing_a_cone_loads_but_has_no_roots():
+    obj = fan_to_json(fan_from_arrangement(catalog("A_3")))
+    obj["max_cones"].pop()
+    f = load_fan(json.dumps(obj))
+    props = check_properties(f)
+    assert props.smooth and not props.complete and not props.strongly_symmetric
+    with pytest.raises(NotStronglySymmetricError):
+        roots_from_fan(f)

@@ -226,20 +226,17 @@ def _square_matrices(draw):
 
 
 @st.composite
-def _systems(draw, transpose):
-    """(m, b) for m*x = b, or for c*m = b when `transpose`; half are consistent."""
+def _systems(draw):
+    """(m, b) for c*m = b; half are consistent."""
     m = draw(_matrices())
-    if transpose and draw(st.booleans()):
+    if draw(st.booleans()):
         width = draw(st.integers(1, 6))  # a basis that is most often independent
         m = draw(_dense(draw(st.integers(1, width)), width))
-    n = (len(m[0]) if m else 0) if transpose else len(m)
-    k = len(m) if transpose else (len(m[0]) if m else 0)
+    n, k = (len(m[0]) if m else 0), len(m)
     if draw(st.booleans()):
         return m, draw(st.tuples(*[_ENTRY] * n))
     x = draw(st.tuples(*[_ENTRY] * k))
-    if transpose:
-        return m, tuple(sum(x[i] * m[i][j] for i in range(k)) for j in range(n))
-    return m, tuple(la.vec_dot(row, x) for row in m)
+    return m, tuple(sum(x[i] * m[i][j] for i in range(k)) for j in range(n))
 
 
 def _outcome(f, *args):
@@ -264,15 +261,42 @@ def test_det_and_inverse_match_reference(m):
 
 
 @_PROPERTY
-@given(_systems(transpose=False))
-def test_particular_solution_matches_reference(system):
-    assert _outcome(la.particular_solution, *system) == _outcome(
-        ref_particular_solution, *system
+@given(st.one_of(_square_matrices(), _matrices()))
+def test_scaled_inverse_matches_reference(m):
+    """m*D = d*I with d > 0; D/d is the inverse and its columns the zero-free solves."""
+    k = len(m)
+    if ref_rank(m) < k:
+        with pytest.raises(ValueError):
+            la.scaled_inverse(m)
+        return
+    inv, d = la.scaled_inverse(m)
+    n = len(m[0]) if m else 0
+    assert d > 0 and len(inv) == n
+    assert la.mat_mul(m, inv) == tuple(tuple(d * int(i == j) for j in range(k)) for i in range(k))
+    frac = tuple(tuple(Fraction(x, d) for x in row) for row in inv)
+    if n == k:
+        assert frac == ref_mat_inverse_fraction(m)
+    for j in range(k):
+        target = tuple(int(i == j) for i in range(k))
+        assert tuple(row[j] for row in frac) == ref_particular_solution(m, target)
+    assert la.dual_rays(m) == tuple(
+        la.primitive(tuple(row[j] for row in inv)) for j in range(k)
     )
 
 
+def test_scaled_inverse_examples():
+    assert la.scaled_inverse([[2, 0], [0, 3]]) == (((3, 0), (0, 2)), 6)
+    assert la.scaled_inverse([[0, -1], [1, 0]]) == (((0, 1), (-1, 0)), 1)
+    assert la.scaled_inverse([[0, 2, 0]]) == (((0,), (1,), (0,)), 2)
+    assert la.dual_rays([[1, 1], [0, 1]]) == ((1, 0), (-1, 1))
+    with pytest.raises(ValueError):
+        la.scaled_inverse([[1, 2], [2, 4]])
+    with pytest.raises(ValueError):
+        la.scaled_inverse([[1], [2]])
+
+
 @_PROPERTY
-@given(_systems(transpose=True))
+@given(_systems())
 def test_solve_in_row_space_matches_reference(system):
     assert _outcome(la.solve_in_row_space, *system) == _outcome(
         ref_solve_in_row_space, *system

@@ -107,6 +107,15 @@ def test_sign_vectors_injective_on_faces():
             seen[sv] = face
 
 
+@pytest.mark.parametrize("name", ["A_2", "B_2", "A_3", "B_3", "A_4", "D_4"])
+def test_phi_face_rows_equal_sign_vectors(name):
+    """Signs on the sum of a face's rays are the face's sign vector."""
+    a = catalog(name)
+    f = fan_from_arrangement(a)
+    expected = [(f.cone_vectors(face), sign_vector(f, face, a)) for face in fan_faces(f)]
+    assert list(phi_certificate(a).sign_vectors) == expected
+
+
 def test_phi_certificate():
     c11 = phi_certificate(make_arrangement(2, [(1, 0), (0, 1)]))
     assert len(c11.matrix) == 4
