@@ -5,12 +5,18 @@ Fans are stored by their maximal cones over a sorted primitive ray list; all
 faces are generator subsets since every cone here is simplicial.  Non-simplicial
 input is rejected.  Fan equality is structural equality of the canonical form
 (sorted rays, sorted index tuples).
+
+Each fan's wall table (`Fan.walls`) lists, per facet of a maximal cone, the
+cones containing it and the position of the ray opposite it.  It serves the
+validation of imported fans, the completeness test and the automorphism
+search, so none of them loops over pairs of cones on a complete fan.
 """
 from __future__ import annotations
 
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import intlinalg as la
@@ -37,6 +43,19 @@ class Fan:
 
     def cone_vectors(self, cone: Sequence[int]) -> Mat:
         return tuple(self.rays[i] for i in cone)
+
+    @cached_property
+    def walls(self) -> dict[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """Facet of a maximal cone -> its (cone index, opposite position) entries.
+
+        Computed once per fan.  In a complete fan every facet has exactly two
+        entries, one cone on each side of it.
+        """
+        table: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for ci, cone in enumerate(self.max_cones):
+            for j in range(len(cone)):
+                table.setdefault(cone[:j] + cone[j + 1:], []).append((ci, j))
+        return {facet: tuple(entries) for facet, entries in table.items()}
 
 
 @dataclass(frozen=True)
@@ -85,6 +104,54 @@ def _is_common_face(
     )
 
 
+def _pairwise_overlap(f: Fan) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The first pair of cones not meeting in a common face, by one double
+    description per pair."""
+    h_reps = {c: _cone_h_rep(f.cone_vectors(c), f.rank) for c in f.max_cones}
+    for a, b in itertools.combinations(f.max_cones, 2):
+        if not _is_common_face(f, a, b, h_reps):
+            return a, b
+    return None
+
+
+def _is_pseudomanifold(f: Fan) -> bool:
+    """Pure of full dimension, with every facet in exactly two maximal cones."""
+    return (
+        bool(f.max_cones)
+        and all(len(c) == f.rank for c in f.max_cones)
+        and all(len(entries) == 2 for entries in f.walls.values())
+    )
+
+
+def _covering_overlap(f: Fan) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Two overlapping cones of a pseudomanifold fan, or None when it is complete.
+
+    The two cones at each facet must lie on opposite sides of it.  Then the
+    number of cones containing a point off every facet hyperplane is the same
+    for all such points, and the cones form a complete fan exactly when that
+    number is 1 (the covering characterisation of triangulations; De Loera,
+    Rambau and Santos, *Triangulations*, 2010).  The point is the first
+    (1, t, t^2, ...) on which no facet normal vanishes; a normal vanishes for
+    at most rank - 1 values of t.
+    """
+    normals = [la.dual_rays(f.cone_vectors(c)) for c in f.max_cones]
+    for (a, j), (b, k) in f.walls.values():
+        # normals[a][j] vanishes on the facet and is positive on cone a's side
+        if la.vec_dot(normals[a][j], f.rays[f.max_cones[b][k]]) > 0:
+            return f.max_cones[a], f.max_cones[b]
+    distinct = {la.canonical_sign(h) for hs in normals for h in hs}
+    for t in itertools.count():
+        point = tuple(t**i for i in range(f.rank))
+        if all(la.vec_dot(h, point) != 0 for h in distinct):
+            break
+    inside = [
+        c for c, hs in zip(f.max_cones, normals) if all(la.vec_dot(h, point) > 0 for h in hs)
+    ]
+    if not inside:
+        raise CertificationError(f"no cone of a pseudomanifold fan contains {point}")
+    return tuple(inside[:2]) if len(inside) > 1 else None
+
+
 def make_fan(
     rank: int,
     cones: Iterable[Iterable[Vec]],
@@ -95,9 +162,14 @@ def make_fan(
 
     Rays are deduplicated and sorted; cones become sorted index tuples, sorted
     among themselves.  Every listed cone must be simplicial (independent
-    generators).  With check_faces=True the pairwise common-face condition is
-    verified exactly and any violation raises MalformedFanError; internal
-    constructors whose cones tile by construction skip the quadratic check.
+    generators).  With check_faces=True any two cones that do not meet in a
+    common face raise MalformedFanError.  A pure full-dimensional input whose
+    facets each lie in exactly two cones is checked through the wall table:
+    opposite sides at every facet and one cone over a generic point, which is
+    O(C·r) facet work and one `dual_rays` per cone.  Any other input (an
+    incomplete fan, lower-dimensional cones) gets one double description per
+    cone pair.  Internal constructors whose cones tile by construction pass
+    check_faces=False.
     """
     cone_vecs = [tuple(tuple(v) for v in cone) for cone in cones]
     if rank == 0:
@@ -129,12 +201,12 @@ def make_fan(
             raise InputFormatError("listed cones must be mutually maximal")
     f = Fan(rank=rank, rays=tuple(rays), max_cones=tuple(cone_idx))
     if check_faces:
-        h_reps = {c: _cone_h_rep(f.cone_vectors(c), rank) for c in cone_idx}
-        for a, b in itertools.combinations(cone_idx, 2):
-            if not _is_common_face(f, a, b, h_reps):
-                raise MalformedFanError(
-                    f"cones {f.cone_vectors(a)} and {f.cone_vectors(b)} overlap"
-                )
+        pair = _covering_overlap(f) if _is_pseudomanifold(f) else _pairwise_overlap(f)
+        if pair is not None:
+            a, b = pair
+            raise MalformedFanError(
+                f"cones {f.cone_vectors(a)} and {f.cone_vectors(b)} overlap"
+            )
     return f
 
 
@@ -204,7 +276,8 @@ def check_properties(f: Fan) -> PropertyReport:
 
     smooth: every maximal cone's generators extend to a lattice basis
     (all-ones Smith form).  complete: pure of full dimension, every facet
-    shared by exactly two maximal cones, facet graph connected.  centrally
+    shared by exactly two maximal cones and facet graph connected, both read
+    off the wall table.  centrally
     symmetric: rays and cones stable under negation.  strongly symmetric:
     complete and no maximal cone takes both strict signs on the span of any
     facet; the spans are then returned as primitive hyperplane normals.
@@ -221,29 +294,22 @@ def check_properties(f: Fan) -> PropertyReport:
             break
 
     pure = bool(f.max_cones) and all(len(c) == f.rank for c in f.max_cones)
-    complete = pure
-    if complete:
-        facet_count: dict[tuple[int, ...], list[int]] = {}
-        for ci, cone in enumerate(f.max_cones):
-            for facet in itertools.combinations(cone, f.rank - 1):
-                facet_count.setdefault(facet, []).append(ci)
-        complete = all(len(v) == 2 for v in facet_count.values())
-        if complete and len(f.max_cones) > 1:
-            seen = {0}
-            stack = [0]
-            adj: dict[int, set[int]] = {}
-            for members in facet_count.values():
-                a, b = members
-                adj.setdefault(a, set()).add(b)
-                adj.setdefault(b, set()).add(a)
-            while stack:
-                for nb in adj.get(stack.pop(), ()):
-                    if nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            complete = len(seen) == len(f.max_cones)
-        if not complete and witness is None:
-            witness = {"property": "complete"}
+    complete = _is_pseudomanifold(f)
+    if complete and len(f.max_cones) > 1:
+        seen = {0}
+        stack = [0]
+        adj: dict[int, set[int]] = {}
+        for (a, _), (b, _) in f.walls.values():
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+        while stack:
+            for nb in adj.get(stack.pop(), ()):
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        complete = len(seen) == len(f.max_cones)
+    if pure and not complete and witness is None:
+        witness = {"property": "complete"}
 
     neg = {la.vec_neg(v) for v in f.rays}
     centrally = neg == set(f.rays)
@@ -499,23 +565,38 @@ def fan_automorphisms(f: Fan) -> tuple[Mat, ...]:
 
     Vectors transform as rows: v -> v*G.  Found by mapping one fixed maximal
     cone's ordered generators to every ordered generator tuple of every
-    maximal cone and filtering.  Requires a complete fan.
+    maximal cone.  A candidate sending the base cone to (K, ordering) sends
+    the base cone's wall j to K's wall at the image of generator j, so it
+    must send the ray across base wall j to the ray across that wall of K;
+    these r rays, read off the wall table, reject almost every candidate
+    before the determinant and the map of every ray verify the rest.
+    Requires a complete fan.
     """
     if f.rank == 0:
         return ((),)
     props = check_properties(f)
     if not props.complete:
         raise NotCompleteError("automorphism search requires a complete fan")
+    across = [[0] * f.rank for _ in f.max_cones]  # ray across each wall of each cone
+    for (a, j), (b, k) in f.walls.values():
+        across[a][j] = f.max_cones[b][k]
+        across[b][k] = f.max_cones[a][j]
     binv, d = la.scaled_inverse(f.cone_vectors(f.max_cones[0]))  # base * binv = d * I
+    base_across = [f.rays[i] for i in across[0]]
     ray_index = {v: i for i, v in enumerate(f.rays)}
     cone_set = set(f.max_cones)
     found = set()
-    for cone in f.max_cones:
-        for perm in itertools.permutations(f.cone_vectors(cone)):
-            g = la.mat_mul(binv, perm)
+    for ci, cone in enumerate(f.max_cones):
+        for perm in itertools.permutations(range(f.rank)):
+            g = la.mat_mul(binv, [f.rays[cone[p]] for p in perm])
             if any(x % d for row in g for x in row):
                 continue
             gi = tuple(tuple(x // d for x in row) for row in g)
+            if any(
+                la.vec_mat(v, gi) != f.rays[across[ci][p]]
+                for v, p in zip(base_across, perm)
+            ):
+                continue
             if abs(la.det(gi)) != 1:
                 continue
             images = [la.vec_mat(v, gi) for v in f.rays]

@@ -331,3 +331,17 @@ def test_roots_of_fan_missing_a_cone_is_a_verdict(tmp_path, capsys):
     obj["max_cones"].pop()
     code, out = run(capsys, "roots", write(tmp_path, "missing.json", obj))
     assert code == 10 and out == ""
+
+
+def test_roots_of_a5_fan_file(tmp_path, capsys):
+    """The 720 chambers of A_5, imported as a fan file, give back the catalog arrangement."""
+    a5 = str(tmp_path / "a5.json")
+    fan_path = str(tmp_path / "a5.fan.json")
+    roots_path = str(tmp_path / "a5.roots.json")
+    assert run(capsys, "catalog", "A_5", "--out", a5)[0] == 0
+    assert run(capsys, "fan", a5, "--out", fan_path)[0] == 0
+    assert len(json.loads(Path(fan_path).read_text())["max_cones"]) == 720
+    code, out = run(capsys, "roots", fan_path, "--out", roots_path)
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["verdicts"] == {"hyperplanes": 15, "rank": 5}
+    assert Path(roots_path).read_bytes() == Path(a5).read_bytes()

@@ -374,19 +374,29 @@ def _assert_matches_reference(f, autos=True):
         assert _outcome(fan_automorphisms, f) == _outcome(ref_fan_automorphisms, f)
 
 
+def _count_extreme_rays(monkeypatch):
+    calls = []
+    extreme_rays = la.extreme_rays
+    monkeypatch.setattr(la, "extreme_rays", lambda rows: calls.append(1) or extreme_rays(rows))
+    return calls
+
+
 @pytest.mark.parametrize("name", LADDER)
-def test_fan_routines_match_reference_on_ladder(name):
+def test_fan_routines_match_reference_on_ladder(name, monkeypatch):
     """One scaled inverse per cone gives the former Fraction and per-facet results.
 
     The automorphism search is compared up to rank 3 and on A_4 and the
     ngons; the Fraction search alone takes several seconds on B_4 and D_4.
+    Loading the complete fan runs no double description.
     """
     a = catalog(name)
     f = fan_from_arrangement(a)
     _assert_matches_reference(f, autos=name not in ("B_4", "D_4"))
     assert roots_from_fan(f) == a
+    calls = _count_extreme_rays(monkeypatch)
+    assert load_fan(json.dumps(fan_to_json(f))) == f
+    assert calls == []
     if len(f.max_cones) <= 48:
-        assert load_fan(json.dumps(fan_to_json(f))) == f
         assert ref_overlapping_pair(f) is None
 
 
@@ -437,15 +447,17 @@ def test_automorphisms_of_a_singular_fan():
     assert ((-1, 0), (0, -1)) in autos and len(autos) == 4
 
 
+# a pentagram: five rank-2 cones of ~144 degrees winding twice around 0
+PENTAGRAM = {
+    "rank": 2,
+    "rays": [[-4, -3], [-4, 3], [1, -3], [1, 0], [1, 3]],
+    "max_cones": [[3, 1], [1, 2], [2, 4], [4, 0], [0, 3]],
+}
+
+
 def test_load_fan_rejects_doubly_wound_and_one_sided_fans():
-    # a pentagram: five rank-2 cones of ~144 degrees winding twice around 0
-    wound = {
-        "rank": 2,
-        "rays": [[-4, -3], [-4, 3], [1, -3], [1, 0], [1, 3]],
-        "max_cones": [[3, 1], [1, 2], [2, 4], [4, 0], [0, 3]],
-    }
     with pytest.raises(MalformedFanError):
-        load_fan(json.dumps(wound))
+        load_fan(json.dumps(PENTAGRAM))
     # both cones at the facet cone(e1, e2) lie on the side z > 0
     one_sided = {
         "rank": 3,
@@ -464,3 +476,96 @@ def test_fan_missing_a_cone_loads_but_has_no_roots():
     assert props.smooth and not props.complete and not props.strongly_symmetric
     with pytest.raises(NotStronglySymmetricError):
         roots_from_fan(f)
+
+
+@st.composite
+def _unimodular(draw, r):
+    """A random r x r unimodular matrix: row additions, then a signed row permutation."""
+    m = [list(row) for row in la.identity(r)]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, r - 1), st.integers(0, r - 1),
+                                           st.integers(-2, 2)), max_size=4)):
+        if i != j:
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    order = draw(st.permutations(range(r)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=r, max_size=r))
+    return tuple(tuple(s * x for x in m[i]) for i, s in zip(order, signs))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_small_arrangements(), st.sampled_from(("none", "drop", "overlap", "wind")), st.data())
+def test_covering_check_matches_reference_on_random_fans(a, corruption, data):
+    """Chamber fans in random lattice coordinates, intact or corrupted.
+
+    The corruptions drop a cone (an incomplete fan), replace a cone by its
+    mirror image across one of its walls (it overlaps the neighbour there),
+    or add a second winding: every cone again under another unimodular map,
+    so that each point is covered twice while every facet may still lie in
+    two cones on opposite sides.
+    """
+    try:
+        chamber_fan = fan_from_arrangement(a)
+    except NotSimplicialError:
+        return
+    if len(chamber_fan.max_cones) > 32:
+        return
+    r = a.rank
+    g = data.draw(_unimodular(r))
+    cones = [[la.vec_mat(v, g) for v in chamber_fan.cone_vectors(c)]
+             for c in chamber_fan.max_cones]
+    i = data.draw(st.integers(0, len(cones) - 1))
+    if corruption == "drop":
+        del cones[i]
+    elif corruption == "overlap":
+        j = data.draw(st.integers(0, r - 1))
+        cones[i] = [la.vec_neg(v) if k == j else v for k, v in enumerate(cones[i])]
+    elif corruption == "wind":
+        # e_i -> e_(i+1), e_r -> e_1 + e_2 (char. polynomial x^r - x - 1, irreducible)
+        # fixes no ray, so the copy rarely shares a facet with the original
+        turn = tuple(la.identity(r)[1:]) + ((1, 1) + (0,) * (r - 2),)
+        h = la.mat_mul(data.draw(_unimodular(r)), turn)
+        cones += [[la.vec_mat(v, h) for v in cone] for cone in cones]
+    f = make_fan(r, cones, check_faces=False)
+    checked = _outcome(make_fan, r, cones)
+    assert (checked is MalformedFanError) == (ref_overlapping_pair(f) is not None)
+    if checked is not MalformedFanError:
+        assert checked == f
+        if len(f.max_cones) <= 24:
+            assert _outcome(fan_automorphisms, f) == _outcome(ref_fan_automorphisms, f)
+
+
+def test_load_fan_rejects_a_suspended_pentagram(monkeypatch):
+    """The pentagram's cones coned over +e3 and -e3: a rank-3 fan winding twice around ±e3.
+
+    Every facet lies in two cones on opposite sides of it, so only the count
+    of cones over one generic point (2) can reject it.
+    """
+    rays = [tuple(v) + (0,) for v in PENTAGRAM["rays"]]
+    cones = [[rays[i], rays[j], (0, 0, pole)]
+             for i, j in PENTAGRAM["max_cones"] for pole in (1, -1)]
+    f = make_fan(3, cones, check_faces=False)
+    assert all(len(entries) == 2 for entries in f.walls.values())
+    for (a, j), (b, k) in f.walls.values():
+        normal = la.dual_rays(f.cone_vectors(f.max_cones[a]))[j]
+        assert la.vec_dot(normal, f.rays[f.max_cones[b][k]]) < 0
+    calls = _count_extreme_rays(monkeypatch)
+    with pytest.raises(MalformedFanError, match="overlap"):
+        load_fan(json.dumps(fan_to_json(f)))
+    assert calls == []
+
+
+def test_load_fan_rejects_a_folded_cycle(monkeypatch):
+    """The coordinate fan plus a cycle of three cones folded inside the third quadrant.
+
+    Every facet (ray) lies in two cones, and the first generic point, (1, 2),
+    lies in one cone only, so only the opposite-side test at the rays of the
+    fold can reject it.
+    """
+    quadrants = [[(1, 0), (0, 1)], [(0, 1), (-1, 0)], [(-1, 0), (0, -1)], [(0, -1), (1, 0)]]
+    fold = [[(-3, -1), (-1, -1)], [(-1, -1), (-1, -3)], [(-1, -3), (-3, -1)]]
+    f = make_fan(2, quadrants + fold, check_faces=False)
+    assert all(len(entries) == 2 for entries in f.walls.values())
+    assert ref_overlapping_pair(f) is not None
+    calls = _count_extreme_rays(monkeypatch)
+    with pytest.raises(MalformedFanError, match="overlap"):
+        load_fan(json.dumps(fan_to_json(f)))
+    assert calls == []
