@@ -60,7 +60,7 @@ from .fan import (
     star_fan,
     star_subdivide,
 )
-from .intlinalg import det, dual_basis, extreme_rays, hnf, snf
+from .intlinalg import det, extreme_rays, hnf, snf
 from .polytope import (
     HalfLatticePolytope,
     PhiCertificate,

@@ -14,9 +14,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
+from itertools import count
 from math import lcm
 from operator import and_
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import intlinalg as la
 from .errors import (
@@ -28,6 +29,15 @@ from .errors import (
     NotSimplicialError,
 )
 from .intlinalg import Mat, Vec
+
+
+class RaySigns(NamedTuple):
+    """Every covector's value on one vector, and the covectors' sign bitmasks."""
+
+    values: tuple[int, ...]
+    pos: int    # bit i set when covector i is positive on the vector
+    neg: int
+    zeros: int
 
 
 @dataclass(frozen=True)
@@ -43,6 +53,24 @@ class Arrangement:
     def chambers(self) -> tuple[Chamber, ...]:
         """`enumerate_chambers(self)`, computed once and shared by every consumer."""
         return enumerate_chambers(self)
+
+    @cached_property
+    def ray_signs(self) -> Callable[[Vec], RaySigns]:
+        """The covector table: `ray_signs(ray)` is every covector's value on the
+        ray with their sign masks, computed once per ray.
+
+        The walk fills it with every chamber ray; the later checks on
+        chambers, faces and flats read it instead of taking dot products.
+        """
+
+        @cache
+        def signs(ray: Vec) -> RaySigns:
+            values = tuple(la.vec_dot(c, ray) for c in self.positive_covectors)
+            pos = sum(1 << i for i, x in enumerate(values) if x > 0)
+            neg = sum(1 << i for i, x in enumerate(values) if x < 0)
+            return RaySigns(values, pos, neg, (1 << len(values)) - 1 & ~(pos | neg))
+
+        return signs
 
 
 @dataclass(frozen=True)
@@ -94,7 +122,8 @@ def make_arrangement(rank: int, covectors: Sequence[Sequence[int]]) -> Arrangeme
         if v in seen:
             raise InputFormatError(f"parallel covector pair at {v}")
         seen.add(v)
-    if len(canon) < rank or la.snf(canon) != (1,) * rank:
+    # the row lattice is Z^r exactly when its Hermite form starts with the identity
+    if len(canon) < rank or la.hnf(canon)[0][:rank] != la.identity(rank):
         raise LatticeSpanError("covectors do not generate the full integer lattice")
     return Arrangement(rank=rank, positive_covectors=tuple(sorted(canon)))
 
@@ -223,13 +252,10 @@ def catalog(name: str) -> Arrangement:
 
 
 def _seed_sign_vector(a: Arrangement) -> tuple[int, ...]:
-    t = 1
-    while True:
-        p = tuple(t**k for k in range(a.rank))
-        vals = [la.vec_dot(c, p) for c in a.positive_covectors]
-        if all(v != 0 for v in vals):
-            return tuple(1 if v > 0 else -1 for v in vals)
-        t += 1
+    for t in count(1):
+        point = a.ray_signs(tuple(t**k for k in range(a.rank)))
+        if not point.zeros:
+            return tuple(1 if v > 0 else -1 for v in point.values)
 
 
 def enumerate_chambers(a: Arrangement) -> tuple[Chamber, ...]:
@@ -243,28 +269,23 @@ def enumerate_chambers(a: Arrangement) -> tuple[Chamber, ...]:
     raised when a covector, signed by the new chamber, is negative on the
     new ray: that chamber has more than `rank` extreme rays.
     """
-    covs, n, r = a.positive_covectors, a.n_hyperplanes, a.rank
+    covs, n, r, signs = a.positive_covectors, a.n_hyperplanes, a.rank, a.ray_signs
 
-    @cache
-    def values(ray: Vec) -> tuple[int, ...]:  # every covector's value on the ray
-        return tuple(la.vec_dot(c, ray) for c in covs)
-
-    @cache
-    def zeros(ray: Vec) -> int:  # bitmask of the covectors vanishing on the ray
-        return sum(1 << i for i, x in enumerate(values(ray)) if x == 0)
-
-    def meet(rays) -> int:  # bitmask of the covectors vanishing on all the rays
-        return reduce(and_, map(zeros, rays), (1 << n) - 1)
+    def meet(zeros: list[int]) -> int:  # the covectors vanishing on all rays of the masks
+        return reduce(and_, zeros, (1 << n) - 1)
 
     def cross(rays: Mat, walls: list[int], j: int, t: tuple[int, ...]):
         # v/den = -r_j + sum of gamma(r_j)/gamma(r_k) r_k vanishes on each new wall gamma
         facet = rays[:j] + rays[j + 1:]
         v, den, new_walls = la.vec_neg(rays[j]), 1, {}
-        for rk in facet:
+        vj = signs(rays[j]).values
+        zeros = [signs(x).zeros for x in facet]
+        for k, rk in enumerate(facet):
             best = None  # (index, gamma(r_k), gamma(r_j)) of the new wall opposite r_k
-            pencil = meet(x for x in facet if x != rk) & ~(1 << walls[j])
+            pencil = meet(zeros[:k] + zeros[k + 1:]) & ~(1 << walls[j])
+            vk = signs(rk).values
             for i in [i for i in range(n) if pencil >> i & 1]:
-                gk, gj = values(rk)[i], values(rays[j])[i]
+                gk, gj = vk[i], vj[i]
                 if gk < 0:
                     gk, gj = -gk, -gj
                 if best is None or gj * best[1] > best[2] * gk:
@@ -274,7 +295,7 @@ def enumerate_chambers(a: Arrangement) -> tuple[Chamber, ...]:
             v = la.vec_add(la.vec_scale(step // den, v), la.vec_scale(step // gk * gj, rk))
             den = step
         v = la.primitive(v)
-        if any(t[i] * x < 0 for i, x in enumerate(values(v))):
+        if any(t[i] * x < 0 for i, x in enumerate(signs(v).values)):
             raise NotSimplicialError(f"chamber {t} has more than {r} extreme rays")
         new_walls[v] = walls[j]
         new_rays = tuple(sorted(new_walls))
@@ -286,8 +307,9 @@ def enumerate_chambers(a: Arrangement) -> tuple[Chamber, ...]:
         raise NotSimplicialError(
             f"chamber with sign vector {seed} has {len(rays)} extreme rays (rank {r})"
         )
-    walls = [meet(rays[:j] + rays[j + 1:]).bit_length() - 1 for j in range(r)]
-    if any(seed[i] * values(ray)[i] <= 0 for i, ray in zip(walls, rays)):
+    zeros = [signs(x).zeros for x in rays]
+    walls = [meet(zeros[:j] + zeros[j + 1:]).bit_length() - 1 for j in range(r)]
+    if any(seed[i] * signs(ray).values[i] <= 0 for i, ray in zip(walls, rays)):
         raise CertificationError(f"a ray of chamber {seed} is not on its side of its wall")
     chambers: list[Chamber] = []
     seen = {seed}
@@ -319,13 +341,8 @@ def is_crystallographic(a: Arrangement) -> CrystallographicReport:
     witness is the first violating (chamber, root, coordinates) triple in
     chamber/root enumeration order.
     """
-
-    @cache
-    def values(ray: Vec) -> tuple[int, ...]:  # every covector's value on the ray
-        return tuple(la.vec_dot(c, ray) for c in a.positive_covectors)
-
     for k in a.chambers:
-        cols = [values(ray) for ray in k.rays]
+        cols = [a.ray_signs(ray).values for ray in k.rays]
         diag = [sign * col[i] for (i, sign), col in zip(k.basis, cols)]
         for m, root in enumerate(a.positive_covectors):
             if any(col[m] % d for col, d in zip(cols, diag)):
@@ -346,10 +363,10 @@ def decompose(a: Arrangement) -> tuple[tuple[Arrangement, ...], tuple[tuple[int,
     if not report.verdict:
         raise NotCrystallographicError("decompose requires a crystallographic arrangement")
     k0 = a.chambers[0]
-    walls = k0.basis_covectors(a)
+    cols = [a.ray_signs(ray).values for ray in k0.rays]
     coords = [
-        tuple(la.vec_dot(root, ray) // la.vec_dot(b, ray) for b, ray in zip(walls, k0.rays))
-        for root in a.positive_covectors
+        tuple(col[m] // (sign * col[i]) for (i, sign), col in zip(k0.basis, cols))
+        for m in range(a.n_hyperplanes)
     ]
 
     parent = list(range(a.rank))

@@ -9,7 +9,10 @@ input is rejected.  Fan equality is structural equality of the canonical form
 Each fan's wall table (`Fan.walls`) lists, per facet of a maximal cone, the
 cones containing it and the position of the ray opposite it.  It serves the
 validation of imported fans, the completeness test and the automorphism
-search, so none of them loops over pairs of cones on a complete fan.
+search, so none of them loops over pairs of cones on a complete fan.  Its
+inverse table (`Fan.inverses`) holds each maximal cone's facet normals and
+the d of its integer inverse, computed once for validation, property checks
+and insertion.
 """
 from __future__ import annotations
 
@@ -57,6 +60,22 @@ class Fan:
                 table.setdefault(cone[:j] + cone[j + 1:], []).append((ci, j))
         return {facet: tuple(entries) for facet, entries in table.items()}
 
+    @cached_property
+    def inverses(self) -> tuple[tuple[Mat, int], ...]:
+        """Per maximal cone, its facet normals and the d of its `scaled_inverse`.
+
+        Normal j is the primitive column j of D (gens*D = d*I): it vanishes on
+        every generator but the j-th and is positive on that one.  For a
+        full-rank cone d = |det gens|.  Computed once per fan; cones share one
+        tuple per distinct normal, so the table of a chamber fan holds 2n.
+        """
+        shared: dict[Vec, Vec] = {}
+        inverses = (la.scaled_inverse(self.cone_vectors(c)) for c in self.max_cones)
+        return tuple(
+            (tuple(shared.setdefault(h, h) for h in map(la.primitive, la.transpose(inv))), d)
+            for inv, d in inverses
+        )
+
 
 @dataclass(frozen=True)
 class PropertyReport:
@@ -94,22 +113,14 @@ def _cone_h_rep(gens: Mat, rank: int) -> list[Vec]:
     return rows
 
 
-def _is_common_face(
-    f: Fan, c1: tuple[int, ...], c2: tuple[int, ...], h_reps: dict
-) -> bool:
-    inter = la.extreme_rays(h_reps[c1] + h_reps[c2])
-    common = set(f.cone_vectors(c1)) & set(f.cone_vectors(c2))
-    return all(ray in common for ray in inter) and len(inter) == len(
-        set(c1) & set(c2)
-    )
-
-
 def _pairwise_overlap(f: Fan) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """The first pair of cones not meeting in a common face, by one double
     description per pair."""
     h_reps = {c: _cone_h_rep(f.cone_vectors(c), f.rank) for c in f.max_cones}
     for a, b in itertools.combinations(f.max_cones, 2):
-        if not _is_common_face(f, a, b, h_reps):
+        inter = la.extreme_rays(h_reps[a] + h_reps[b])
+        common = set(f.cone_vectors(a)) & set(f.cone_vectors(b))
+        if not set(inter) <= common or len(inter) != len(set(a) & set(b)):
             return a, b
     return None
 
@@ -134,7 +145,7 @@ def _covering_overlap(f: Fan) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     (1, t, t^2, ...) on which no facet normal vanishes; a normal vanishes for
     at most rank - 1 values of t.
     """
-    normals = [la.dual_rays(f.cone_vectors(c)) for c in f.max_cones]
+    normals = [hs for hs, _ in f.inverses]
     for (a, j), (b, k) in f.walls.values():
         # normals[a][j] vanishes on the facet and is positive on cone a's side
         if la.vec_dot(normals[a][j], f.rays[f.max_cones[b][k]]) > 0:
@@ -166,7 +177,7 @@ def make_fan(
     common face raise MalformedFanError.  A pure full-dimensional input whose
     facets each lie in exactly two cones is checked through the wall table:
     opposite sides at every facet and one cone over a generic point, which is
-    O(C·r) facet work and one `dual_rays` per cone.  Any other input (an
+    O(C·r) facet work over the fan's inverse table.  Any other input (an
     incomplete fan, lower-dimensional cones) gets one double description per
     cone pair.  Internal constructors whose cones tile by construction pass
     check_faces=False.
@@ -274,21 +285,27 @@ def fan_from_arrangement(a: Arrangement) -> Fan:
 def check_properties(f: Fan) -> PropertyReport:
     """Smoothness, completeness, central and strong symmetry, with witnesses.
 
-    smooth: every maximal cone's generators extend to a lattice basis
-    (all-ones Smith form).  complete: pure of full dimension, every facet
-    shared by exactly two maximal cones and facet graph connected, both read
-    off the wall table.  centrally
-    symmetric: rays and cones stable under negation.  strongly symmetric:
-    complete and no maximal cone takes both strict signs on the span of any
-    facet; the spans are then returned as primitive hyperplane normals.
+    smooth: every maximal cone's generators extend to a lattice basis.  A
+    full-rank cone does so when d = |det| = 1 in the inverse table; a
+    lower-dimensional one when its Smith form is all ones.  complete: pure of
+    full dimension, every facet shared by exactly two maximal cones and facet
+    graph connected, both read off the wall table.  centrally symmetric: rays
+    and cones stable under negation.  strongly symmetric: complete and no
+    maximal cone has rays strictly on both sides of any facet normal of the
+    inverse table, tested with one positive and one negative ray bitmask per
+    normal; the normals are then returned as the primitive hyperplanes.
     """
     if f.rank == 0:
         return PropertyReport(True, True, True, True, hyperplanes=())
 
     smooth = True
     witness: object = None
-    for cone in f.max_cones:
-        if la.snf(f.cone_vectors(cone)) != (1,) * len(cone):
+    for cone, (_, d) in zip(f.max_cones, f.inverses):
+        if len(cone) == f.rank:
+            unimodular = d == 1
+        else:
+            unimodular = la.snf(f.cone_vectors(cone)) == (1,) * len(cone)
+        if not unimodular:
             smooth = False
             witness = {"property": "smooth", "cone": f.cone_vectors(cone)}
             break
@@ -311,37 +328,33 @@ def check_properties(f: Fan) -> PropertyReport:
     if pure and not complete and witness is None:
         witness = {"property": "complete"}
 
-    neg = {la.vec_neg(v) for v in f.rays}
-    centrally = neg == set(f.rays)
-    if centrally:
-        idx = {v: i for i, v in enumerate(f.rays)}
-        cone_set = set(f.max_cones)
-        centrally = all(
-            tuple(sorted(idx[la.vec_neg(f.rays[i])] for i in cone)) in cone_set
-            for cone in f.max_cones
-        )
+    idx = {v: i for i, v in enumerate(f.rays)}
+    opposite = [idx.get(la.vec_neg(v)) for v in f.rays]
+    cone_set = set(f.max_cones)
+    centrally = None not in opposite and all(
+        tuple(sorted(opposite[i] for i in cone)) in cone_set for cone in f.max_cones
+    )
     if not centrally and witness is None:
         witness = {"property": "centrally_symmetric"}
 
     strongly = complete
     hyperplanes: tuple[Vec, ...] | None = None
     if strongly:
-        normals = sorted(
-            {la.canonical_sign(h) for c in f.max_cones for h in la.dual_rays(f.cone_vectors(c))}
-        )
+        normals = sorted({la.canonical_sign(h) for hs, _ in f.inverses for h in hs})
+        cone_masks = [sum(1 << i for i in cone) for cone in f.max_cones]
         for h in normals:
-            for cone in f.max_cones:
-                vals = [la.vec_dot(h, v) for v in f.cone_vectors(cone)]
-                if any(x > 0 for x in vals) and any(x < 0 for x in vals):
-                    strongly = False
-                    if witness is None:
-                        witness = {
-                            "property": "strongly_symmetric",
-                            "hyperplane": h,
-                            "cone": f.cone_vectors(cone),
-                        }
-                    break
-            if not strongly:
+            vals = [la.vec_dot(h, v) for v in f.rays]
+            pos = sum(1 << i for i, x in enumerate(vals) if x > 0)
+            neg = sum(1 << i for i, x in enumerate(vals) if x < 0)
+            cut = next((c for c, m in zip(f.max_cones, cone_masks) if pos & m and neg & m), None)
+            if cut is not None:
+                strongly = False
+                if witness is None:
+                    witness = {
+                        "property": "strongly_symmetric",
+                        "hyperplane": h,
+                        "cone": f.cone_vectors(cut),
+                    }
                 break
         if strongly:
             hyperplanes = tuple(normals)
@@ -522,12 +535,11 @@ def insert_hyperplane(a: Arrangement, h: Sequence[int]) -> tuple[Fan, BlowupCert
     cone_set2 = {frozenset(f2.cone_vectors(c)) for c in f2.max_cones}
     entries = []
     splits = 0
-    for cone in f1.max_cones:
+    for cone, (normals, _) in zip(f1.max_cones, f1.inverses):
         gens = f1.cone_vectors(cone)
         vals = [la.vec_dot(hv, g) for g in gens]
         if any(x > 0 for x in vals) and any(x < 0 for x in vals):
-            normals = la.dual_rays(gens)  # the cone is where they all are >= 0
-            pieces = [
+            pieces = [  # the cones where all the split cone's facet normals are >= 0
                 f2.cone_vectors(c)
                 for c in f2.max_cones
                 if all(la.vec_dot(h, v) >= 0 for h in normals for v in f2.cone_vectors(c))

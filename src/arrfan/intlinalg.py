@@ -305,38 +305,12 @@ def dual_rays(m: Sequence[Sequence[int]]) -> Mat:
     return tuple(primitive(col) for col in transpose(inv))
 
 
-def mat_inverse_fraction(m: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a square matrix, as Fractions.
-
-    Raises ValueError on non-square or singular input.
-    """
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("inverse requires a square matrix")
-    inv, d = scaled_inverse(m)
-    return tuple(tuple(Fraction(x, d) for x in row) for row in inv)
-
-
 def mat_inverse_unimodular(m: Sequence[Sequence[int]]) -> Mat:
     """Integer inverse of a unimodular matrix."""
     inv, d = scaled_inverse(m)
     if d != 1 or len(inv) != len(m):
         raise ValueError("matrix is not unimodular")
     return inv
-
-
-def dual_basis(b: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows v_i with <b_j, v_i> = delta_ij.
-
-    The result is the transposed inverse of b; when |det b| = 1 every entry
-    is an integer-valued Fraction.  Raises ValueError on non-square or
-    singular input.
-    """
-    n = len(b)
-    if any(len(r) != n for r in b):
-        raise ValueError("dual basis requires a square matrix")
-    inv = mat_inverse_fraction(b)
-    return tuple(tuple(inv[i][j] for i in range(n)) for j in range(n))
 
 
 def kernel_basis(m: Sequence[Sequence[int]]) -> Mat:

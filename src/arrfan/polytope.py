@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlinalg as la
-from .arrangement import Arrangement, Chamber, is_crystallographic, positive_roots
+from .arrangement import Arrangement, Chamber, is_crystallographic
 from .errors import CertificationError, BadReferenceError, NotCrystallographicError
 from .fan import Fan, fan_faces, fan_from_arrangement
 from .intlinalg import Mat, Vec
@@ -58,7 +58,26 @@ def rho(a: Arrangement, k: Chamber) -> Vec:
 
 def _cut_out_by_signs(a: Arrangement, k: Chamber) -> bool:
     """Is every covector, signed by the chamber, >= 0 on every ray of the chamber?"""
-    return all(la.vec_dot(c, ray) >= 0 for c in positive_roots(a, k) for ray in k.rays)
+    plus = sum(1 << i for i, s in enumerate(k.sign_vector) if s > 0)
+    return not any(s.neg & plus or s.pos & ~plus for s in map(a.ray_signs, k.rays))
+
+
+def _face_signs(a: Arrangement, gens: Mat) -> tuple[int, ...]:
+    """Per positive covector, its sign on the cone over `gens` (0 when it vanishes).
+
+    The generators' positive masks are ORed, and so are their negative masks.
+    A covector in both ORs takes both strict signs on the cone: a
+    CertificationError names the first such covector.
+    """
+    pos = neg = 0
+    for s in map(a.ray_signs, gens):
+        pos, neg = pos | s.pos, neg | s.neg
+    if pos & neg:
+        cov = a.positive_covectors[(pos & neg & -(pos & neg)).bit_length() - 1]
+        raise CertificationError(
+            f"covector {cov} takes both signs on cone {gens}: not an arrangement fan"
+        )
+    return tuple((pos >> i & 1) - (neg >> i & 1) for i in range(a.n_hyperplanes))
 
 
 def build_polytope(a: Arrangement) -> HalfLatticePolytope:
@@ -124,29 +143,17 @@ def sign_vector(f: Fan, sigma, a: Arrangement) -> tuple[int, ...]:
     """Per positive covector: its sign on the cone (+1, -1, or 0 when it vanishes).
 
     The cone is given by ray indices of f, which must be the fan of the
-    arrangement: a covector taking both strict signs on the cone's generators
-    is reported as a CertificationError.
+    arrangement.  The signs are ORs of the generators' sign masks in the
+    arrangement's covector table (`Arrangement.ray_signs`); a covector taking
+    both strict signs on the cone is a CertificationError naming the first
+    such covector.
     """
     cone = tuple(sorted(set(sigma)))
     if any(not 0 <= i < len(f.rays) for i in cone):
         raise BadReferenceError(f"ray index out of range in {tuple(sigma)}")
     if cone and not any(set(cone) <= set(c) for c in f.max_cones):
         raise BadReferenceError(f"cone {cone} is not a face of the fan")
-    gens = f.cone_vectors(cone)
-    out = []
-    for cov in a.positive_covectors:
-        vals = [la.vec_dot(cov, g) for g in gens]
-        if any(v > 0 for v in vals) and any(v < 0 for v in vals):
-            raise CertificationError(
-                f"covector {cov} takes both signs on cone {gens}: not an arrangement fan"
-            )
-        if any(v > 0 for v in vals):
-            out.append(1)
-        elif any(v < 0 for v in vals):
-            out.append(-1)
-        else:
-            out.append(0)
-    return tuple(out)
+    return _face_signs(a, f.cone_vectors(cone))
 
 
 def phi_certificate(a: Arrangement) -> PhiCertificate:
@@ -157,8 +164,11 @@ def phi_certificate(a: Arrangement) -> PhiCertificate:
     checks its Smith form is all ones, verifies that each chamber's full
     sign pattern cuts out exactly the chamber's closed cone (every signed
     covector is >= 0 on its rays, and wall b_p is positive on ray r_q exactly
-    when p = q), then records the sign vector of every fan face, read on the
-    sum of its rays, and checks they are pairwise distinct.
+    when p = q), then records the sign vector of every fan face and checks
+    they are pairwise distinct.  The chamber and face checks read the
+    arrangement's covector table: a face lies in a chamber, on whose rays
+    each covector takes one sign or 0 (the cut-out check), so its sign on the
+    face is the OR of its rays' sign masks.
     """
     if not is_crystallographic(a).verdict:
         raise NotCrystallographicError("embedding requires a crystallographic arrangement")
@@ -166,35 +176,28 @@ def phi_certificate(a: Arrangement) -> PhiCertificate:
     base = chambers[0]
 
     basis_signed = base.basis_covectors(a)
-    rest = []
-    for i, cov in enumerate(a.positive_covectors):
-        for sign in (1, -1):
-            v = la.vec_scale(sign, cov)
-            if v not in basis_signed:
-                rest.append(v)
-    row_roots = tuple(basis_signed) + tuple(sorted(rest))
-    rays = base.rays
-    matrix = tuple(tuple(la.vec_dot(root, ray) for ray in rays) for root in row_roots)
+    signed = {la.vec_scale(sign, cov) for cov in a.positive_covectors for sign in (1, -1)}
+    row_roots = tuple(basis_signed) + tuple(sorted(signed - set(basis_signed)))
+    matrix = tuple(tuple(la.vec_dot(root, ray) for ray in base.rays) for root in row_roots)
     factors = la.snf(matrix)
     if factors != (1,) * a.rank:
         raise CertificationError(f"sign-map matrix has Smith form {factors}, not all ones")
 
     for k in chambers:
-        pairing = [[la.vec_dot(b, ray) for ray in k.rays] for b in k.basis_covectors(a)]
+        cols = [a.ray_signs(ray).values for ray in k.rays]
         if not _cut_out_by_signs(a, k) or any(
-            (x > 0) != (p == q) for p, row in enumerate(pairing) for q, x in enumerate(row)
+            (sign * col[i] > 0) != (p == q)
+            for p, (i, sign) in enumerate(k.basis)
+            for q, col in enumerate(cols)
         ):
             raise CertificationError(f"chamber {k.index} is not cut out by its sign pattern")
 
-    # each face lies in a chamber, on whose rays every covector takes one sign
-    # or 0 (checked above), so its sign on the face is its sign on the ray sum
     f = fan_from_arrangement(a)
     sign_rows = []
     seen: dict[tuple[int, ...], Mat] = {}
     for face in fan_faces(f):
         gens = f.cone_vectors(face)
-        values = [sum(la.vec_dot(cov, g) for g in gens) for cov in a.positive_covectors]
-        sv = tuple((v > 0) - (v < 0) for v in values)
+        sv = _face_signs(a, gens)
         if sv in seen:
             raise CertificationError(
                 f"cones {seen[sv]} and {gens} share the sign vector {sv}"

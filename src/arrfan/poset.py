@@ -67,11 +67,8 @@ def flat_from_generators(rank: int, vectors: Sequence[Vec]) -> FlatSubspace:
 
 def _held(a: Arrangement, basis: Mat) -> int:
     """Bitmask of the covectors vanishing on every basis row: H(X) for a flat X."""
-    return sum(
-        1 << i
-        for i, cov in enumerate(a.positive_covectors)
-        if all(la.vec_dot(cov, row) == 0 for row in basis)
-    )
+    everything = (1 << a.n_hyperplanes) - 1
+    return reduce(and_, (a.ray_signs(row).zeros for row in basis), everything)
 
 
 def _covectors(a: Arrangement, held: int) -> Mat:
@@ -153,7 +150,7 @@ def parabolic_arrangement(a: Arrangement, delta: Sequence[int]) -> Arrangement:
     if gens is None or not any(set(dl) <= set(c) for c in f.max_cones):
         raise BadReferenceError(f"cone {tuple(delta)} is not a face of the fan")
     if len(dl) == a.rank:
-        raise ValueError("parabolic arrangement needs a cone of dimension below the rank")
+        raise BadReferenceError("parabolic arrangement needs a cone of dimension below the rank")
     _, lifts, d = quotient_data(gens, a.rank)
     projected = set()
     for cov in _covectors(a, _held(a, gens)):
@@ -194,13 +191,10 @@ def toric_arrangement_report(a: Arrangement) -> ToricArrangementReport:
     faces = fan_faces(f)
 
     held = [_held(a, flat.basis) for flat in poset.flats]
-    ray_zeros = [_held(a, (ray,)) for ray in f.rays]
-    ray_values = [
-        tuple(la.vec_dot(cov, ray) for cov in a.positive_covectors) for ray in f.rays
-    ]
+    ray_signs = [a.ray_signs(ray) for ray in f.rays]
     # a face lies in a flat when every held covector vanishes on every ray of the face
     members = [
-        frozenset(face for face in faces if all(h & ~ray_zeros[i] == 0 for i in face))
+        frozenset(face for face in faces if all(h & ~ray_signs[i].zeros == 0 for i in face))
         for h in held
     ]
 
@@ -212,7 +206,7 @@ def toric_arrangement_report(a: Arrangement) -> ToricArrangementReport:
         for face in faces:
             cur = face
             for c in ann:
-                vals = [ray_values[i][c] for i in cur]
+                vals = [ray_signs[i].values[c] for i in cur]
                 if any(v > 0 for v in vals) and any(v < 0 for v in vals):
                     raise CertificationError(
                         f"covector {a.positive_covectors[c]} cuts the interior of face {cur}"
@@ -252,10 +246,9 @@ def toric_arrangement_report(a: Arrangement) -> ToricArrangementReport:
 
     # (d) equal spans give identical star fans, all in one quotient basis per span
     flat_of = dict(zip(held, poset.flats))
-    everything = (1 << a.n_hyperplanes) - 1
     by_span: dict[Mat, list] = {}
     for face in faces:
-        span = flat_of.get(reduce(and_, (ray_zeros[i] for i in face), everything))
+        span = flat_of.get(_held(a, f.cone_vectors(face)))
         if span is None or span.dim != len(face):
             raise CertificationError(f"face {face} does not span a flat of its dimension")
         by_span.setdefault(span.basis, []).append(face)

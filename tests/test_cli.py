@@ -188,7 +188,7 @@ def test_surface_commands(tmp_path, capsys, a2_file):
     out_fan = str(tmp_path / "quadfan.json")
     code, _ = run(capsys, "surface", "from-weights", quad, "--out", out_fan)
     assert code == 0
-    assert len(json.loads(open(out_fan).read())["rays"]) == 4
+    assert len(json.loads(Path(out_fan).read_text())["rays"]) == 4
 
     sym_out = str(tmp_path / "sym.json")
     code, _ = run(capsys, "surface", "symmetrize", fan_path, "--out", sym_out)
@@ -234,17 +234,17 @@ def test_plot(tmp_path, capsys, a2_file):
     svg_path = str(tmp_path / "a2.svg")
     code, _ = run(capsys, "plot", fan_path, "--out", svg_path)
     assert code == 0
-    svg = open(svg_path).read()
+    svg = Path(svg_path).read_text()
     assert svg.count('class="ray"') == 6
 
     a3 = write(
-        tmp_path, "a3.json", json.loads(open(a2_file).read()) | {}
+        tmp_path, "a3.json", json.loads(Path(a2_file).read_text()) | {}
     )
     code, _ = run(capsys, "catalog", "A_3", "--out", a3)
     svg3 = str(tmp_path / "a3.svg")
     code, _ = run(capsys, "plot", a3, "--out", svg3)
     assert code == 0
-    assert open(svg3).read().count('class="hyperplane"') == 6
+    assert Path(svg3).read_text().count('class="hyperplane"') == 6
 
     a4 = str(tmp_path / "a4.json")
     run(capsys, "catalog", "A_4", "--out", a4)
@@ -254,7 +254,7 @@ def test_plot(tmp_path, capsys, a2_file):
     # byte-identical SVG across runs
     again = str(tmp_path / "again.svg")
     run(capsys, "plot", fan_path, "--out", again)
-    assert open(again, "rb").read() == open(svg_path, "rb").read()
+    assert Path(again).read_bytes() == Path(svg_path).read_bytes()
 
 
 def test_polytope_poset_parabolic_autos_decompose(tmp_path, capsys, a2_file):
@@ -281,6 +281,15 @@ def test_polytope_poset_parabolic_autos_decompose(tmp_path, capsys, a2_file):
     assert json.loads(out)["verdicts"]["factors"] == 1
 
 
+def test_parabolic_of_a_maximal_cone_is_a_bad_reference(capsys, a2_file):
+    """A maximal cone leaves a rank-0 quotient, like restricting to the zero flat."""
+    code = main(["parabolic", a2_file, "--cone", "0,1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "error: parabolic arrangement needs a cone of dimension below the rank" in captured.err
+
+
 def test_restrict_command(tmp_path, capsys):
     b2 = write(
         tmp_path, "b2.json",
@@ -302,7 +311,7 @@ def test_catalog_sporadic_dir(tmp_path, capsys):
         capsys, "catalog", "myarr", "--sporadic-dir", str(tmp_path), "--out", out_path
     )
     assert code == 0
-    assert json.loads(open(out_path).read())["positive_covectors"] == [[0, 1], [1, 0], [1, 1]]
+    assert json.loads(Path(out_path).read_text())["positive_covectors"] == [[0, 1], [1, 0], [1, 1]]
     code, _ = run(capsys, "catalog", "nothere", "--sporadic-dir", str(tmp_path))
     assert code == 3
 

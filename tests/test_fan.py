@@ -374,10 +374,11 @@ def _assert_matches_reference(f, autos=True):
         assert _outcome(fan_automorphisms, f) == _outcome(ref_fan_automorphisms, f)
 
 
-def _count_extreme_rays(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """The argument tuples of every call of the intlinalg function `name`."""
     calls = []
-    extreme_rays = la.extreme_rays
-    monkeypatch.setattr(la, "extreme_rays", lambda rows: calls.append(1) or extreme_rays(rows))
+    fn = getattr(la, name)
+    monkeypatch.setattr(la, name, lambda *args: calls.append(args) or fn(*args))
     return calls
 
 
@@ -387,15 +388,20 @@ def test_fan_routines_match_reference_on_ladder(name, monkeypatch):
 
     The automorphism search is compared up to rank 3 and on A_4 and the
     ngons; the Fraction search alone takes several seconds on B_4 and D_4.
-    Loading the complete fan runs no double description.
+    Loading the complete fan and recovering its roots runs no double
+    description and no Smith form, and inverts each cone exactly once: the
+    fan's inverse table serves both the covering check and the properties.
     """
     a = catalog(name)
     f = fan_from_arrangement(a)
     _assert_matches_reference(f, autos=name not in ("B_4", "D_4"))
     assert roots_from_fan(f) == a
-    calls = _count_extreme_rays(monkeypatch)
-    assert load_fan(json.dumps(fan_to_json(f))) == f
-    assert calls == []
+    calls = {n: _count_calls(monkeypatch, n) for n in ("extreme_rays", "scaled_inverse", "snf")}
+    loaded = load_fan(json.dumps(fan_to_json(f)))
+    assert loaded == f and roots_from_fan(loaded) == a
+    assert calls["extreme_rays"] == [] and calls["snf"] == []
+    inverted = sorted(tuple(map(tuple, args[0])) for args in calls["scaled_inverse"])
+    assert inverted == sorted(f.cone_vectors(c) for c in f.max_cones)
     if len(f.max_cones) <= 48:
         assert ref_overlapping_pair(f) is None
 
@@ -445,6 +451,41 @@ def test_automorphisms_of_a_singular_fan():
     autos = fan_automorphisms(sy)
     assert autos == ref_fan_automorphisms(sy)
     assert ((-1, 0), (0, -1)) in autos and len(autos) == 4
+
+
+def test_failing_fans_match_reference_witnesses():
+    """Each failing property is reported with the witness the per-facet reference finds.
+
+    The fans fail smoothness (a cone of |det| 2), completeness (A_3 less a
+    cone), strong symmetry (A_3 with two opposite cones star-subdivided) and
+    smoothness on a lower-dimensional cone, which the Smith form decides: the
+    first lower-dimensional cone is smooth although the d of its inverse, one
+    maximal minor, is 2.
+    """
+    from arrfan.surface import symmetrize
+
+    singular = symmetrize(
+        make_fan(2, [[(1, 0), (0, 1)], [(0, 1), (-1, 2)], [(-1, 2), (0, -1)], [(0, -1), (1, 0)]])
+    )
+    a3 = fan_from_arrangement(catalog("A_3"))
+    missing = make_fan(3, [a3.cone_vectors(c) for c in a3.max_cones[1:]], check_faces=False)
+    cone = a3.cone_vectors(a3.max_cones[0])
+    subdivided = star_subdivide(a3, a3.max_cones[0])
+    subdivided = star_subdivide(subdivided, _cone_of(subdivided, *map(la.vec_neg, cone)))
+    octant = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    lower = make_fan(3, [octant, [(-1, 0, 0), (0, -2, -1)], [(1, 0, -1), (1, -2, -1)]])
+    assert la.scaled_inverse(lower.cone_vectors(lower.max_cones[0]))[1] == 2
+    cases = [
+        (singular, "smooth"),
+        (missing, "complete"),
+        (subdivided, "strongly_symmetric"),
+        (lower, "smooth"),
+    ]
+    for f, failing in cases:
+        props = check_properties(f)
+        assert props == ref_check_properties(f)
+        assert props.failure_witness["property"] == failing
+    assert check_properties(lower).failure_witness["cone"] == ((1, -2, -1), (1, 0, -1))
 
 
 # a pentagram: five rank-2 cones of ~144 degrees winding twice around 0
@@ -547,7 +588,7 @@ def test_load_fan_rejects_a_suspended_pentagram(monkeypatch):
     for (a, j), (b, k) in f.walls.values():
         normal = la.dual_rays(f.cone_vectors(f.max_cones[a]))[j]
         assert la.vec_dot(normal, f.rays[f.max_cones[b][k]]) < 0
-    calls = _count_extreme_rays(monkeypatch)
+    calls = _count_calls(monkeypatch, "extreme_rays")
     with pytest.raises(MalformedFanError, match="overlap"):
         load_fan(json.dumps(fan_to_json(f)))
     assert calls == []
@@ -565,7 +606,7 @@ def test_load_fan_rejects_a_folded_cycle(monkeypatch):
     f = make_fan(2, quadrants + fold, check_faces=False)
     assert all(len(entries) == 2 for entries in f.walls.values())
     assert ref_overlapping_pair(f) is not None
-    calls = _count_extreme_rays(monkeypatch)
+    calls = _count_calls(monkeypatch, "extreme_rays")
     with pytest.raises(MalformedFanError, match="overlap"):
         load_fan(json.dumps(fan_to_json(f)))
     assert calls == []

@@ -102,30 +102,6 @@ def test_snf_transforms_reconstruct():
         assert abs(la.det(u)) == 1 and abs(la.det(v)) == 1
 
 
-def test_dual_basis_examples():
-    assert la.dual_basis(la.identity(3)) == tuple(
-        tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3)
-    )
-    dual = la.dual_basis([[1, 0], [1, 1]])
-    assert dual == ((Fraction(1), Fraction(-1)), (Fraction(0), Fraction(1)))
-    with pytest.raises(ValueError):
-        la.dual_basis([[1, 0], [0, 1], [1, 1]])
-    with pytest.raises(ValueError):
-        la.dual_basis([[1, 1], [2, 2]])
-
-
-def test_dual_basis_involution_on_unimodular():
-    rng = random.Random(19)
-    for n in (2, 3, 4):
-        for _ in range(10):
-            b = _random_unimodular(rng, n)
-            dual = la.dual_basis(b)
-            assert all(x.denominator == 1 for row in dual for x in row)
-            ints = tuple(tuple(int(x) for x in row) for row in dual)
-            double = la.dual_basis(ints)
-            assert tuple(tuple(int(x) for x in row) for row in double) == b
-
-
 def test_extreme_rays_examples():
     assert la.extreme_rays([[1, 0], [0, 1]]) == ((0, 1), (1, 0))
     assert la.extreme_rays([[1, 0], [0, 1], [1, 1]]) == ((0, 1), (1, 0))
@@ -257,7 +233,6 @@ def test_rank_matches_reference(m):
 @given(st.one_of(_square_matrices(), _matrices()))
 def test_det_and_inverse_match_reference(m):
     assert _outcome(la.det, m) == _outcome(ref_det, m)
-    assert _outcome(la.mat_inverse_fraction, m) == _outcome(ref_mat_inverse_fraction, m)
 
 
 @_PROPERTY
@@ -276,6 +251,7 @@ def test_scaled_inverse_matches_reference(m):
     frac = tuple(tuple(Fraction(x, d) for x in row) for row in inv)
     if n == k:
         assert frac == ref_mat_inverse_fraction(m)
+        assert d == abs(ref_det(m))  # so a square integer matrix is unimodular exactly when d = 1
     for j in range(k):
         target = tuple(int(i == j) for i in range(k))
         assert tuple(row[j] for row in frac) == ref_particular_solution(m, target)

@@ -94,6 +94,11 @@ def test_sign_vector_rejects_foreign_fan():
     with pytest.raises(CertificationError):
         for cone in quad.max_cones:
             sign_vector(quad, cone, other)
+    # (1, -2) and (1, -1) both take both signs on the first quadrant; the first is named
+    steep = make_arrangement(2, [(1, -2), (1, -1), (1, 0)])
+    quadrant = tuple(sorted(quad.rays.index(v) for v in ((1, 0), (0, 1))))
+    with pytest.raises(CertificationError, match=r"covector \(1, -2\) takes both signs"):
+        sign_vector(quad, quadrant, steep)
 
 
 def test_sign_vectors_injective_on_faces():

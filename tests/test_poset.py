@@ -187,7 +187,7 @@ def test_parabolic_arrangement():
     for i in range(len(f2.rays)):
         assert parabolic_arrangement(a2, (i,)).rank == 1
 
-    with pytest.raises(ValueError):
+    with pytest.raises(BadReferenceError):
         parabolic_arrangement(a2, f2.max_cones[0])  # full-dimensional cone
     with pytest.raises(BadReferenceError):
         parabolic_arrangement(a2, (0, 5))
