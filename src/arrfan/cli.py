@@ -57,10 +57,11 @@ from .fan import (
     fan_to_json,
     insert_hyperplane,
     load_fan,
+    restrict_fan,
     roots_from_fan,
     star_fan,
 )
-from .polytope import build_polytope, phi_certificate
+from .polytope import build_polytope, phi_certificate, verify_normal_fan
 from .poset import (
     intersection_poset,
     parabolic_arrangement,
@@ -254,10 +255,7 @@ def cmd_polytope(args) -> int:
     data = _read(args.path)
     a = load_arrangement(data)
     p = build_polytope(a)
-    from .fan import fan_from_arrangement as ffa
-    from .polytope import verify_normal_fan
-
-    ok = verify_normal_fan(p, ffa(a))
+    ok = verify_normal_fan(p, fan_from_arrangement(a))
     if not ok:
         raise CertificationError("polytope normal directions do not match the fan")
     obj = {"rank": p.rank, "doubled_vertices": sorted([list(v) for v in p.doubled_vertices])}
@@ -296,8 +294,6 @@ def cmd_restrict(args) -> int:
     data = _read(args.path)
     f = _fan_input(data)
     rows = _parse_rows(args.subspace)
-    from .fan import restrict_fan
-
     sub = restrict_fan(f, rows)
     props = check_properties(sub)
     outputs = _write(args.out, canonical_json(fan_to_json(sub)) + "\n")

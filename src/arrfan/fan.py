@@ -8,11 +8,11 @@ input is rejected.  Fan equality is structural equality of the canonical form
 
 Each fan's wall table (`Fan.walls`) lists, per facet of a maximal cone, the
 cones containing it and the position of the ray opposite it.  It serves the
-validation of imported fans, the completeness test and the automorphism
-search, so none of them loops over pairs of cones on a complete fan.  Its
-inverse table (`Fan.inverses`) holds each maximal cone's facet normals and
-the d of its integer inverse, computed once for validation, property checks
-and insertion.
+validation of imported fans, the completeness test, the normal-fan
+certificate and the automorphism search, so none of them loops over pairs of
+cones on a complete fan.  Its inverse table (`Fan.inverses`) holds each
+maximal cone's facet normals and the d of its integer inverse, computed once
+for validation, property checks and the normal-fan certificate.
 """
 from __future__ import annotations
 
@@ -444,9 +444,13 @@ def restrict_fan(f: Fan, subspace_rows: Sequence[Sequence[int]]) -> Fan:
     """The cones of f lying inside a cone-spanned subspace, in its own lattice.
 
     `subspace_rows` must span the span of some cone of f; f must be smooth and
-    strongly symmetric.  The cones contained in the subspace are re-expressed
-    in the canonical basis of the saturated sublattice, and the result is
-    certified smooth, strongly symmetric and complete of the subspace rank.
+    strongly symmetric.  Each ray is solved once in the saturated sublattice's
+    canonical basis; it lies in the subspace when it has coordinates.  As the
+    cones are simplicial, the subspace (of dimension d) is spanned by a cone
+    exactly when some maximal cone has d rays inside, and those d-ray faces
+    are the restricted cones.  The result is certified smooth, strongly
+    symmetric and complete of the subspace rank; a restriction needing lower
+    cones as well fails as incomplete.
     """
     props = check_properties(f)
     if not props.smooth:
@@ -458,37 +462,17 @@ def restrict_fan(f: Fan, subspace_rows: Sequence[Sequence[int]]) -> Fan:
     d = len(basis)
     if d == f.rank:
         return f
-
-    def inside(v: Vec) -> bool:
-        return d > 0 and la.solve_in_row_space(basis, v) is not None
-
-    spanned = False
-    for cone in fan_faces(f):
-        gens = f.cone_vectors(cone)
-        if len(cone) == d and all(inside(v) for v in gens):
-            spanned = True
-            break
-    if not spanned:
-        raise BadReferenceError("subspace is not spanned by a cone of the fan")
     if d == 0:
         return Fan(rank=0, rays=(), max_cones=((),))
-
-    candidates = set()
-    for cone in f.max_cones:
-        face = tuple(i for i in cone if inside(f.rays[i]))
-        candidates.add(face)
-    maximal = [
-        c for c in candidates if not any(c != o and set(c) <= set(o) for o in candidates)
-    ]
-    cones = []
-    for cone in maximal:
-        vecs = []
-        for i in cone:
-            coords = la.solve_in_row_space(basis, f.rays[i])
-            if coords is None or any(x.denominator != 1 for x in coords):
-                raise CertificationError(f"ray {f.rays[i]} is not a lattice point of the subspace")
-            vecs.append(tuple(int(x) for x in coords))
-        cones.append(vecs)
+    coords = [la.solve_in_row_space(basis, v) for v in f.rays]
+    faces = {tuple(i for i in cone if coords[i] is not None) for cone in f.max_cones}
+    faces = sorted(c for c in faces if len(c) == d)
+    if not faces:
+        raise BadReferenceError("subspace is not spanned by a cone of the fan")
+    for i in sorted({i for c in faces for i in c}):
+        if any(x.denominator != 1 for x in coords[i]):
+            raise CertificationError(f"ray {f.rays[i]} is not a lattice point of the subspace")
+    cones = [[tuple(int(x) for x in coords[i]) for i in c] for c in faces]
     result = make_fan(d, cones, check_faces=False)
     rprops = check_properties(result)
     if not (rprops.smooth and rprops.strongly_symmetric and rprops.complete):
@@ -517,10 +501,13 @@ def insert_hyperplane(a: Arrangement, h: Sequence[int]) -> tuple[Fan, BlowupCert
     """Add one hyperplane and certify the subdivision as 2-face splits.
 
     Both the input and the enlarged arrangement must be crystallographic.
-    Every maximal cone met by the new hyperplane's interior is split into two
-    cones along it; the certificate records, per split cone, the 2-face
-    (ray_a, ray_b) that was subdivided and checks that the unique new ray is
-    exactly ray_a + ray_b.
+    Every chamber met by the new hyperplane's interior is split into two
+    cones along it: the chambers of the enlarged arrangement whose sign
+    vectors extend its sign vector by +1 and by -1 at the new covector's
+    position.  The certificate records, per split cone in fan order, the
+    2-face (ray_a, ray_b) that was subdivided and checks that the unique new
+    ray is exactly ray_a + ray_b.  Every other chamber must reappear with its
+    rays under its one extension.
     """
     hv = la.canonical_sign(la.primitive(tuple(h)))
     if hv in a.positive_covectors:
@@ -530,25 +517,20 @@ def insert_hyperplane(a: Arrangement, h: Sequence[int]) -> tuple[Fan, BlowupCert
         raise NotCrystallographicError("base arrangement is not crystallographic")
     if not is_crystallographic(a2).verdict:
         raise NotCrystallographicError("enlarged arrangement is not crystallographic")
-    f1 = fan_from_arrangement(a)
     f2 = fan_from_arrangement(a2)
-    cone_set2 = {frozenset(f2.cone_vectors(c)) for c in f2.max_cones}
+    at = a2.positive_covectors.index(hv)
+    rays2 = {k.sign_vector: k.rays for k in a2.chambers}
     entries = []
-    splits = 0
-    for cone, (normals, _) in zip(f1.max_cones, f1.inverses):
-        gens = f1.cone_vectors(cone)
+    for k in sorted(a.chambers, key=lambda k: k.rays):  # the chamber fan's cone order
+        gens, s = k.rays, k.sign_vector
         vals = [la.vec_dot(hv, g) for g in gens]
+        sides = (s[:at] + (1,) + s[at:], s[:at] + (-1,) + s[at:])
+        pieces = [rays2[e] for e in sides if e in rays2]
         if any(x > 0 for x in vals) and any(x < 0 for x in vals):
-            pieces = [  # the cones where all the split cone's facet normals are >= 0
-                f2.cone_vectors(c)
-                for c in f2.max_cones
-                if all(la.vec_dot(h, v) >= 0 for h in normals for v in f2.cone_vectors(c))
-            ]
             if len(pieces) != 2:
                 raise CertificationError(
                     f"cone {gens} split into {len(pieces)} pieces, expected 2"
                 )
-            splits += 1
             p0, p1 = (set(p) for p in pieces)
             new_rays = (p0 | p1) - set(gens)
             only0 = (p0 - p1) & set(gens)
@@ -564,10 +546,9 @@ def insert_hyperplane(a: Arrangement, h: Sequence[int]) -> tuple[Fan, BlowupCert
             entries.append(
                 BlowupEntry(cone=gens, ray_a=ray_a, ray_b=ray_b, new_ray=new_ray)
             )
-        else:
-            if frozenset(gens) not in cone_set2:
-                raise CertificationError(f"untouched cone {gens} vanished")
-    if len(f2.max_cones) != len(f1.max_cones) + splits:
+        elif pieces != [gens]:
+            raise CertificationError(f"untouched cone {gens} vanished")
+    if len(f2.max_cones) != len(a.chambers) + len(entries):
         raise CertificationError("subdivision produced unexpected cone count")
     return f2, BlowupCertificate(tuple(entries))
 

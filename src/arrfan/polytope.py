@@ -13,8 +13,15 @@ from dataclasses import dataclass
 
 from . import intlinalg as la
 from .arrangement import Arrangement, Chamber, is_crystallographic
-from .errors import CertificationError, BadReferenceError, NotCrystallographicError
-from .fan import Fan, fan_faces, fan_from_arrangement
+from .errors import CertificationError, NotCrystallographicError
+from .fan import (
+    Fan,
+    _covering_overlap,
+    _is_pseudomanifold,
+    _require_face,
+    fan_faces,
+    fan_from_arrangement,
+)
 from .intlinalg import Mat, Vec
 
 
@@ -111,32 +118,32 @@ def build_polytope(a: Arrangement) -> HalfLatticePolytope:
 
 
 def verify_normal_fan(p: HalfLatticePolytope, f: Fan) -> bool:
-    """Does every maximal cone's interior direction pick out its own vertex?
+    """Is f, complete, the normal fan of the vertices, read wall by wall?
 
-    For each maximal cone the functional summing its rays must attain its
-    maximum over the vertex set uniquely, at the vertex of the chamber with
-    the same rays; the correspondence must be a bijection.  Mismatched inputs
+    Maximal cones must match chambers bijectively by ray set, and f must be
+    complete by the import check (`_is_pseudomanifold`, `_covering_overlap`).
+    Across each wall (a, j) | (b, k), v_a - v_b must be a positive multiple
+    of cone a's facet normal j, which is positive on a's side.  Then the
+    function taking x in cone s to <v_s, x> is continuous and strictly convex
+    across every wall, hence convex with the cones as its domains of
+    linearity: f is exactly the normal fan (the local folding condition;
+    De Loera, Rambau and Santos, *Triangulations*, 2010).  Mismatched inputs
     return False rather than raising.
     """
     if f.rank != p.rank or len(f.max_cones) != len(p.doubled_vertices):
         return False
     chamber_by_rays = {frozenset(rays): i for i, rays in enumerate(p.chamber_rays)}
-    matched = set()
-    for cone in f.max_cones:
-        gens = f.cone_vectors(cone)
-        direction = (0,) * f.rank
-        for g in gens:
-            direction = la.vec_add(direction, g)
-        scores = [la.vec_dot(v, direction) for v in p.doubled_vertices]
-        best = max(scores)
-        arg = [i for i, s in enumerate(scores) if s == best]
-        if len(arg) != 1:
+    owners = [chamber_by_rays.get(frozenset(f.cone_vectors(c))) for c in f.max_cones]
+    if None in owners or len(set(owners)) != len(owners):
+        return False
+    if not _is_pseudomanifold(f) or _covering_overlap(f) is not None:
+        return False
+    v = [p.doubled_vertices[i] for i in owners]
+    for (a, j), (b, _) in f.walls.values():
+        diff = la.vec_sub(v[a], v[b])
+        if not any(diff) or la.primitive(diff) != f.inverses[a][0][j]:
             return False
-        owner = chamber_by_rays.get(frozenset(gens))
-        if owner is None or owner != arg[0]:
-            return False
-        matched.add(owner)
-    return len(matched) == len(p.doubled_vertices)
+    return True
 
 
 def sign_vector(f: Fan, sigma, a: Arrangement) -> tuple[int, ...]:
@@ -148,12 +155,7 @@ def sign_vector(f: Fan, sigma, a: Arrangement) -> tuple[int, ...]:
     both strict signs on the cone is a CertificationError naming the first
     such covector.
     """
-    cone = tuple(sorted(set(sigma)))
-    if any(not 0 <= i < len(f.rays) for i in cone):
-        raise BadReferenceError(f"ray index out of range in {tuple(sigma)}")
-    if cone and not any(set(cone) <= set(c) for c in f.max_cones):
-        raise BadReferenceError(f"cone {cone} is not a face of the fan")
-    return _face_signs(a, f.cone_vectors(cone))
+    return _face_signs(a, f.cone_vectors(_require_face(f, sigma)))
 
 
 def phi_certificate(a: Arrangement) -> PhiCertificate:

@@ -20,6 +20,7 @@ from . import intlinalg as la
 from .arrangement import Arrangement, is_crystallographic, make_arrangement
 from .errors import BadReferenceError, CertificationError, NotCrystallographicError
 from .fan import (
+    _require_face,
     fan_faces,
     fan_from_arrangement,
     quotient_data,
@@ -143,14 +144,12 @@ def parabolic_arrangement(a: Arrangement, delta: Sequence[int]) -> Arrangement:
     arrangement), using the same deterministic quotient basis.
     """
     f = fan_from_arrangement(a)
-    dl = tuple(sorted(set(delta)))
+    dl = _require_face(f, delta)
     if not dl:
         return a
-    gens = f.cone_vectors(dl) if all(0 <= i < len(f.rays) for i in dl) else None
-    if gens is None or not any(set(dl) <= set(c) for c in f.max_cones):
-        raise BadReferenceError(f"cone {tuple(delta)} is not a face of the fan")
     if len(dl) == a.rank:
         raise BadReferenceError("parabolic arrangement needs a cone of dimension below the rank")
+    gens = f.cone_vectors(dl)
     _, lifts, d = quotient_data(gens, a.rank)
     projected = set()
     for cov in _covectors(a, _held(a, gens)):

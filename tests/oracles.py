@@ -702,3 +702,140 @@ def ref_fan_automorphisms(f):
             if all(tuple(sorted(perm_map[i] for i in c)) in cone_set for c in f.max_cones):
                 found.add(gi)
     return tuple(sorted(found))
+
+
+# Reference certificates: the pairwise and face-lattice versions that
+# arrfan.polytope and arrfan.fan ran before each read its fact off the wall,
+# chamber and ray tables.  The tests require equal verdicts, fans, entries
+# and error classes.
+
+
+def ref_verify_normal_fan(p, f):
+    """Score every vertex against every cone's summed rays (O(C^2))."""
+    from arrfan import intlinalg as la
+
+    if f.rank != p.rank or len(f.max_cones) != len(p.doubled_vertices):
+        return False
+    chamber_by_rays = {frozenset(rays): i for i, rays in enumerate(p.chamber_rays)}
+    matched = set()
+    for cone in f.max_cones:
+        gens = f.cone_vectors(cone)
+        direction = (0,) * f.rank
+        for g in gens:
+            direction = la.vec_add(direction, g)
+        scores = [la.vec_dot(v, direction) for v in p.doubled_vertices]
+        best = max(scores)
+        arg = [i for i, s in enumerate(scores) if s == best]
+        if len(arg) != 1:
+            return False
+        owner = chamber_by_rays.get(frozenset(gens))
+        if owner is None or owner != arg[0]:
+            return False
+        matched.add(owner)
+    return len(matched) == len(p.doubled_vertices)
+
+
+def ref_insert_hyperplane(a, h):
+    """Find each split cone's two pieces by testing every cone of the enlarged fan."""
+    from arrfan import intlinalg as la
+    from arrfan.arrangement import is_crystallographic, make_arrangement
+    from arrfan.errors import BadReferenceError, CertificationError, NotCrystallographicError
+    from arrfan.fan import BlowupCertificate, BlowupEntry, fan_from_arrangement
+
+    hv = la.canonical_sign(la.primitive(tuple(h)))
+    if hv in a.positive_covectors:
+        raise BadReferenceError(f"hyperplane {tuple(h)} already in the arrangement")
+    a2 = make_arrangement(a.rank, a.positive_covectors + (hv,))
+    if not is_crystallographic(a).verdict:
+        raise NotCrystallographicError("base arrangement is not crystallographic")
+    if not is_crystallographic(a2).verdict:
+        raise NotCrystallographicError("enlarged arrangement is not crystallographic")
+    f1 = fan_from_arrangement(a)
+    f2 = fan_from_arrangement(a2)
+    cone_set2 = {frozenset(f2.cone_vectors(c)) for c in f2.max_cones}
+    entries = []
+    splits = 0
+    for cone in f1.max_cones:
+        gens = f1.cone_vectors(cone)
+        normals = la.dual_rays(gens)
+        vals = [la.vec_dot(hv, g) for g in gens]
+        if any(x > 0 for x in vals) and any(x < 0 for x in vals):
+            pieces = [
+                f2.cone_vectors(c)
+                for c in f2.max_cones
+                if all(la.vec_dot(n, v) >= 0 for n in normals for v in f2.cone_vectors(c))
+            ]
+            if len(pieces) != 2:
+                raise CertificationError(
+                    f"cone {gens} split into {len(pieces)} pieces, expected 2"
+                )
+            splits += 1
+            p0, p1 = (set(p) for p in pieces)
+            new_rays = (p0 | p1) - set(gens)
+            only0 = (p0 - p1) & set(gens)
+            only1 = (p1 - p0) & set(gens)
+            if len(new_rays) != 1 or len(only0) != 1 or len(only1) != 1:
+                raise CertificationError(f"unexpected subdivision pattern in cone {gens}")
+            new_ray = next(iter(new_rays))
+            ray_a, ray_b = sorted([next(iter(only0)), next(iter(only1))])
+            if new_ray != la.vec_add(ray_a, ray_b):
+                raise CertificationError(
+                    f"new ray {new_ray} is not the generator sum {ray_a} + {ray_b}"
+                )
+            entries.append(BlowupEntry(cone=gens, ray_a=ray_a, ray_b=ray_b, new_ray=new_ray))
+        elif frozenset(gens) not in cone_set2:
+            raise CertificationError(f"untouched cone {gens} vanished")
+    if len(f2.max_cones) != len(f1.max_cones) + splits:
+        raise CertificationError("subdivision produced unexpected cone count")
+    return f2, BlowupCertificate(tuple(entries))
+
+
+def ref_restrict_fan(f, subspace_rows):
+    """Search the face lattice for a spanning cone, solving each ray once per face."""
+    from arrfan import intlinalg as la
+    from arrfan.errors import (
+        BadReferenceError,
+        CertificationError,
+        NotSmoothError,
+        NotStronglySymmetricError,
+    )
+    from arrfan.fan import Fan, check_properties, fan_faces, make_fan
+
+    props = check_properties(f)
+    if not props.smooth:
+        raise NotSmoothError("restriction requires a smooth fan")
+    if not props.strongly_symmetric:
+        raise NotStronglySymmetricError("restriction requires a strongly symmetric fan")
+    rows = [tuple(r) for r in subspace_rows]
+    basis = la.saturation_basis(rows, f.rank) if rows else ()
+    d = len(basis)
+    if d == f.rank:
+        return f
+
+    def inside(v):
+        return d > 0 and la.solve_in_row_space(basis, v) is not None
+
+    if not any(
+        len(cone) == d and all(inside(v) for v in f.cone_vectors(cone)) for cone in fan_faces(f)
+    ):
+        raise BadReferenceError("subspace is not spanned by a cone of the fan")
+    if d == 0:
+        return Fan(rank=0, rays=(), max_cones=((),))
+    candidates = {tuple(i for i in cone if inside(f.rays[i])) for cone in f.max_cones}
+    maximal = [
+        c for c in candidates if not any(c != o and set(c) <= set(o) for o in candidates)
+    ]
+    cones = []
+    for cone in maximal:
+        vecs = []
+        for i in cone:
+            coords = la.solve_in_row_space(basis, f.rays[i])
+            if coords is None or any(x.denominator != 1 for x in coords):
+                raise CertificationError(f"ray {f.rays[i]} is not a lattice point of the subspace")
+            vecs.append(tuple(int(x) for x in coords))
+        cones.append(vecs)
+    result = make_fan(d, cones, check_faces=False)
+    rprops = check_properties(result)
+    if not (rprops.smooth and rprops.strongly_symmetric and rprops.complete):
+        raise CertificationError("restriction fan lost smoothness or symmetry")
+    return result

@@ -30,12 +30,15 @@ from arrfan.fan import (
     star_fan,
     star_subdivide,
 )
+from arrfan.poset import intersection_poset
 
 from oracles import (
     ref_check_properties,
     ref_cone_h_rep,
     ref_fan_automorphisms,
+    ref_insert_hyperplane,
     ref_overlapping_pair,
+    ref_restrict_fan,
     ref_roots_from_fan,
 )
 from test_arrangement import _small_arrangements
@@ -259,6 +262,35 @@ def test_insert_hyperplane_rank3():
     bigger = make_arrangement(3, a3.positive_covectors + ((1, 0, 1),))
     assert f == fan_from_arrangement(bigger)
     assert roots_from_fan(f) == bigger
+
+
+@pytest.mark.parametrize(
+    "base, h",
+    [
+        ("A_1xA_1", (1, 1)),
+        ("A_2", (1, 2)),
+        ("A_2", (1, 1)),
+        ("A_2", (3, 1)),
+        ("A_3", (1, 0, 1)),
+        ("B_3", (1, 0, 1)),
+        ("D_4", (2, 2, 1, 1)),
+    ],
+)
+def test_insert_hyperplane_matches_reference(base, h):
+    """Pieces read off the sign vectors equal the pieces found by scanning the fan."""
+    a = make_arrangement(2, [(1, 0), (0, 1)]) if base == "A_1xA_1" else catalog(base)
+    assert _outcome(insert_hyperplane, a, h) == _outcome(ref_insert_hyperplane, a, h)
+
+
+@pytest.mark.parametrize("name", ["A_3", "B_3", "D_4"])
+def test_restrict_fan_matches_reference(name):
+    """One solve per ray gives the face-lattice search's fan or error on every flat."""
+    f = fan_from_arrangement(catalog(name))
+    subspaces = [flat.basis for flat in intersection_poset(catalog(name)).flats]
+    if name == "A_3":
+        subspaces += [[(1, 1, 0)], [(1, 2, 0)]]
+    for rows in subspaces:
+        assert _outcome(restrict_fan, f, rows) == _outcome(ref_restrict_fan, f, rows), rows
 
 
 def test_rank1_round_trip():

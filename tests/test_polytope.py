@@ -3,8 +3,9 @@ import pytest
 from arrfan import intlinalg as la
 from arrfan.arrangement import catalog, enumerate_chambers, make_arrangement
 from arrfan.errors import BadReferenceError, CertificationError, NotCrystallographicError
-from arrfan.fan import fan_faces, fan_from_arrangement
+from arrfan.fan import Fan, fan_faces, fan_from_arrangement
 from arrfan.polytope import (
+    HalfLatticePolytope,
     build_polytope,
     phi_certificate,
     rho,
@@ -12,7 +13,7 @@ from arrfan.polytope import (
     verify_normal_fan,
 )
 
-from oracles import hull2d_extreme_points
+from oracles import hull2d_extreme_points, ref_verify_normal_fan
 
 
 def _chamber_by_rays(a, rays):
@@ -73,6 +74,63 @@ def test_verify_normal_fan():
     p = build_polytope(catalog("A_2"))
     f11 = fan_from_arrangement(make_arrangement(2, [(1, 0), (0, 1)]))
     assert not verify_normal_fan(p, f11)
+
+
+@pytest.mark.parametrize(
+    "name", ["A_2", "A_3", "A_4", "A_5", "B_3", "B_4", "C_3", "D_4", "ngon:8:77"]
+)
+def test_verify_normal_fan_matches_reference(name):
+    a = catalog(name)
+    p, f = build_polytope(a), fan_from_arrangement(a)
+    assert verify_normal_fan(p, f) is ref_verify_normal_fan(p, f) is True
+    if name == "A_2":
+        f11 = fan_from_arrangement(make_arrangement(2, [(1, 0), (0, 1)]))
+        assert verify_normal_fan(p, f11) is ref_verify_normal_fan(p, f11) is False
+
+
+@pytest.mark.parametrize("name", ["A_3", "B_3", "C_3"])
+def test_verify_normal_fan_rejects_every_moved_vertex(name):
+    """Moving any one doubled vertex by e_1 breaks the fold across its walls.
+
+    The pairwise scorer, which checks one interior direction per cone, still
+    accepts some of these moves.
+    """
+    a = catalog(name)
+    p, f = build_polytope(a), fan_from_arrangement(a)
+    accepted_by_scorer = 0
+    for i, v in enumerate(p.doubled_vertices):
+        moved = list(p.doubled_vertices)
+        moved[i] = (v[0] + 1,) + v[1:]
+        q = HalfLatticePolytope(p.rank, tuple(moved), p.chamber_rays)
+        assert not verify_normal_fan(q, f), i
+        accepted_by_scorer += ref_verify_normal_fan(q, f)
+    assert accepted_by_scorer > 0
+
+
+@pytest.mark.parametrize("name", ["A_2", "B_3", "ngon:8:77"])
+def test_verify_normal_fan_rejects_negated_vertices(name):
+    """Negated vertices fold the wrong way at every wall: the inner normal fan."""
+    a = catalog(name)
+    p, f = build_polytope(a), fan_from_arrangement(a)
+    q = HalfLatticePolytope(p.rank, tuple(map(la.vec_neg, p.doubled_vertices)), p.chamber_rays)
+    assert verify_normal_fan(q, f) is ref_verify_normal_fan(q, f) is False
+
+
+@pytest.mark.parametrize("name", ["A_2", "B_2", "A_3"])
+def test_verify_normal_fan_rejects_a_dropped_chamber(name):
+    """Without one chamber the fan is not complete, so it is no normal fan."""
+    a = catalog(name)
+    p, f = build_polytope(a), fan_from_arrangement(a)
+    for cone in f.max_cones:
+        i = p.chamber_rays.index(f.cone_vectors(cone))
+        q = HalfLatticePolytope(
+            p.rank,
+            p.doubled_vertices[:i] + p.doubled_vertices[i + 1:],
+            p.chamber_rays[:i] + p.chamber_rays[i + 1:],
+        )
+        g = Fan(f.rank, f.rays, tuple(c for c in f.max_cones if c != cone))
+        assert not verify_normal_fan(q, g)
+        assert ref_verify_normal_fan(q, g)
 
 
 def test_sign_vector_examples():
