@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import re
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import count
@@ -40,10 +39,17 @@ class RaySigns(NamedTuple):
     zeros: int
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class _ArrangementFields(NamedTuple):
     rank: int
     positive_covectors: tuple[Vec, ...]
+
+
+class Arrangement(_ArrangementFields):
+    """Rank and lex-sorted primitive covectors, one per +/- pair.
+
+    The fields are a read-only NamedTuple; the instance dict holds the
+    cached chamber and covector tables.
+    """
 
     @property
     def n_hyperplanes(self) -> int:
@@ -73,8 +79,7 @@ class Arrangement:
         return signs
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     """A closed chamber: its extreme rays and the dual data on its walls.
 
     rays        lex-sorted primitive generators of the closed chamber
@@ -94,8 +99,7 @@ class Chamber:
         )
 
 
-@dataclass(frozen=True)
-class CrystallographicReport:
+class CrystallographicReport(NamedTuple):
     verdict: bool
     # (chamber index, signed root, its coordinates in the chamber's wall basis)
     witness: tuple[int, Vec, tuple[Fraction, ...]] | None = None
@@ -208,6 +212,11 @@ def _roots_type_d(r: int) -> list[Vec]:
     return roots
 
 
+# The largest polygon the CLI and the catalog accept: surface.triangulations()
+# lists all Catalan(t-2) of them in memory, ~4.3 times more per step
+# (t = 12: 16,796).
+MAX_TRIANGULATION_T = 12
+
 _CATALOG_RE = re.compile(r"^([ABCD])_(\d+)$")
 _NGON_RE = re.compile(r"^ngon:(\d+):(\d+)$")
 
@@ -217,7 +226,7 @@ def catalog(name: str) -> Arrangement:
 
     The classical families are given by their positive roots in simple-root
     coordinates.  ngon:t:index enumerates the rank-2 family: triangulation
-    `index` of the convex t-gon (3 <= t <= surface.MAX_TRIANGULATION_T) ->
+    `index` of the convex t-gon (3 <= t <= MAX_TRIANGULATION_T) ->
     self-intersection weights -> rank-2 fan of the doubled weight sequence ->
     its wall covectors.
     """
@@ -235,12 +244,12 @@ def catalog(name: str) -> Arrangement:
         return make_arrangement(r, builders[letter](r))
     m = _NGON_RE.match(name)
     if m:
+        t, index = int(m.group(1)), int(m.group(2))
+        if not 3 <= t <= MAX_TRIANGULATION_T:
+            raise BadReferenceError(f"ngon requires 3 <= t <= {MAX_TRIANGULATION_T}")
         from . import surface
         from .fan import roots_from_fan
 
-        t, index = int(m.group(1)), int(m.group(2))
-        if not 3 <= t <= surface.MAX_TRIANGULATION_T:
-            raise BadReferenceError(f"ngon requires 3 <= t <= {surface.MAX_TRIANGULATION_T}")
         tris = surface.triangulations(t)
         if not 0 <= index < len(tris):
             raise BadReferenceError(

@@ -13,6 +13,10 @@ its verdict through the exit code:
     11  the arrangement is not simplicial
 
 Timing goes to stderr so stdout stays byte-identical across runs.
+
+Each command imports the library modules it uses when it runs, so a process
+loads and compiles only those: `catalog` and `verify` need `arrangement` and
+`intlinalg`, the fan commands add `fan`, and so on.
 """
 from __future__ import annotations
 
@@ -23,15 +27,6 @@ import sys
 import time
 from pathlib import Path
 
-from . import svgplot
-from .arrangement import (
-    Arrangement,
-    arrangement_to_json,
-    catalog,
-    decompose,
-    is_crystallographic,
-    load_arrangement,
-)
 from .errors import (
     ArrfanError,
     BadReferenceError,
@@ -48,35 +43,6 @@ from .errors import (
     NotStronglySymmetricError,
     OrientationError,
     UnsupportedRankError,
-)
-from .fan import (
-    Fan,
-    check_properties,
-    fan_automorphisms,
-    fan_from_arrangement,
-    fan_to_json,
-    insert_hyperplane,
-    load_fan,
-    restrict_fan,
-    roots_from_fan,
-    star_fan,
-)
-from .polytope import build_polytope, phi_certificate, verify_normal_fan
-from .poset import (
-    intersection_poset,
-    parabolic_arrangement,
-    poset_to_json,
-)
-from .surface import (
-    MAX_TRIANGULATION_T,
-    circular_graph,
-    desingularize,
-    symmetrize,
-    triangulation_to_weights,
-    triangulations,
-    verify_picard_presentation,
-    weights_to_fan,
-    y_divisor_class,
 )
 
 _PARSE_ERRORS = (InputFormatError, MalformedFanError)
@@ -152,8 +118,12 @@ def _load_any(data: bytes):
     if not isinstance(obj, dict):
         raise InputFormatError("expected a JSON object")
     if "positive_covectors" in obj:
+        from .arrangement import load_arrangement
+
         return load_arrangement(data)
     if "max_cones" in obj:
+        from .fan import load_fan
+
         return load_fan(data)
     if "weights" in obj:
         w = obj["weights"]
@@ -161,11 +131,16 @@ def _load_any(data: bytes):
             not isinstance(x, int) or isinstance(x, bool) for x in w
         ):
             raise InputFormatError("'weights' must be a list of integers")
+        from .surface import weights_to_fan
+
         return weights_to_fan(w)
     raise InputFormatError("unrecognized input format")
 
 
-def _fan_input(data: bytes) -> Fan:
+def _fan_input(data: bytes):
+    from .arrangement import Arrangement
+    from .fan import fan_from_arrangement
+
     obj = _load_any(data)
     if isinstance(obj, Arrangement):
         return fan_from_arrangement(obj)
@@ -173,6 +148,8 @@ def _fan_input(data: bytes) -> Fan:
 
 
 def cmd_verify(args) -> int:
+    from .arrangement import is_crystallographic, load_arrangement
+
     data = _read(args.path)
     a = load_arrangement(data)
     try:
@@ -198,6 +175,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from .arrangement import arrangement_to_json, catalog, load_arrangement
+
     name = args.name
     try:
         a = catalog(name)
@@ -221,6 +200,9 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_fan(args) -> int:
+    from .arrangement import load_arrangement
+    from .fan import check_properties, fan_from_arrangement, fan_to_json
+
     data = _read(args.path)
     a = load_arrangement(data)
     f = fan_from_arrangement(a)
@@ -243,6 +225,9 @@ def cmd_fan(args) -> int:
 
 
 def cmd_roots(args) -> int:
+    from .arrangement import arrangement_to_json
+    from .fan import load_fan, roots_from_fan
+
     data = _read(args.path)
     f = load_fan(data)
     a = roots_from_fan(f)
@@ -252,6 +237,10 @@ def cmd_roots(args) -> int:
 
 
 def cmd_polytope(args) -> int:
+    from .arrangement import load_arrangement
+    from .fan import fan_from_arrangement
+    from .polytope import build_polytope, verify_normal_fan
+
     data = _read(args.path)
     a = load_arrangement(data)
     p = build_polytope(a)
@@ -270,6 +259,8 @@ def cmd_polytope(args) -> int:
 
 
 def cmd_star(args) -> int:
+    from .fan import check_properties, fan_to_json, star_fan
+
     data = _read(args.path)
     f = _fan_input(data)
     cone = _parse_vector(args.cone) if args.cone else ()
@@ -291,6 +282,8 @@ def cmd_star(args) -> int:
 
 
 def cmd_restrict(args) -> int:
+    from .fan import check_properties, fan_to_json, restrict_fan
+
     data = _read(args.path)
     f = _fan_input(data)
     rows = _parse_rows(args.subspace)
@@ -312,6 +305,9 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_poset(args) -> int:
+    from .arrangement import load_arrangement
+    from .poset import intersection_poset, poset_to_json
+
     data = _read(args.path)
     a = load_arrangement(data)
     p = intersection_poset(a)
@@ -326,6 +322,9 @@ def cmd_poset(args) -> int:
 
 
 def cmd_parabolic(args) -> int:
+    from .arrangement import arrangement_to_json, load_arrangement
+    from .poset import parabolic_arrangement
+
     data = _read(args.path)
     a = load_arrangement(data)
     cone = _parse_vector(args.cone) if args.cone else ()
@@ -337,6 +336,9 @@ def cmd_parabolic(args) -> int:
 
 
 def cmd_insert(args) -> int:
+    from .arrangement import load_arrangement
+    from .fan import fan_to_json, insert_hyperplane
+
     data = _read(args.path)
     a = load_arrangement(data)
     h = _parse_vector(args.hyperplane)
@@ -363,6 +365,8 @@ def cmd_insert(args) -> int:
 
 
 def cmd_autos(args) -> int:
+    from .fan import fan_automorphisms
+
     data = _read(args.path)
     f = _fan_input(data)
     autos = fan_automorphisms(f)
@@ -373,6 +377,9 @@ def cmd_autos(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from .arrangement import load_arrangement
+    from .polytope import phi_certificate
+
     data = _read(args.path)
     a = load_arrangement(data)
     cert = phi_certificate(a)
@@ -395,6 +402,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .arrangement import arrangement_to_json, decompose, load_arrangement
+
     data = _read(args.path)
     a = load_arrangement(data)
     factors, partition = decompose(a)
@@ -418,6 +427,17 @@ def _divisor_text(coeffs) -> str:
 
 
 def cmd_surface(args) -> int:
+    from .fan import check_properties, fan_to_json
+    from .surface import (
+        circular_graph,
+        desingularize,
+        symmetrize,
+        triangulation_to_weights,
+        triangulations,
+        verify_picard_presentation,
+        y_divisor_class,
+    )
+
     sub = args.surface_command
     if sub == "triangulations":
         t = args.count
@@ -481,6 +501,9 @@ def cmd_surface(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from . import svgplot
+    from .arrangement import Arrangement
+
     data = _read(args.path)
     obj = _load_any(data)
     if isinstance(obj, Arrangement):
@@ -493,6 +516,8 @@ def cmd_plot(args) -> int:
     else:
         if obj.rank != 2:
             raise UnsupportedRankError(f"fan plots support rank 2 only, got {obj.rank}")
+        from .surface import circular_graph
+
         labels = None
         try:
             g = circular_graph(obj)
@@ -509,6 +534,8 @@ def cmd_plot(args) -> int:
 
 
 def _polygon_size(text: str) -> int:
+    from .arrangement import MAX_TRIANGULATION_T
+
     try:
         t = int(text)
     except ValueError:
@@ -519,6 +546,8 @@ def _polygon_size(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .arrangement import MAX_TRIANGULATION_T
+
     parser = argparse.ArgumentParser(
         prog="arrfan",
         description="Exact computations with integer hyperplane arrangements and their fans.",
@@ -573,9 +602,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # elapsed covers all of main: building the parser, loading the modules
+    # the command imports (from source when no bytecode is cached) and the work
+    start = time.monotonic()
     parser = build_parser()
     args = parser.parse_args(argv)
-    start = time.monotonic()
     try:
         code = args.func(args)
     except NotSimplicialError as e:

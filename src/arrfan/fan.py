@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import intlinalg as la
 from .arrangement import Arrangement, is_crystallographic, make_arrangement
@@ -38,11 +38,18 @@ from .errors import (
 from .intlinalg import Mat, Vec
 
 
-@dataclass(frozen=True)
-class Fan:
+class _FanFields(NamedTuple):
     rank: int
     rays: tuple[Vec, ...]
     max_cones: tuple[tuple[int, ...], ...]
+
+
+class Fan(_FanFields):
+    """Rank, sorted primitive rays and sorted maximal cones as ray index tuples.
+
+    The fields are a read-only NamedTuple; the instance dict holds the
+    cached wall and inverse tables.
+    """
 
     def cone_vectors(self, cone: Sequence[int]) -> Mat:
         return tuple(self.rays[i] for i in cone)
@@ -77,8 +84,7 @@ class Fan:
         )
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     smooth: bool
     complete: bool
     centrally_symmetric: bool
@@ -87,16 +93,14 @@ class PropertyReport:
     failure_witness: object = None
 
 
-@dataclass(frozen=True)
-class BlowupEntry:
+class BlowupEntry(NamedTuple):
     cone: Mat        # generators of the subdivided maximal cone
     ray_a: Vec       # the two generators spanning the split 2-face
     ray_b: Vec
     new_ray: Vec     # equals ray_a + ray_b
 
 
-@dataclass(frozen=True)
-class BlowupCertificate:
+class BlowupCertificate(NamedTuple):
     entries: tuple[BlowupEntry, ...]
 
 
@@ -445,7 +449,8 @@ def restrict_fan(f: Fan, subspace_rows: Sequence[Sequence[int]]) -> Fan:
 
     `subspace_rows` must span the span of some cone of f; f must be smooth and
     strongly symmetric.  Each ray is solved once in the saturated sublattice's
-    canonical basis; it lies in the subspace when it has coordinates.  As the
+    canonical basis, by one product with the basis's integer inverse (taken
+    once per call); it lies in the subspace when it has coordinates.  As the
     cones are simplicial, the subspace (of dimension d) is spanned by a cone
     exactly when some maximal cone has d rays inside, and those d-ray faces
     are the restricted cones.  The result is certified smooth, strongly
@@ -464,7 +469,15 @@ def restrict_fan(f: Fan, subspace_rows: Sequence[Sequence[int]]) -> Fan:
         return f
     if d == 0:
         return Fan(rank=0, rays=(), max_cones=((),))
-    coords = [la.solve_in_row_space(basis, v) for v in f.rays]
+    inv, den = la.scaled_inverse(basis)  # basis * inv = den * I
+
+    def solve(v: Vec) -> tuple[Fraction, ...] | None:
+        c = la.vec_mat(v, inv)
+        if la.vec_mat(c, basis) != la.vec_scale(den, v):
+            return None
+        return tuple(Fraction(x, den) for x in c)
+
+    coords = [solve(v) for v in f.rays]
     faces = {tuple(i for i in cone if coords[i] is not None) for cone in f.max_cones}
     faces = sorted(c for c in faces if len(c) == d)
     if not faces:

@@ -9,7 +9,7 @@ map: its matrix has all-ones Smith form and the sign vectors separate cones.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import intlinalg as la
 from .arrangement import Arrangement, Chamber, is_crystallographic
@@ -25,8 +25,7 @@ from .fan import (
 from .intlinalg import Mat, Vec
 
 
-@dataclass(frozen=True)
-class HalfLatticePolytope:
+class HalfLatticePolytope(NamedTuple):
     """Doubled chamber vertices; index i belongs to chamber i."""
 
     rank: int
@@ -34,8 +33,7 @@ class HalfLatticePolytope:
     chamber_rays: tuple[Mat, ...]
 
 
-@dataclass(frozen=True)
-class PhiCertificate:
+class PhiCertificate(NamedTuple):
     """Certificates for the sign-map embedding.
 
     matrix            one row per signed covector, in the coordinates of the

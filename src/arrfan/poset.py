@@ -11,10 +11,9 @@ make the family of flat subfans an embedded copy of the poset.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce
 from operator import and_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import intlinalg as la
 from .arrangement import Arrangement, is_crystallographic, make_arrangement
@@ -31,20 +30,17 @@ from .fan import (
 from .intlinalg import Mat, Vec
 
 
-@dataclass(frozen=True)
-class FlatSubspace:
+class FlatSubspace(NamedTuple):
     dim: int
     basis: Mat  # Hermite-canonical rows of the saturated sublattice
 
 
-@dataclass(frozen=True)
-class IntersectionPoset:
+class IntersectionPoset(NamedTuple):
     flats: tuple[FlatSubspace, ...]      # sorted by (dim, basis)
     cover_pairs: tuple[tuple[int, int], ...]  # (i, j): flats[i] covered by flats[j]
 
 
-@dataclass(frozen=True)
-class ToricArrangementReport:
+class ToricArrangementReport(NamedTuple):
     flat_count: int
     subfan_dims: tuple[int, ...]   # per flat, = flat dimension
     subfan_sizes: tuple[int, ...]  # number of fan faces inside each flat

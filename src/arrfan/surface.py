@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import intlinalg as la
 from .errors import (
@@ -25,27 +25,33 @@ from .fan import Fan, check_properties, make_fan
 from .intlinalg import Mat, Vec
 
 
-@dataclass(frozen=True)
-class CircularGraph:
-    """Cyclic self-intersection weights with their CCW-ordered rays."""
-
+class _CircularGraphFields(NamedTuple):
     weights: tuple[int, ...]
     rays: Mat
 
-    def __post_init__(self):
-        s = len(self.weights)
-        if s < 3 or len(self.rays) != s:
+
+class CircularGraph(_CircularGraphFields):
+    """Cyclic self-intersection weights with their CCW-ordered rays.
+
+    The constructor checks the recurrence and the orientation at every ray.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, weights: tuple[int, ...], rays: Mat):
+        s = len(weights)
+        if s < 3 or len(rays) != s:
             raise ValueError("need at least 3 rays with one weight each")
         for j in range(s):
-            prev, cur, nxt = self.rays[j - 1], self.rays[j], self.rays[(j + 1) % s]
-            if la.vec_add(la.vec_add(prev, nxt), la.vec_scale(self.weights[j], cur)) != (0, 0):
-                raise ValueError(f"weight {self.weights[j]} at ray {cur} violates the recurrence")
+            prev, cur, nxt = rays[j - 1], rays[j], rays[(j + 1) % s]
+            if la.vec_add(la.vec_add(prev, nxt), la.vec_scale(weights[j], cur)) != (0, 0):
+                raise ValueError(f"weight {weights[j]} at ray {cur} violates the recurrence")
             if _det2(cur, nxt) != 1:
                 raise ValueError("consecutive rays must be positively oriented lattice bases")
+        return super().__new__(cls, weights, rays)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(NamedTuple):
     """Integer coefficients over the rays; canonical representative has c_1 = 0."""
 
     coefficients: tuple[int, ...]
@@ -150,11 +156,6 @@ def verify_weight_identity(weights, mode: str) -> bool:
         m = la.mat_mul(((0, -1), (1, -int(a))), m)
     target = la.identity(2) if mode == "full" else ((-1, 0), (0, -1))
     return m == target
-
-
-# The largest polygon the CLI and the catalog accept: triangulations() lists all
-# Catalan(t-2) of them in memory, ~4.3 times more per step (t = 12: 16,796).
-MAX_TRIANGULATION_T = 12
 
 
 def triangulations(t: int) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -6,11 +6,14 @@ decimals at the very end, so repeated runs emit identical bytes.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import intlinalg as la
 from .arrangement import Arrangement
-from .fan import Fan
 from .intlinalg import Vec
+
+if TYPE_CHECKING:  # an annotation only: arrangement plots do not load the fan module
+    from .fan import Fan
 
 _SIZE = 600
 _CENTER = _SIZE // 2

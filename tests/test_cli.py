@@ -1,5 +1,8 @@
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -354,3 +357,56 @@ def test_roots_of_a5_fan_file(tmp_path, capsys):
     assert code == 0
     assert json.loads(out.splitlines()[0])["verdicts"] == {"hyperplanes": 15, "rank": 5}
     assert Path(roots_path).read_bytes() == Path(a5).read_bytes()
+
+
+_BASE = {"arrfan", "arrfan.errors", "arrfan.intlinalg", "arrfan.arrangement"}
+
+
+# `python -m arrfan.cli argv...`, then the modules it loaded beyond the
+# interpreter's start-up (which may import anything, depending on site-packages)
+_RUN_AS_MAIN = """
+import json, runpy, sys
+before, code = set(sys.modules), None
+try:
+    runpy.run_module("arrfan.cli", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    code = e.code
+print(json.dumps([code, sorted(set(sys.modules) - before)]), file=sys.stderr)
+"""
+
+
+def _imports_of(tmp_path, *argv):
+    """The modules a CLI command loads, in a fresh interpreter."""
+    src = str(Path(arrfan.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AS_MAIN, *argv],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return set(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv,extra",
+    [
+        (["catalog", "A_2"], set()),
+        (["verify", "a2.json"], set()),
+        (["fan", "a2.json"], {"fan"}),
+        (["poset", "a2.json"], {"fan", "poset"}),
+        (["roots", "a2.fan.json"], {"fan"}),
+        (["surface", "graph", "a2.fan.json"], {"fan", "surface"}),
+        (["plot", "a2.json"], {"svgplot"}),
+    ],
+)
+def test_each_command_imports_only_its_modules(tmp_path, capsys, argv, extra):
+    # a subprocess, since pytest itself has imported inspect and every module
+    run(capsys, "catalog", "A_2", "--out", str(tmp_path / "a2.json"))
+    run(capsys, "fan", str(tmp_path / "a2.json"), "--out", str(tmp_path / "a2.fan.json"))
+    loaded = _imports_of(tmp_path, *argv)
+    # under -m the CLI runs as __main__, so arrfan.cli is never imported
+    assert {m for m in loaded if m.split(".")[0] == "arrfan"} == _BASE | {
+        f"arrfan.{m}" for m in extra
+    }
+    assert not loaded & {"dataclasses", "inspect"}
