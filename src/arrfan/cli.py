@@ -1,17 +1,9 @@
 """Command-line front end.
 
-Every command reads JSON files, prints one canonical (byte-reproducible)
-JSON report line on stdout, writes requested outputs via --out, and signals
-its verdict through the exit code:
-
-    0   success
-    2   parse or format error in the input
-    3   a referenced object does not exist (cone, flat, catalog name, ...)
-    4   unsupported rank for the command
-    10  a required mathematical property fails (integrality, smoothness,
-        symmetry, closure, lattice span)
-    11  the arrangement is not simplicial
-
+Every command runs through one pipeline in `main`: read the input file, run
+the command, write its document to --out, print one canonical
+(byte-reproducible) JSON report line on stdout, and signal the verdict
+through the exit code, 0 on success and otherwise looked up in `_EXIT_CODES`.
 Timing goes to stderr so stdout stays byte-identical across runs.
 
 Each command imports the library modules it uses when it runs, so a process
@@ -31,51 +23,44 @@ from .errors import (
     ArrfanError,
     BadReferenceError,
     CertificationError,
-    DoesNotCloseError,
     InputFormatError,
-    LatticeSpanError,
     MalformedFanError,
-    NonPointedError,
-    NotCompleteError,
-    NotCrystallographicError,
     NotSimplicialError,
-    NotSmoothError,
-    NotStronglySymmetricError,
-    OrientationError,
     UnsupportedRankError,
 )
 
-_PARSE_ERRORS = (InputFormatError, MalformedFanError)
-_REFERENCE_ERRORS = (BadReferenceError,)
-_VERDICT_ERRORS = (
-    LatticeSpanError,
-    NotCrystallographicError,
-    NotSmoothError,
-    NotCompleteError,
-    NotStronglySymmetricError,
-    DoesNotCloseError,
-    OrientationError,
-    NonPointedError,
-    CertificationError,
-    ValueError,
-)
+# Every other ArrfanError, and ValueError, exits 10: a required mathematical
+# property fails (integrality, smoothness, symmetry, closure, lattice span).
+_EXIT_CODES = {
+    InputFormatError: 2,  # parse or format error in the input
+    MalformedFanError: 2,
+    BadReferenceError: 3,  # no such cone, flat, catalog name, ...
+    UnsupportedRankError: 4,  # unsupported rank for the command
+    NotSimplicialError: 11,  # the arrangement is not simplicial
+}
 
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _digest(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+def _emit(args, data: bytes, verdicts: dict, out=None, witnesses=None) -> None:
+    """Write `out` to --out, if both are given, and print the report line.
 
-
-def _emit(command: str, data: bytes | None, verdicts: dict, witnesses=None, outputs=None):
+    `out` is a JSON document, written canonically with a final newline, or
+    text (the SVG of `plot`), written as is.
+    """
+    outputs = {}
+    if out is not None and args.out is not None:
+        text = out if isinstance(out, str) else canonical_json(out) + "\n"
+        Path(args.out).write_text(text, encoding="utf-8")
+        outputs = {"out": args.out}
     report = {
-        "command": command,
-        "input_digest": _digest(data) if data is not None else None,
+        "command": args.report,
+        "input_digest": "sha256:" + hashlib.sha256(data).hexdigest(),
         "verdicts": verdicts,
         "witnesses": witnesses or {},
-        "outputs": outputs or {},
+        "outputs": outputs,
     }
     sys.stdout.write(canonical_json(report) + "\n")
 
@@ -85,13 +70,6 @@ def _read(path: str) -> bytes:
         return Path(path).read_bytes()
     except OSError as e:
         raise InputFormatError(f"cannot read {path}: {e}") from e
-
-
-def _write(path: str | None, text: str) -> dict:
-    if path is None:
-        return {}
-    Path(path).write_text(text, encoding="utf-8")
-    return {"out": path}
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -147,69 +125,64 @@ def _fan_input(data: bytes):
     return obj
 
 
-def cmd_verify(args) -> int:
+def _surface_input(data: bytes):
+    f = _fan_input(data)
+    if f.rank != 2:
+        raise UnsupportedRankError(f"surface commands require rank 2, got {f.rank}")
+    return f
+
+
+def cmd_verify(args, data: bytes) -> int:
     from .arrangement import is_crystallographic, load_arrangement
 
-    data = _read(args.path)
     a = load_arrangement(data)
     try:
         report = is_crystallographic(a)
     except NotSimplicialError:
-        _emit("verify", data, {"simplicial": False, "crystallographic": None})
+        _emit(args, data, {"simplicial": False, "crystallographic": None})
         return 11
-    code = 0
     witnesses = {}
     if not report.verdict:
         chamber, root, coords = report.witness
         witnesses["chamber"] = chamber
         witnesses["root"] = list(root)
         witnesses["coordinates"] = [str(c) for c in coords]
-        code = 10
     _emit(
-        "verify",
+        args,
         data,
         {"simplicial": True, "crystallographic": report.verdict},
-        witnesses,
+        witnesses=witnesses,
     )
-    return code
+    return 0 if report.verdict else 10
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args, data: None):
     from .arrangement import arrangement_to_json, catalog, load_arrangement
 
     name = args.name
     try:
         a = catalog(name)
     except BadReferenceError:
-        if args.sporadic_dir:
-            path = Path(args.sporadic_dir) / f"{name}.json"
-            if path.exists():
-                a = load_arrangement(path.read_bytes())
-            else:
-                raise
-        else:
+        path = args.sporadic_dir and Path(args.sporadic_dir) / f"{name}.json"
+        if not (path and path.exists()):
             raise
+        a = load_arrangement(path.read_bytes())
     text = canonical_json(arrangement_to_json(a)) + "\n"
-    outputs = _write(args.out, text)
-    if not outputs:
+    if args.out is None:
         sys.stdout.write(text)
-        return 0
-    _emit("catalog", name.encode(), {"rank": a.rank, "hyperplanes": a.n_hyperplanes},
-          outputs=outputs)
-    return 0
+    else:
+        _emit(args, name.encode(), {"rank": a.rank, "hyperplanes": a.n_hyperplanes}, out=text)
 
 
-def cmd_fan(args) -> int:
+def cmd_fan(args, data: bytes):
     from .arrangement import load_arrangement
     from .fan import check_properties, fan_from_arrangement, fan_to_json
 
-    data = _read(args.path)
     a = load_arrangement(data)
     f = fan_from_arrangement(a)
     props = check_properties(f)
-    outputs = _write(args.out, canonical_json(fan_to_json(f)) + "\n")
     _emit(
-        "fan",
+        args,
         data,
         {
             "rays": len(f.rays),
@@ -219,56 +192,48 @@ def cmd_fan(args) -> int:
             "centrally_symmetric": props.centrally_symmetric,
             "strongly_symmetric": props.strongly_symmetric,
         },
-        outputs=outputs,
+        out=fan_to_json(f),
     )
-    return 0
 
 
-def cmd_roots(args) -> int:
+def cmd_roots(args, data: bytes):
     from .arrangement import arrangement_to_json
     from .fan import load_fan, roots_from_fan
 
-    data = _read(args.path)
     f = load_fan(data)
     a = roots_from_fan(f)
-    outputs = _write(args.out, canonical_json(arrangement_to_json(a)) + "\n")
-    _emit("roots", data, {"rank": a.rank, "hyperplanes": a.n_hyperplanes}, outputs=outputs)
-    return 0
+    _emit(args, data, {"rank": a.rank, "hyperplanes": a.n_hyperplanes},
+          out=arrangement_to_json(a))
 
 
-def cmd_polytope(args) -> int:
+def cmd_polytope(args, data: bytes):
     from .arrangement import load_arrangement
     from .fan import fan_from_arrangement
     from .polytope import build_polytope, verify_normal_fan
 
-    data = _read(args.path)
     a = load_arrangement(data)
     p = build_polytope(a)
     ok = verify_normal_fan(p, fan_from_arrangement(a))
     if not ok:
         raise CertificationError("polytope normal directions do not match the fan")
     obj = {"rank": p.rank, "doubled_vertices": sorted([list(v) for v in p.doubled_vertices])}
-    outputs = _write(args.out, canonical_json(obj) + "\n")
     _emit(
-        "polytope",
+        args,
         data,
         {"vertices": len(p.doubled_vertices), "normal_fan_verified": ok},
-        outputs=outputs,
+        out=obj,
     )
-    return 0
 
 
-def cmd_star(args) -> int:
+def cmd_star(args, data: bytes):
     from .fan import check_properties, fan_to_json, star_fan
 
-    data = _read(args.path)
     f = _fan_input(data)
     cone = _parse_vector(args.cone) if args.cone else ()
     st = star_fan(f, cone)
     props = check_properties(st)
-    outputs = _write(args.out, canonical_json(fan_to_json(st)) + "\n")
     _emit(
-        "star",
+        args,
         data,
         {
             "rank": st.rank,
@@ -276,22 +241,19 @@ def cmd_star(args) -> int:
             "max_cones": len(st.max_cones),
             "strongly_symmetric": props.strongly_symmetric,
         },
-        outputs=outputs,
+        out=fan_to_json(st),
     )
-    return 0
 
 
-def cmd_restrict(args) -> int:
+def cmd_restrict(args, data: bytes):
     from .fan import check_properties, fan_to_json, restrict_fan
 
-    data = _read(args.path)
     f = _fan_input(data)
     rows = _parse_rows(args.subspace)
     sub = restrict_fan(f, rows)
     props = check_properties(sub)
-    outputs = _write(args.out, canonical_json(fan_to_json(sub)) + "\n")
     _emit(
-        "restrict",
+        args,
         data,
         {
             "rank": sub.rank,
@@ -299,53 +261,40 @@ def cmd_restrict(args) -> int:
             "smooth": props.smooth,
             "strongly_symmetric": props.strongly_symmetric,
         },
-        outputs=outputs,
+        out=fan_to_json(sub),
     )
-    return 0
 
 
-def cmd_poset(args) -> int:
+def cmd_poset(args, data: bytes):
     from .arrangement import load_arrangement
     from .poset import intersection_poset, poset_to_json
 
-    data = _read(args.path)
     a = load_arrangement(data)
     p = intersection_poset(a)
-    outputs = _write(args.out, canonical_json(poset_to_json(p)) + "\n")
-    _emit(
-        "poset",
-        data,
-        {"flats": len(p.flats), "covers": len(p.cover_pairs)},
-        outputs=outputs,
-    )
-    return 0
+    _emit(args, data, {"flats": len(p.flats), "covers": len(p.cover_pairs)},
+          out=poset_to_json(p))
 
 
-def cmd_parabolic(args) -> int:
+def cmd_parabolic(args, data: bytes):
     from .arrangement import arrangement_to_json, load_arrangement
     from .poset import parabolic_arrangement
 
-    data = _read(args.path)
     a = load_arrangement(data)
     cone = _parse_vector(args.cone) if args.cone else ()
     pa = parabolic_arrangement(a, cone)
-    outputs = _write(args.out, canonical_json(arrangement_to_json(pa)) + "\n")
-    _emit("parabolic", data, {"rank": pa.rank, "hyperplanes": pa.n_hyperplanes},
-          outputs=outputs)
-    return 0
+    _emit(args, data, {"rank": pa.rank, "hyperplanes": pa.n_hyperplanes},
+          out=arrangement_to_json(pa))
 
 
-def cmd_insert(args) -> int:
+def cmd_insert(args, data: bytes):
     from .arrangement import load_arrangement
     from .fan import fan_to_json, insert_hyperplane
 
-    data = _read(args.path)
     a = load_arrangement(data)
     h = _parse_vector(args.hyperplane)
     f, cert = insert_hyperplane(a, h)
-    outputs = _write(args.out, canonical_json(fan_to_json(f)) + "\n")
     _emit(
-        "insert",
+        args,
         data,
         {"rays": len(f.rays), "max_cones": len(f.max_cones), "splits": len(cert.entries)},
         witnesses={
@@ -359,28 +308,23 @@ def cmd_insert(args) -> int:
                 for e in cert.entries
             ]
         },
-        outputs=outputs,
+        out=fan_to_json(f),
     )
-    return 0
 
 
-def cmd_autos(args) -> int:
+def cmd_autos(args, data: bytes):
     from .fan import fan_automorphisms
 
-    data = _read(args.path)
     f = _fan_input(data)
     autos = fan_automorphisms(f)
     obj = {"order": len(autos), "matrices": [[list(r) for r in g] for g in autos]}
-    outputs = _write(args.out, canonical_json(obj) + "\n")
-    _emit("autos", data, {"order": len(autos)}, outputs=outputs)
-    return 0
+    _emit(args, data, {"order": len(autos)}, out=obj)
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args, data: bytes):
     from .arrangement import load_arrangement
     from .polytope import phi_certificate
 
-    data = _read(args.path)
     a = load_arrangement(data)
     cert = phi_certificate(a)
     obj = {
@@ -388,123 +332,103 @@ def cmd_embed(args) -> int:
         "invariant_factors": list(cert.invariant_factors),
         "sign_vectors": len(cert.sign_vectors),
     }
-    outputs = _write(args.out, canonical_json(obj) + "\n")
     _emit(
-        "embed",
+        args,
         data,
         {
             "invariant_factors": list(cert.invariant_factors),
             "sign_vectors_distinct": True,
         },
-        outputs=outputs,
+        out=obj,
     )
-    return 0
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args, data: bytes):
     from .arrangement import arrangement_to_json, decompose, load_arrangement
 
-    data = _read(args.path)
     a = load_arrangement(data)
     factors, partition = decompose(a)
     obj = {
         "factors": [arrangement_to_json(x) for x in factors],
         "partition": [list(p) for p in partition],
     }
-    outputs = _write(args.out, canonical_json(obj) + "\n")
-    _emit("decompose", data, {"factors": len(factors)}, outputs=outputs)
-    return 0
+    _emit(args, data, {"factors": len(factors)}, out=obj)
 
 
-def _divisor_text(coeffs) -> str:
-    terms = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        name = f"D{i + 1}"
-        terms.append(name if c == 1 else f"{c}*{name}")
-    return " + ".join(terms) if terms else "0"
+def cmd_surface_triangulations(args, data: None):
+    from .surface import triangulation_to_weights, triangulations
 
-
-def cmd_surface(args) -> int:
-    from .fan import check_properties, fan_to_json
-    from .surface import (
-        circular_graph,
-        desingularize,
-        symmetrize,
-        triangulation_to_weights,
-        triangulations,
-        verify_picard_presentation,
-        y_divisor_class,
+    t = args.count
+    tris = triangulations(t)
+    listing = []
+    for diag in tris:
+        w = triangulation_to_weights(t, diag)
+        listing.append({"diagonals": [list(d) for d in diag], "weights": list(w)})
+    _emit(
+        args,
+        str(t).encode(),
+        {"count": len(tris)},
+        witnesses={"items": listing},
+        out={"count": len(tris), "items": listing},
     )
 
-    sub = args.surface_command
-    if sub == "triangulations":
-        t = args.count
-        tris = triangulations(t)
-        listing = []
-        for diag in tris:
-            w = triangulation_to_weights(t, diag)
-            listing.append({"diagonals": [list(d) for d in diag], "weights": list(w)})
-        outputs = _write(args.out, canonical_json({"count": len(tris), "items": listing}) + "\n")
-        _emit(
-            "surface.triangulations",
-            str(t).encode(),
-            {"count": len(tris)},
-            witnesses={"items": listing},
-            outputs=outputs,
-        )
-        return 0
 
-    data = _read(args.path)
-    f = _fan_input(data)
-    if f.rank != 2:
-        raise UnsupportedRankError(f"surface commands require rank 2, got {f.rank}")
-    if sub == "graph":
-        g = circular_graph(f)
-        obj = {"weights": list(g.weights), "rays": [list(v) for v in g.rays]}
-        outputs = _write(args.out, canonical_json(obj) + "\n")
-        _emit("surface.graph", data, {"weights": list(g.weights)}, outputs=outputs)
-        return 0
-    if sub == "from-weights":
-        outputs = _write(args.out, canonical_json(fan_to_json(f)) + "\n")
-        _emit("surface.from-weights", data, {"rays": len(f.rays)}, outputs=outputs)
-        return 0
-    if sub == "symmetrize":
-        out_fan = symmetrize(f)
-        outputs = _write(args.out, canonical_json(fan_to_json(out_fan)) + "\n")
-        props = check_properties(out_fan)
-        _emit("surface.symmetrize", data, {"rays": len(out_fan.rays), "smooth": props.smooth},
-              outputs=outputs)
-        return 0
-    if sub == "desingularize":
-        out_fan = desingularize(f)
-        outputs = _write(args.out, canonical_json(fan_to_json(out_fan)) + "\n")
-        _emit("surface.desingularize", data, {"rays": len(out_fan.rays)}, outputs=outputs)
-        return 0
-    if sub == "divisor":
-        g = circular_graph(f)
-        cls, self_int = y_divisor_class(g)
-        text = f"Y1 ~ {_divisor_text(cls.coefficients)}, Y1^2 = {self_int}"
-        outputs = _write(args.out, canonical_json(
-            {"coefficients": list(cls.coefficients), "self_intersection": self_int}) + "\n")
-        _emit("surface.divisor", data,
-              {"formula": text, "self_intersection": self_int}, outputs=outputs)
-        return 0
-    if sub == "picard":
-        g = circular_graph(f)
-        ok = verify_picard_presentation(g)
-        _emit("surface.picard", data,
-              {"verified": ok, "picard_rank": len(g.weights) - 2})
-        return 0
-    raise InputFormatError(f"unknown surface subcommand {sub}")
+def cmd_surface_graph(args, data: bytes):
+    from .surface import circular_graph
+
+    g = circular_graph(_surface_input(data))
+    obj = {"weights": list(g.weights), "rays": [list(v) for v in g.rays]}
+    _emit(args, data, {"weights": list(g.weights)}, out=obj)
 
 
-def cmd_plot(args) -> int:
+def cmd_surface_from_weights(args, data: bytes):
+    from .fan import fan_to_json
+
+    f = _surface_input(data)
+    _emit(args, data, {"rays": len(f.rays)}, out=fan_to_json(f))
+
+
+def cmd_surface_symmetrize(args, data: bytes):
+    from .fan import check_properties, fan_to_json
+    from .surface import symmetrize
+
+    out_fan = symmetrize(_surface_input(data))
+    props = check_properties(out_fan)
+    _emit(args, data, {"rays": len(out_fan.rays), "smooth": props.smooth},
+          out=fan_to_json(out_fan))
+
+
+def cmd_surface_desingularize(args, data: bytes):
+    from .fan import fan_to_json
+    from .surface import desingularize
+
+    out_fan = desingularize(_surface_input(data))
+    _emit(args, data, {"rays": len(out_fan.rays)}, out=fan_to_json(out_fan))
+
+
+def cmd_surface_divisor(args, data: bytes):
+    from .surface import circular_graph, y_divisor_class
+
+    cls, self_int = y_divisor_class(circular_graph(_surface_input(data)))
+    terms = [f"D{i + 1}" if c == 1 else f"{c}*D{i + 1}"
+             for i, c in enumerate(cls.coefficients) if c]
+    text = f"Y1 ~ {' + '.join(terms) or '0'}, Y1^2 = {self_int}"
+    _emit(args, data, {"formula": text, "self_intersection": self_int},
+          out={"coefficients": list(cls.coefficients), "self_intersection": self_int})
+
+
+def cmd_surface_picard(args, data: bytes):
+    from .surface import circular_graph, verify_picard_presentation
+
+    g = circular_graph(_surface_input(data))
+    ok = verify_picard_presentation(g)
+    _emit(args, data, {"verified": ok, "picard_rank": len(g.weights) - 2})
+
+
+def cmd_plot(args, data: bytes):
     from . import svgplot
     from .arrangement import Arrangement
 
-    data = _read(args.path)
     obj = _load_any(data)
     if isinstance(obj, Arrangement):
         if obj.rank == 2:
@@ -525,12 +449,10 @@ def cmd_plot(args) -> int:
         except ArrfanError:
             pass
         svg = svgplot.render_fan(obj, labels)
-    outputs = _write(args.out, svg)
-    if not outputs:
+    if args.out is None:
         sys.stdout.write(svg)
     else:
-        _emit("plot", data, {"format": "svg"}, outputs=outputs)
-    return 0
+        _emit(args, data, {"format": "svg"}, out=svg)
 
 
 def _polygon_size(text: str) -> int:
@@ -554,49 +476,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, *, path=True, out=True):
-        p = subs.add_parser(name)
+    # `report` names the command in the report line; `name` is catalog's argument
+    def add(group, name, func, *, report=None, path=True, out=True):
+        p = group.add_parser(name)
         if path:
             p.add_argument("path")
         if out:
             p.add_argument("--out")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, report=report or name)
         return p
 
-    add("verify", cmd_verify, out=False)
-    p = add("catalog", cmd_catalog, path=False)
+    add(subs, "verify", cmd_verify, out=False)
+    p = add(subs, "catalog", cmd_catalog, path=False)
     p.add_argument("name")
     p.add_argument("--sporadic-dir")
-    add("fan", cmd_fan)
-    add("roots", cmd_roots)
-    add("polytope", cmd_polytope)
-    p = add("star", cmd_star)
+    add(subs, "fan", cmd_fan)
+    add(subs, "roots", cmd_roots)
+    add(subs, "polytope", cmd_polytope)
+    p = add(subs, "star", cmd_star)
     p.add_argument("--cone", required=True, help="comma-separated ray indices")
-    p = add("restrict", cmd_restrict)
+    p = add(subs, "restrict", cmd_restrict)
     p.add_argument("--subspace", required=True, help="JSON row list, e.g. [[1,0,0],[0,1,0]]")
-    add("poset", cmd_poset)
-    p = add("parabolic", cmd_parabolic)
+    add(subs, "poset", cmd_poset)
+    p = add(subs, "parabolic", cmd_parabolic)
     p.add_argument("--cone", required=True, help="comma-separated ray indices")
-    p = add("insert", cmd_insert)
+    p = add(subs, "insert", cmd_insert)
     p.add_argument("--hyperplane", required=True, help="comma-separated covector")
-    add("autos", cmd_autos)
-    add("embed", cmd_embed)
-    add("decompose", cmd_decompose)
+    add(subs, "autos", cmd_autos)
+    add(subs, "embed", cmd_embed)
+    add(subs, "decompose", cmd_decompose)
 
     surface = subs.add_parser("surface")
     ssubs = surface.add_subparsers(dest="surface_command", required=True)
-    for name in ("graph", "from-weights", "symmetrize", "desingularize", "divisor", "picard"):
-        sp = ssubs.add_parser(name)
-        sp.add_argument("path")
-        sp.add_argument("--out")
-        sp.set_defaults(func=cmd_surface)
-    sp = ssubs.add_parser("triangulations")
-    sp.add_argument("--count", type=_polygon_size, required=True,
-                    help=f"polygon size t, 3 <= t <= {MAX_TRIANGULATION_T}")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_surface)
+    for name, func in (
+        ("graph", cmd_surface_graph),
+        ("from-weights", cmd_surface_from_weights),
+        ("symmetrize", cmd_surface_symmetrize),
+        ("desingularize", cmd_surface_desingularize),
+        ("divisor", cmd_surface_divisor),
+        ("picard", cmd_surface_picard),
+    ):
+        add(ssubs, name, func, report=f"surface.{name}")
+    # --count before --out, as the usage line lists them
+    p = add(ssubs, "triangulations", cmd_surface_triangulations,
+            report="surface.triangulations", path=False, out=False)
+    p.add_argument("--count", type=_polygon_size, required=True,
+                   help=f"polygon size t, 3 <= t <= {MAX_TRIANGULATION_T}")
+    p.add_argument("--out")
 
-    p = add("plot", cmd_plot)
+    p = add(subs, "plot", cmd_plot)
     p.add_argument("--format", default="svg", choices=["svg"])
     return parser
 
@@ -608,22 +536,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-    except NotSimplicialError as e:
+        data = _read(args.path) if "path" in args else None
+        # a command returns its exit code when it is not 0
+        code = args.func(args, data) or 0
+    except (ArrfanError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        code = 11
-    except UnsupportedRankError as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = 4
-    except _REFERENCE_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = 3
-    except _VERDICT_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = 10
-    except _PARSE_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = 2
+        code = _EXIT_CODES.get(type(e), 10)
     finally:
         elapsed = (time.monotonic() - start) * 1000.0
         print(f"# elapsed_ms={elapsed:.1f}", file=sys.stderr)

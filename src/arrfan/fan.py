@@ -154,14 +154,13 @@ def _covering_overlap(f: Fan) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         # normals[a][j] vanishes on the facet and is positive on cone a's side
         if la.vec_dot(normals[a][j], f.rays[f.max_cones[b][k]]) > 0:
             return f.max_cones[a], f.max_cones[b]
-    distinct = {la.canonical_sign(h) for hs in normals for h in hs}
+    distinct = {h for hs in normals for h in hs}
     for t in itertools.count():
         point = tuple(t**i for i in range(f.rank))
-        if all(la.vec_dot(h, point) != 0 for h in distinct):
+        side = {h: la.vec_dot(h, point) for h in distinct}
+        if 0 not in side.values():
             break
-    inside = [
-        c for c, hs in zip(f.max_cones, normals) if all(la.vec_dot(h, point) > 0 for h in hs)
-    ]
+    inside = [c for c, hs in zip(f.max_cones, normals) if all(side[h] > 0 for h in hs)]
     if not inside:
         raise CertificationError(f"no cone of a pseudomanifold fan contains {point}")
     return tuple(inside[:2]) if len(inside) > 1 else None
@@ -291,9 +290,9 @@ def check_properties(f: Fan) -> PropertyReport:
 
     smooth: every maximal cone's generators extend to a lattice basis.  A
     full-rank cone does so when d = |det| = 1 in the inverse table; a
-    lower-dimensional one when its Smith form is all ones.  complete: pure of
-    full dimension, every facet shared by exactly two maximal cones and facet
-    graph connected, both read off the wall table.  centrally symmetric: rays
+    lower-dimensional one when its Smith form is all ones.  complete: the
+    import check's test, a pseudomanifold by the wall table that covers one
+    generic point once (`_covering_overlap`).  centrally symmetric: rays
     and cones stable under negation.  strongly symmetric: complete and no
     maximal cone has rays strictly on both sides of any facet normal of the
     inverse table, tested with one positive and one negative ray bitmask per
@@ -315,20 +314,7 @@ def check_properties(f: Fan) -> PropertyReport:
             break
 
     pure = bool(f.max_cones) and all(len(c) == f.rank for c in f.max_cones)
-    complete = _is_pseudomanifold(f)
-    if complete and len(f.max_cones) > 1:
-        seen = {0}
-        stack = [0]
-        adj: dict[int, set[int]] = {}
-        for (a, _), (b, _) in f.walls.values():
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        while stack:
-            for nb in adj.get(stack.pop(), ()):
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        complete = len(seen) == len(f.max_cones)
+    complete = _is_pseudomanifold(f) and _covering_overlap(f) is None
     if pure and not complete and witness is None:
         witness = {"property": "complete"}
 

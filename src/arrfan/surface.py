@@ -314,6 +314,18 @@ def _central_t(g: CircularGraph) -> int:
     return t
 
 
+def _end_ray_coordinates(g: CircularGraph, t: int) -> Mat:
+    """The first t rays as integer pairs in the basis (n_1, n_t)."""
+    basis = (g.rays[0], g.rays[t - 1])
+    rows = []
+    for nu in range(t):
+        coords = la.solve_in_row_space(basis, g.rays[nu])
+        if coords is None or any(c.denominator != 1 for c in coords):
+            raise CertificationError(f"ray {nu + 1} has no integer coordinates in (n_1, n_t)")
+        rows.append((int(coords[0]), int(coords[1])))
+    return la.freeze(rows)
+
+
 def y_divisor_class(g: CircularGraph) -> tuple[DivisorClass, int]:
     """Divisor class of the line through ray 1 of a centrally symmetric surface.
 
@@ -325,13 +337,7 @@ def y_divisor_class(g: CircularGraph) -> tuple[DivisorClass, int]:
     t = _central_t(g)
     if t < 3:
         raise ValueError("divisor formula requires t >= 3")
-    basis = (g.rays[0], g.rays[t - 1])
-    ys = []
-    for nu in range(1, t - 1):
-        coords = la.solve_in_row_space(basis, g.rays[nu])
-        if coords is None or any(c.denominator != 1 for c in coords):
-            raise CertificationError(f"ray {nu + 1} has no integer coordinates in (n_1, n_t)")
-        ys.append(int(coords[1]))
+    ys = [y for _, y in _end_ray_coordinates(g, t)[1 : t - 1]]
     if ys[0] != 1:
         raise CertificationError("y_2 != 1 contradicts the ray relations")
     s = len(g.weights)
@@ -367,14 +373,7 @@ def verify_picard_presentation(g: CircularGraph) -> bool:
     t = _central_t(g)
     if t < 3:
         raise ValueError("presentation requires t >= 3")
-    basis = (g.rays[0], g.rays[t - 1])
-    q_rows = []
-    for nu in range(t):
-        coords = la.solve_in_row_space(basis, g.rays[nu])
-        if coords is None or any(c.denominator != 1 for c in coords):
-            raise CertificationError(f"ray {nu + 1} has no integer coordinates in (n_1, n_t)")
-        q_rows.append((int(coords[0]), int(coords[1])))
-    q = la.freeze(q_rows)
+    q = _end_ray_coordinates(g, t)
     rel = [[0] * t for _ in range(t)]
     for j in range(t):
         rel[j][j] = g.weights[j]

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import arrfan
-from arrfan.cli import main
+from arrfan.cli import build_parser, main
+from arrfan.errors import ArrfanError
 
 
 def run(capsys, *argv):
@@ -357,6 +359,131 @@ def test_roots_of_a5_fan_file(tmp_path, capsys):
     assert code == 0
     assert json.loads(out.splitlines()[0])["verdicts"] == {"hyperplanes": 15, "rank": 5}
     assert Path(roots_path).read_bytes() == Path(a5).read_bytes()
+
+
+# every leaf command: its argv on A_2 ({arr}: arrangement, {fan}: its fan file),
+# the name its report line carries, and whether --out writes a file
+_LEAF_COMMANDS = [
+    (["verify", "{arr}"], "verify", False),
+    (["catalog", "A_2"], "catalog", True),
+    (["fan", "{arr}"], "fan", True),
+    (["roots", "{fan}"], "roots", True),
+    (["polytope", "{arr}"], "polytope", True),
+    (["star", "{fan}", "--cone", "0"], "star", True),
+    (["restrict", "{fan}", "--subspace", "[[1,0]]"], "restrict", True),
+    (["poset", "{arr}"], "poset", True),
+    (["parabolic", "{arr}", "--cone", "0"], "parabolic", True),
+    (["insert", "{arr}", "--hyperplane", "1,2"], "insert", True),
+    (["autos", "{fan}"], "autos", True),
+    (["embed", "{arr}"], "embed", True),
+    (["decompose", "{arr}"], "decompose", True),
+    (["plot", "{fan}"], "plot", True),
+    (["surface", "graph", "{fan}"], "surface.graph", True),
+    (["surface", "from-weights", "{fan}"], "surface.from-weights", True),
+    (["surface", "symmetrize", "{fan}"], "surface.symmetrize", True),
+    (["surface", "desingularize", "{fan}"], "surface.desingularize", True),
+    (["surface", "divisor", "{fan}"], "surface.divisor", True),
+    # accepts --out and writes nothing
+    (["surface", "picard", "{fan}"], "surface.picard", False),
+    (["surface", "triangulations", "--count", "5"], "surface.triangulations", True),
+]
+
+
+def _leaf_reports(parser):
+    """The report name of every leaf command the parser accepts."""
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    names = set()
+    for sub in subs.choices.values():
+        report = sub.get_default("report")
+        names |= {report} if report else _leaf_reports(sub)
+    return names
+
+
+def test_report_cases_cover_every_command():
+    assert _leaf_reports(build_parser()) == {name for _, name, _ in _LEAF_COMMANDS}
+
+
+@pytest.mark.parametrize("argv,name,writes", _LEAF_COMMANDS, ids=[c[1] for c in _LEAF_COMMANDS])
+def test_report_line_of_every_command(tmp_path, capsys, a2_file, argv, name, writes):
+    fan_path = str(tmp_path / "a2.fan.json")
+    assert run(capsys, "fan", a2_file, "--out", fan_path)[0] == 0
+    argv = [a.format(arr=a2_file, fan=fan_path) for a in argv]
+    out_path = tmp_path / "out"
+    if name != "verify":
+        argv += ["--out", str(out_path)]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert out == arrfan.cli.canonical_json(report) + "\n"
+    assert report["command"] == name
+    assert report["outputs"] == ({"out": str(out_path)} if writes else {})
+    assert out_path.exists() == writes
+
+
+@pytest.mark.parametrize("argv", [["catalog", "A_2"], ["plot", "{fan}"]])
+def test_catalog_and_plot_print_the_document_without_out(tmp_path, capsys, a2_file, argv):
+    fan_path = str(tmp_path / "a2.fan.json")
+    assert run(capsys, "fan", a2_file, "--out", fan_path)[0] == 0
+    code, out = run(capsys, *[a.format(fan=fan_path) for a in argv])
+    assert code == 0
+    if argv[0] == "catalog":
+        assert out == Path(a2_file).read_text()
+    else:
+        assert out.startswith("<?xml") and out.rstrip().endswith("</svg>")
+        assert '"command"' not in out
+
+
+# the exit-code table of the README, by error class
+_README_EXIT_CODES = {
+    "InputFormatError": 2,
+    "MalformedFanError": 2,
+    "BadReferenceError": 3,
+    "UnsupportedRankError": 4,
+    "LatticeSpanError": 10,
+    "NonPointedError": 10,
+    "NotCrystallographicError": 10,
+    "NotSmoothError": 10,
+    "NotCompleteError": 10,
+    "NotStronglySymmetricError": 10,
+    "DoesNotCloseError": 10,
+    "OrientationError": 10,
+    "CertificationError": 10,
+    "ValueError": 10,
+    "NotSimplicialError": 11,
+}
+
+
+@pytest.mark.parametrize(
+    "error", [*ArrfanError.__subclasses__(), ValueError], ids=lambda cls: cls.__name__
+)
+def test_exit_code_table(monkeypatch, capsys, a2_file, error):
+    """Each error class a command raises exits with its documented code.
+
+    A class added without an entry in the table fails here.
+    """
+    import arrfan.arrangement
+
+    def load_arrangement(data):
+        raise error("injected")
+
+    monkeypatch.setattr(arrfan.arrangement, "load_arrangement", load_arrangement)
+    code = main(["verify", a2_file])
+    captured = capsys.readouterr()
+    assert code == _README_EXIT_CODES[error.__name__]
+    assert captured.out == ""
+    assert captured.err.startswith("error: injected\n")
+
+
+def test_a_type_error_is_not_a_verdict(monkeypatch, capsys, a2_file):
+    import arrfan.arrangement
+
+    def load_arrangement(data):
+        raise TypeError("internal")
+
+    monkeypatch.setattr(arrfan.arrangement, "load_arrangement", load_arrangement)
+    with pytest.raises(TypeError, match="internal"):
+        main(["verify", a2_file])
+    assert capsys.readouterr().out == ""
 
 
 _BASE = {"arrfan", "arrfan.errors", "arrfan.intlinalg", "arrfan.arrangement"}

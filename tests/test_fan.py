@@ -541,6 +541,20 @@ def test_load_fan_rejects_doubly_wound_and_one_sided_fans():
         load_fan(json.dumps(one_sided))
 
 
+def test_a_twice_wound_fan_is_not_complete():
+    """Completeness is the import check's covering test, not a connected facet graph.
+
+    The cones of this pentagram meet two at each ray, on opposite sides of
+    it, and wind twice around the origin.
+    """
+    r = [(1, 0), (1, 3), (-3, 2), (-3, -2), (1, -3)]
+    cones = [[r[i], r[(i + 2) % 5]] for i in range(5)]
+    props = check_properties(make_fan(2, cones, check_faces=False))
+    assert not props.complete and not props.strongly_symmetric
+    with pytest.raises(MalformedFanError, match="overlap"):
+        make_fan(2, cones)
+
+
 def test_fan_missing_a_cone_loads_but_has_no_roots():
     obj = fan_to_json(fan_from_arrangement(catalog("A_3")))
     obj["max_cones"].pop()
