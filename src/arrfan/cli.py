@@ -176,11 +176,11 @@ def cmd_catalog(args, data: None):
 
 def cmd_fan(args, data: bytes):
     from .arrangement import load_arrangement
-    from .fan import check_properties, fan_from_arrangement, fan_to_json
+    from .fan import fan_from_arrangement, fan_to_json
 
     a = load_arrangement(data)
     f = fan_from_arrangement(a)
-    props = check_properties(f)
+    props = f.properties
     _emit(
         args,
         data,
@@ -226,12 +226,12 @@ def cmd_polytope(args, data: bytes):
 
 
 def cmd_star(args, data: bytes):
-    from .fan import check_properties, fan_to_json, star_fan
+    from .fan import fan_to_json, star_fan
 
     f = _fan_input(data)
     cone = _parse_vector(args.cone) if args.cone else ()
     st = star_fan(f, cone)
-    props = check_properties(st)
+    props = st.properties
     _emit(
         args,
         data,
@@ -246,12 +246,12 @@ def cmd_star(args, data: bytes):
 
 
 def cmd_restrict(args, data: bytes):
-    from .fan import check_properties, fan_to_json, restrict_fan
+    from .fan import fan_to_json, restrict_fan
 
     f = _fan_input(data)
     rows = _parse_rows(args.subspace)
     sub = restrict_fan(f, rows)
-    props = check_properties(sub)
+    props = sub.properties
     _emit(
         args,
         data,
@@ -389,12 +389,11 @@ def cmd_surface_from_weights(args, data: bytes):
 
 
 def cmd_surface_symmetrize(args, data: bytes):
-    from .fan import check_properties, fan_to_json
+    from .fan import fan_to_json
     from .surface import symmetrize
 
     out_fan = symmetrize(_surface_input(data))
-    props = check_properties(out_fan)
-    _emit(args, data, {"rays": len(out_fan.rays), "smooth": props.smooth},
+    _emit(args, data, {"rays": len(out_fan.rays), "smooth": out_fan.properties.smooth},
           out=fan_to_json(out_fan))
 
 
@@ -514,9 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("symmetrize", cmd_surface_symmetrize),
         ("desingularize", cmd_surface_desingularize),
         ("divisor", cmd_surface_divisor),
-        ("picard", cmd_surface_picard),
     ):
         add(ssubs, name, func, report=f"surface.{name}")
+    add(ssubs, "picard", cmd_surface_picard, report="surface.picard", out=False)
     # --count before --out, as the usage line lists them
     p = add(ssubs, "triangulations", cmd_surface_triangulations,
             report="surface.triangulations", path=False, out=False)

@@ -10,15 +10,15 @@ Each fan's wall table (`Fan.walls`) lists, per facet of a maximal cone, the
 cones containing it and the position of the ray opposite it.  It serves the
 validation of imported fans, the completeness test, the normal-fan
 certificate and the automorphism search, so none of them loops over pairs of
-cones on a complete fan.  Its inverse table (`Fan.inverses`) holds each
-maximal cone's facet normals and the d of its integer inverse, computed once
-for validation, property checks and the normal-fan certificate.
+cones on a complete fan.  Its normal table (`Fan.normals`) holds each
+maximal cone's primitive facet normals: the walk's wall covectors for a
+chamber fan, read off the walk once per arrangement.  The covering test
+(`Fan.overlap`) and the property verdict (`Fan.properties`) run once per fan.
 """
 from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -48,7 +48,7 @@ class Fan(_FanFields):
     """Rank, sorted primitive rays and sorted maximal cones as ray index tuples.
 
     The fields are a read-only NamedTuple; the instance dict holds the
-    cached wall and inverse tables.
+    cached wall, normal, covering and property tables.
     """
 
     def cone_vectors(self, cone: Sequence[int]) -> Mat:
@@ -68,20 +68,72 @@ class Fan(_FanFields):
         return {facet: tuple(entries) for facet, entries in table.items()}
 
     @cached_property
-    def inverses(self) -> tuple[tuple[Mat, int], ...]:
-        """Per maximal cone, its facet normals and the d of its `scaled_inverse`.
+    def normals(self) -> tuple[Mat, ...]:
+        """Per maximal cone, its primitive facet normals, one `la.dual_rays` each.
 
-        Normal j is the primitive column j of D (gens*D = d*I): it vanishes on
-        every generator but the j-th and is positive on that one.  For a
-        full-rank cone d = |det gens|.  Computed once per fan; cones share one
-        tuple per distinct normal, so the table of a chamber fan holds 2n.
+        Normal j vanishes on every generator but the j-th and is positive on
+        that one.  Computed once per fan; cones share one tuple per distinct
+        normal.  `fan_from_arrangement` fills the table from the walk instead.
         """
         shared: dict[Vec, Vec] = {}
-        inverses = (la.scaled_inverse(self.cone_vectors(c)) for c in self.max_cones)
         return tuple(
-            (tuple(shared.setdefault(h, h) for h in map(la.primitive, la.transpose(inv))), d)
-            for inv, d in inverses
+            tuple(shared.setdefault(h, h) for h in la.dual_rays(self.cone_vectors(c)))
+            for c in self.max_cones
         )
+
+    @cached_property
+    def overlap(self) -> tuple[tuple[int, ...], ...] | None:
+        """The covering test: None for a complete fan, else two overlapping cones,
+        or () for no pseudomanifold (pure, every facet in two maximal cones).
+
+        The two cones at each facet must lie on opposite sides of it.  Then the
+        number of cones containing a point off every facet hyperplane is the same
+        for all such points, and the cones form a complete fan exactly when that
+        number is 1 (the covering characterisation of triangulations; De Loera,
+        Rambau and Santos, *Triangulations*, 2010).  The point is the first
+        (1, t, t^2, ...) on which no facet normal vanishes; a normal vanishes for
+        at most rank - 1 values of t.  Computed once per fan.
+        """
+        cones, walls = self.max_cones, self.walls
+        if not (cones and all(len(c) == self.rank for c in cones)
+                and all(len(entries) == 2 for entries in walls.values())):
+            return ()
+        for (a, j), (b, k) in walls.values():
+            # normals[a][j] vanishes on the facet and is positive on cone a's side
+            if la.vec_dot(self.normals[a][j], self.rays[cones[b][k]]) > 0:
+                return cones[a], cones[b]
+        distinct = set().union(*self.normals)
+        for t in itertools.count():
+            point = tuple(t**i for i in range(self.rank))
+            side = {h: la.vec_dot(h, point) for h in distinct}
+            if 0 not in side.values():
+                break
+        inside = [c for c, hs in zip(cones, self.normals) if all(side[h] > 0 for h in hs)]
+        if not inside:
+            raise CertificationError(f"no cone of a pseudomanifold fan contains {point}")
+        return tuple(inside[:2]) if len(inside) > 1 else None
+
+    @cached_property
+    def properties(self) -> PropertyReport:
+        """`check_properties(self)`, computed once per fan."""
+        return check_properties(self)
+
+    def require(self, *names: str) -> PropertyReport:
+        """The fan's properties; raises the error of the first named one it lacks."""
+        props = self.properties
+        for name in names:
+            if not getattr(props, name):
+                raise _MISSING[name](
+                    f"fan is not {name.replace('_', ' ')} (first failure: {props.failure_witness})"
+                )
+        return props
+
+
+_MISSING = {
+    "smooth": NotSmoothError,
+    "complete": NotCompleteError,
+    "strongly_symmetric": NotStronglySymmetricError,
+}
 
 
 class PropertyReport(NamedTuple):
@@ -129,43 +181,6 @@ def _pairwise_overlap(f: Fan) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     return None
 
 
-def _is_pseudomanifold(f: Fan) -> bool:
-    """Pure of full dimension, with every facet in exactly two maximal cones."""
-    return (
-        bool(f.max_cones)
-        and all(len(c) == f.rank for c in f.max_cones)
-        and all(len(entries) == 2 for entries in f.walls.values())
-    )
-
-
-def _covering_overlap(f: Fan) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Two overlapping cones of a pseudomanifold fan, or None when it is complete.
-
-    The two cones at each facet must lie on opposite sides of it.  Then the
-    number of cones containing a point off every facet hyperplane is the same
-    for all such points, and the cones form a complete fan exactly when that
-    number is 1 (the covering characterisation of triangulations; De Loera,
-    Rambau and Santos, *Triangulations*, 2010).  The point is the first
-    (1, t, t^2, ...) on which no facet normal vanishes; a normal vanishes for
-    at most rank - 1 values of t.
-    """
-    normals = [hs for hs, _ in f.inverses]
-    for (a, j), (b, k) in f.walls.values():
-        # normals[a][j] vanishes on the facet and is positive on cone a's side
-        if la.vec_dot(normals[a][j], f.rays[f.max_cones[b][k]]) > 0:
-            return f.max_cones[a], f.max_cones[b]
-    distinct = {h for hs in normals for h in hs}
-    for t in itertools.count():
-        point = tuple(t**i for i in range(f.rank))
-        side = {h: la.vec_dot(h, point) for h in distinct}
-        if 0 not in side.values():
-            break
-    inside = [c for c, hs in zip(f.max_cones, normals) if all(side[h] > 0 for h in hs)]
-    if not inside:
-        raise CertificationError(f"no cone of a pseudomanifold fan contains {point}")
-    return tuple(inside[:2]) if len(inside) > 1 else None
-
-
 def make_fan(
     rank: int,
     cones: Iterable[Iterable[Vec]],
@@ -188,7 +203,6 @@ def make_fan(
     cone_vecs = [tuple(tuple(v) for v in cone) for cone in cones]
     if rank == 0:
         return Fan(rank=0, rays=(), max_cones=((),))
-    rays: list[Vec] = []
     for cone in cone_vecs:
         for v in cone:
             if len(v) != rank:
@@ -197,9 +211,7 @@ def make_fan(
                 raise InputFormatError("zero ray")
             if v != la.primitive(v):
                 raise InputFormatError(f"ray {v} is not primitive")
-            if v not in rays:
-                rays.append(v)
-    rays.sort()
+    rays = sorted({v for cone in cone_vecs for v in cone})
     index = {v: i for i, v in enumerate(rays)}
     cone_idx = sorted({tuple(sorted({index[v] for v in cone})) for cone in cone_vecs})
     for cone in cone_idx:
@@ -215,7 +227,7 @@ def make_fan(
             raise InputFormatError("listed cones must be mutually maximal")
     f = Fan(rank=rank, rays=tuple(rays), max_cones=tuple(cone_idx))
     if check_faces:
-        pair = _covering_overlap(f) if _is_pseudomanifold(f) else _pairwise_overlap(f)
+        pair = f.overlap if f.overlap != () else _pairwise_overlap(f)
         if pair is not None:
             a, b = pair
             raise MalformedFanError(
@@ -280,41 +292,67 @@ def fan_faces(f: Fan) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(faces, key=lambda c: (len(c), c)))
 
 
+def _seeded_fan(rank: int, cones: Sequence[tuple[Mat, Mat]]) -> Fan:
+    """The fan of cones given as (lex-sorted rays, the facet normal opposite
+    each), with its normal table filled in.  For cones that are simplicial
+    and tile by construction: nothing of `make_fan` is checked."""
+    rays = sorted({v for gens, _ in cones for v in gens})
+    index = {v: i for i, v in enumerate(rays)}
+    table = {tuple(index[v] for v in gens): hs for gens, hs in cones}
+    f = Fan(rank=rank, rays=tuple(rays), max_cones=tuple(sorted(table)))
+    vars(f)["normals"] = tuple(table[c] for c in f.max_cones)
+    return f
+
+
 def fan_from_arrangement(a: Arrangement) -> Fan:
-    """The fan whose maximal cones are the closed chambers of the arrangement."""
-    return make_fan(a.rank, [k.rays for k in a.chambers], check_faces=False)
+    """The fan whose maximal cones are the closed chambers, read off the walk.
+
+    Built once per arrangement and kept in its instance dict, next to
+    `chambers`.  Chamber rays are lex-sorted and the signed wall covector
+    `basis[j]` is the chamber's facet normal opposite ray j, so the normal
+    table is the walk's: all cones share the 2n signed covectors.
+    """
+    if "fan" not in vars(a):
+        signed = {(i, s): la.vec_scale(s, c)
+                  for i, c in enumerate(a.positive_covectors) for s in (1, -1)}
+        cones = [(k.rays, tuple(map(signed.get, k.basis))) for k in a.chambers]
+        vars(a)["fan"] = _seeded_fan(a.rank, cones)
+    return vars(a)["fan"]
 
 
 def check_properties(f: Fan) -> PropertyReport:
     """Smoothness, completeness, central and strong symmetry, with witnesses.
 
     smooth: every maximal cone's generators extend to a lattice basis.  A
-    full-rank cone does so when d = |det| = 1 in the inverse table; a
-    lower-dimensional one when its Smith form is all ones.  complete: the
-    import check's test, a pseudomanifold by the wall table that covers one
-    generic point once (`_covering_overlap`).  centrally symmetric: rays
-    and cones stable under negation.  strongly symmetric: complete and no
-    maximal cone has rays strictly on both sides of any facet normal of the
-    inverse table, tested with one positive and one negative ray bitmask per
-    normal; the normals are then returned as the primitive hyperplanes.
+    full-rank cone does so when each primitive facet normal is 1 on its
+    opposite generator (generators and normals are then inverse integer
+    matrices); a lower-dimensional one when its Smith form is all ones.
+    complete: the covering test (`Fan.overlap`), a pseudomanifold by the
+    wall table that covers one generic point once.  centrally symmetric:
+    rays and cones stable under negation.  strongly symmetric: complete and
+    no maximal cone has rays strictly on both sides of any facet normal,
+    tested with one positive and one negative ray bitmask per normal; the
+    normals are then returned as the primitive hyperplanes.  Consumers read
+    the report once per fan from `Fan.properties`.
     """
     if f.rank == 0:
         return PropertyReport(True, True, True, True, hyperplanes=())
 
     smooth = True
     witness: object = None
-    for cone, (_, d) in zip(f.max_cones, f.inverses):
+    for cone, hs in zip(f.max_cones, f.normals):
+        gens = f.cone_vectors(cone)
         if len(cone) == f.rank:
-            unimodular = d == 1
+            unimodular = all(la.vec_dot(h, g) == 1 for h, g in zip(hs, gens))
         else:
-            unimodular = la.snf(f.cone_vectors(cone)) == (1,) * len(cone)
+            unimodular = la.snf(gens) == (1,) * len(cone)
         if not unimodular:
             smooth = False
-            witness = {"property": "smooth", "cone": f.cone_vectors(cone)}
+            witness = {"property": "smooth", "cone": gens}
             break
 
     pure = bool(f.max_cones) and all(len(c) == f.rank for c in f.max_cones)
-    complete = _is_pseudomanifold(f) and _covering_overlap(f) is None
+    complete = f.overlap is None
     if pure and not complete and witness is None:
         witness = {"property": "complete"}
 
@@ -330,7 +368,7 @@ def check_properties(f: Fan) -> PropertyReport:
     strongly = complete
     hyperplanes: tuple[Vec, ...] | None = None
     if strongly:
-        normals = sorted({la.canonical_sign(h) for hs, _ in f.inverses for h in hs})
+        normals = sorted({la.canonical_sign(h) for h in set().union(*f.normals)})
         cone_masks = [sum(1 << i for i in cone) for cone in f.max_cones]
         for h in normals:
             vals = [la.vec_dot(h, v) for v in f.rays]
@@ -369,14 +407,7 @@ def roots_from_fan(f: Fan) -> Arrangement:
     """
     if f.rank < 1:
         raise ValueError("roots_from_fan requires rank >= 1")
-    props = check_properties(f)
-    if not props.smooth:
-        raise NotSmoothError(f"fan is not smooth: {props.failure_witness}")
-    if not props.strongly_symmetric:
-        raise NotStronglySymmetricError(
-            f"fan is not strongly symmetric: {props.failure_witness}"
-        )
-    return make_arrangement(f.rank, props.hyperplanes)
+    return make_arrangement(f.rank, f.require("smooth", "strongly_symmetric").hyperplanes)
 
 
 def quotient_data(gens: Mat, rank: int):
@@ -425,8 +456,6 @@ def star_fan(f: Fan, delta: Sequence[int]) -> Fan:
                 la.primitive(kappa(f.rays[i])) for i in cone if i not in dl
             ]
             cones.append(imgs)
-    if new_rank == 0:
-        return Fan(rank=0, rays=(), max_cones=((),))
     return make_fan(new_rank, cones, check_faces=False)
 
 
@@ -434,47 +463,44 @@ def restrict_fan(f: Fan, subspace_rows: Sequence[Sequence[int]]) -> Fan:
     """The cones of f lying inside a cone-spanned subspace, in its own lattice.
 
     `subspace_rows` must span the span of some cone of f; f must be smooth and
-    strongly symmetric.  Each ray is solved once in the saturated sublattice's
-    canonical basis, by one product with the basis's integer inverse (taken
-    once per call); it lies in the subspace when it has coordinates.  As the
-    cones are simplicial, the subspace (of dimension d) is spanned by a cone
-    exactly when some maximal cone has d rays inside, and those d-ray faces
-    are the restricted cones.  The result is certified smooth, strongly
-    symmetric and complete of the subspace rank; a restriction needing lower
-    cones as well fails as incomplete.
+    strongly symmetric.  A ray lies in the subspace when the rows' kernel
+    vanishes on it.  As the cones are simplicial, the subspace (of dimension
+    d) is spanned by a cone exactly when some maximal cone has d rays inside,
+    and those d-ray faces are the restricted cones.  As f is smooth, the rays
+    of one face F are a basis of the subspace's lattice, and F's facet
+    normals give a ray's coordinates on F; U^-1 of the Hermite form H = U*F
+    maps them to the canonical basis H.  A restricted cone's facet normals
+    are those of a maximal cone holding it, read on H.  The result is
+    certified smooth and strongly symmetric, hence complete, of rank d.
     """
-    props = check_properties(f)
-    if not props.smooth:
-        raise NotSmoothError("restriction requires a smooth fan")
-    if not props.strongly_symmetric:
-        raise NotStronglySymmetricError("restriction requires a strongly symmetric fan")
+    f.require("smooth", "strongly_symmetric")
     rows = [tuple(r) for r in subspace_rows]
-    basis = la.saturation_basis(rows, f.rank) if rows else ()
-    d = len(basis)
+    if any(len(r) != f.rank for r in rows):
+        raise ValueError("row width does not match ambient dimension")
+    kernel = la.kernel_basis(rows) if rows else la.identity(f.rank)
+    d = f.rank - len(kernel)
     if d == f.rank:
         return f
     if d == 0:
         return Fan(rank=0, rays=(), max_cones=((),))
-    inv, den = la.scaled_inverse(basis)  # basis * inv = den * I
-
-    def solve(v: Vec) -> tuple[Fraction, ...] | None:
-        c = la.vec_mat(v, inv)
-        if la.vec_mat(c, basis) != la.vec_scale(den, v):
-            return None
-        return tuple(Fraction(x, den) for x in c)
-
-    coords = [solve(v) for v in f.rays]
-    faces = {tuple(i for i in cone if coords[i] is not None) for cone in f.max_cones}
-    faces = sorted(c for c in faces if len(c) == d)
+    inside = [not any(la.vec_dot(h, v) for h in kernel) for v in f.rays]
+    faces = {}  # restricted cone -> its rays' opposite normals in a maximal cone holding it
+    for cone, hs in zip(f.max_cones, f.normals):
+        face = tuple(i for i in cone if inside[i])
+        if len(face) == d:
+            faces[face] = [h for i, h in zip(cone, hs) if inside[i]]
     if not faces:
         raise BadReferenceError("subspace is not spanned by a cone of the fan")
-    for i in sorted({i for c in faces for i in c}):
-        if any(x.denominator != 1 for x in coords[i]):
-            raise CertificationError(f"ray {f.rays[i]} is not a lattice point of the subspace")
-    cones = [[tuple(int(x) for x in coords[i]) for i in c] for c in faces]
-    result = make_fan(d, cones, check_faces=False)
-    rprops = check_properties(result)
-    if not (rprops.smooth and rprops.strongly_symmetric and rprops.complete):
+    base = min(faces)
+    basis, u = la.hnf(f.cone_vectors(base))
+    to_basis = la.hnf(u)[1]  # U^-1: the Hermite form of a unimodular U is I
+    cones = []
+    for face, hs in faces.items():  # each ray's coordinates on H, with its normal read on H
+        pairs = sorted((la.vec_mat([la.vec_dot(g, f.rays[i]) for g in faces[base]], to_basis),
+                        tuple(la.vec_dot(b, h) for b in basis)) for i, h in zip(face, hs))
+        cones.append(tuple(zip(*pairs)))
+    result = _seeded_fan(d, cones)
+    if not (result.properties.smooth and result.properties.strongly_symmetric):
         raise CertificationError("restriction fan lost smoothness or symmetry")
     return result
 
@@ -566,9 +592,7 @@ def fan_automorphisms(f: Fan) -> tuple[Mat, ...]:
     """
     if f.rank == 0:
         return ((),)
-    props = check_properties(f)
-    if not props.complete:
-        raise NotCompleteError("automorphism search requires a complete fan")
+    f.require("complete")
     across = [[0] * f.rank for _ in f.max_cones]  # ray across each wall of each cone
     for (a, j), (b, k) in f.walls.values():
         across[a][j] = f.max_cones[b][k]

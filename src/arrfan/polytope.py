@@ -14,14 +14,7 @@ from typing import NamedTuple
 from . import intlinalg as la
 from .arrangement import Arrangement, Chamber, is_crystallographic
 from .errors import CertificationError, NotCrystallographicError
-from .fan import (
-    Fan,
-    _covering_overlap,
-    _is_pseudomanifold,
-    _require_face,
-    fan_faces,
-    fan_from_arrangement,
-)
+from .fan import Fan, _require_face, fan_faces, fan_from_arrangement
 from .intlinalg import Mat, Vec
 
 
@@ -119,7 +112,7 @@ def verify_normal_fan(p: HalfLatticePolytope, f: Fan) -> bool:
     """Is f, complete, the normal fan of the vertices, read wall by wall?
 
     Maximal cones must match chambers bijectively by ray set, and f must be
-    complete by the import check (`_is_pseudomanifold`, `_covering_overlap`).
+    complete by the covering test (`Fan.overlap`).
     Across each wall (a, j) | (b, k), v_a - v_b must be a positive multiple
     of cone a's facet normal j, which is positive on a's side.  Then the
     function taking x in cone s to <v_s, x> is continuous and strictly convex
@@ -134,12 +127,12 @@ def verify_normal_fan(p: HalfLatticePolytope, f: Fan) -> bool:
     owners = [chamber_by_rays.get(frozenset(f.cone_vectors(c))) for c in f.max_cones]
     if None in owners or len(set(owners)) != len(owners):
         return False
-    if not _is_pseudomanifold(f) or _covering_overlap(f) is not None:
+    if f.overlap is not None:
         return False
     v = [p.doubled_vertices[i] for i in owners]
     for (a, j), (b, _) in f.walls.values():
         diff = la.vec_sub(v[a], v[b])
-        if not any(diff) or la.primitive(diff) != f.inverses[a][0][j]:
+        if not any(diff) or la.primitive(diff) != f.normals[a][j]:
             return False
     return True
 

@@ -127,8 +127,7 @@ def restricted_arrangement(a: Arrangement, e: FlatSubspace) -> Arrangement:
         raise BadReferenceError("restriction to the zero flat has rank 0")
     if e.dim == a.rank:
         return a
-    f = fan_from_arrangement(a)
-    return roots_from_fan(restrict_fan(f, e.basis))
+    return roots_from_fan(restrict_fan(fan_from_arrangement(a), e.basis))
 
 
 def parabolic_arrangement(a: Arrangement, delta: Sequence[int]) -> Arrangement:

@@ -14,14 +14,8 @@ import itertools
 from typing import NamedTuple
 
 from . import intlinalg as la
-from .errors import (
-    CertificationError,
-    DoesNotCloseError,
-    NotCompleteError,
-    NotSmoothError,
-    OrientationError,
-)
-from .fan import Fan, check_properties, make_fan
+from .errors import CertificationError, DoesNotCloseError, OrientationError
+from .fan import Fan, make_fan
 from .intlinalg import Mat, Vec
 
 
@@ -88,11 +82,7 @@ def circular_graph(f: Fan) -> CircularGraph:
     """Weights of a smooth complete rank-2 fan, CCW from the lex-smallest ray."""
     if f.rank != 2:
         raise ValueError("circular graphs require rank 2")
-    props = check_properties(f)
-    if not props.complete:
-        raise NotCompleteError("circular graphs require a complete fan")
-    if not props.smooth:
-        raise NotSmoothError("circular graphs require a smooth fan")
+    f.require("complete", "smooth")
     rays = _rotate_to_lex_min(ccw_sorted(f.rays))
     return _graph_from_ccw_rays(rays)
 
@@ -214,11 +204,7 @@ def symmetrize(f: Fan) -> Fan:
     """
     if f.rank != 2:
         raise ValueError("symmetrize requires rank 2")
-    props = check_properties(f)
-    if not props.complete:
-        raise NotCompleteError("symmetrize requires a complete fan")
-    if not props.smooth:
-        raise NotSmoothError("symmetrize requires a smooth fan")
+    f.require("complete", "smooth")
     rays = set(f.rays) | {la.vec_neg(v) for v in f.rays}
     ordered = ccw_sorted(tuple(rays))
     s = len(ordered)
@@ -272,9 +258,7 @@ def desingularize(f: Fan) -> Fan:
     """
     if f.rank != 2:
         raise ValueError("desingularize requires rank 2")
-    props = check_properties(f)
-    if not props.complete:
-        raise NotCompleteError("desingularize requires a complete fan")
+    props = f.require("complete")
     ordered = ccw_sorted(f.rays)
     s = len(ordered)
     out: list[Vec] = []
@@ -284,7 +268,7 @@ def desingularize(f: Fan) -> Fan:
         out.extend(_hilbert_middle_rays(u, w))
     cones = [[out[j], out[(j + 1) % len(out)]] for j in range(len(out))]
     result = make_fan(2, cones, check_faces=False)
-    rprops = check_properties(result)
+    rprops = result.properties
     if not rprops.smooth:
         raise CertificationError("desingularization left a singular cone")
     if props.centrally_symmetric and not rprops.centrally_symmetric:

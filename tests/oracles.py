@@ -790,6 +790,26 @@ def ref_insert_hyperplane(a, h):
     return f2, BlowupCertificate(tuple(entries))
 
 
+def ref_fan_from_arrangement(a):
+    """The chamber fan as `make_fan` builds it, its facet normals as the
+    primitive columns of one `scaled_inverse` per cone, and its property
+    report with each cone smooth exactly when that inverse has d = 1."""
+    from arrfan import intlinalg as la
+    from arrfan.fan import check_properties, make_fan
+
+    f = make_fan(a.rank, [k.rays for k in a.chambers], check_faces=False)
+    inverses = [la.scaled_inverse(f.cone_vectors(c)) for c in f.max_cones]
+    normals = tuple(tuple(map(la.primitive, la.transpose(inv))) for inv, _ in inverses)
+    vars(f)["normals"] = normals
+    props = check_properties(f)
+    singular = [c for c, (_, d) in zip(f.max_cones, inverses) if d != 1]
+    if singular:
+        props = props._replace(
+            failure_witness={"property": "smooth", "cone": f.cone_vectors(singular[0])}
+        )
+    return f, normals, props._replace(smooth=not singular)
+
+
 def ref_restrict_fan(f, subspace_rows):
     """Search the face lattice for a spanning cone, solving each ray once per face."""
     from arrfan import intlinalg as la

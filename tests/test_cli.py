@@ -362,7 +362,7 @@ def test_roots_of_a5_fan_file(tmp_path, capsys):
 
 
 # every leaf command: its argv on A_2 ({arr}: arrangement, {fan}: its fan file),
-# the name its report line carries, and whether --out writes a file
+# the name its report line carries, and whether it takes --out and writes the file
 _LEAF_COMMANDS = [
     (["verify", "{arr}"], "verify", False),
     (["catalog", "A_2"], "catalog", True),
@@ -383,7 +383,6 @@ _LEAF_COMMANDS = [
     (["surface", "symmetrize", "{fan}"], "surface.symmetrize", True),
     (["surface", "desingularize", "{fan}"], "surface.desingularize", True),
     (["surface", "divisor", "{fan}"], "surface.divisor", True),
-    # accepts --out and writes nothing
     (["surface", "picard", "{fan}"], "surface.picard", False),
     (["surface", "triangulations", "--count", "5"], "surface.triangulations", True),
 ]
@@ -409,7 +408,7 @@ def test_report_line_of_every_command(tmp_path, capsys, a2_file, argv, name, wri
     assert run(capsys, "fan", a2_file, "--out", fan_path)[0] == 0
     argv = [a.format(arr=a2_file, fan=fan_path) for a in argv]
     out_path = tmp_path / "out"
-    if name != "verify":
+    if writes:
         argv += ["--out", str(out_path)]
     code, out = run(capsys, *argv)
     assert code == 0
@@ -418,6 +417,10 @@ def test_report_line_of_every_command(tmp_path, capsys, a2_file, argv, name, wri
     assert report["command"] == name
     assert report["outputs"] == ({"out": str(out_path)} if writes else {})
     assert out_path.exists() == writes
+    if not writes:  # --out is rejected at parse time rather than ignored
+        with pytest.raises(SystemExit) as e:
+            main([*argv, "--out", str(out_path)])
+        assert e.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [["catalog", "A_2"], ["plot", "{fan}"]])

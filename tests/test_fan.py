@@ -1,9 +1,10 @@
+import functools
 import json
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from arrfan import intlinalg as la
+from arrfan import fan as fan_module, intlinalg as la
 from arrfan.arrangement import catalog, make_arrangement
 from arrfan.errors import (
     BadReferenceError,
@@ -16,6 +17,7 @@ from arrfan.errors import (
     NotStronglySymmetricError,
 )
 from arrfan.fan import (
+    Fan,
     _cone_h_rep,
     check_properties,
     fan_automorphisms,
@@ -30,12 +32,14 @@ from arrfan.fan import (
     star_fan,
     star_subdivide,
 )
-from arrfan.poset import intersection_poset
+from arrfan.polytope import build_polytope, verify_normal_fan
+from arrfan.poset import intersection_poset, restricted_arrangement
 
 from oracles import (
     ref_check_properties,
     ref_cone_h_rep,
     ref_fan_automorphisms,
+    ref_fan_from_arrangement,
     ref_insert_hyperplane,
     ref_overlapping_pair,
     ref_restrict_fan,
@@ -290,7 +294,11 @@ def test_restrict_fan_matches_reference(name):
     if name == "A_3":
         subspaces += [[(1, 1, 0)], [(1, 2, 0)]]
     for rows in subspaces:
-        assert _outcome(restrict_fan, f, rows) == _outcome(ref_restrict_fan, f, rows), rows
+        out = _outcome(restrict_fan, f, rows)
+        assert out == _outcome(ref_restrict_fan, f, rows), rows
+        if isinstance(out, Fan) and out.rank:
+            # the normals read on the subspace equal one dual_rays per restricted cone
+            assert out.normals == Fan(*out).normals, rows
 
 
 def test_rank1_round_trip():
@@ -416,16 +424,18 @@ def _count_calls(monkeypatch, name):
 
 @pytest.mark.parametrize("name", LADDER)
 def test_fan_routines_match_reference_on_ladder(name, monkeypatch):
-    """One scaled inverse per cone gives the former Fraction and per-facet results.
+    """The chamber fan read off the walk equals the `make_fan` path, normals
+    and properties included, and gives the former Fraction and per-facet results.
 
     The automorphism search is compared up to rank 3 and on A_4 and the
     ngons; the Fraction search alone takes several seconds on B_4 and D_4.
     Loading the complete fan and recovering its roots runs no double
     description and no Smith form, and inverts each cone exactly once: the
-    fan's inverse table serves both the covering check and the properties.
+    fan's normal table serves both the covering check and the properties.
     """
     a = catalog(name)
     f = fan_from_arrangement(a)
+    assert (f, f.normals, check_properties(f)) == ref_fan_from_arrangement(a)
     _assert_matches_reference(f, autos=name not in ("B_4", "D_4"))
     assert roots_from_fan(f) == a
     calls = {n: _count_calls(monkeypatch, n) for n in ("extreme_rays", "scaled_inverse", "snf")}
@@ -445,7 +455,54 @@ def test_fan_routines_match_reference_on_random_arrangements(a):
         f = fan_from_arrangement(a)
     except NotSimplicialError:
         return
+    assert (f, f.normals, check_properties(f)) == ref_fan_from_arrangement(a)
     _assert_matches_reference(f, autos=len(f.max_cones) <= 48)
+
+
+def _refuse(*args):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize("name", ["B_3", "A_4"])
+def test_chamber_fan_certificates_invert_nothing(name, monkeypatch):
+    """The chamber fan, its properties, its normal-fan certificate, its roots
+    and its restrictions to flats all read the walk's wall covectors: no
+    `scaled_inverse` and no `rank` runs once the chambers are known."""
+    a = catalog(name)
+    flats = [e for e in intersection_poset(a).flats if 0 < e.dim < a.rank]
+    polytope = build_polytope(a)
+    expected = [restricted_arrangement(catalog(name), e) for e in flats]
+    monkeypatch.setattr(la, "scaled_inverse", _refuse)
+    monkeypatch.setattr(la, "rank", _refuse)
+    f = fan_from_arrangement(a)
+    assert check_properties(f).smooth
+    assert verify_normal_fan(polytope, f)
+    assert roots_from_fan(f) == a
+    assert [restricted_arrangement(a, e) for e in flats] == expected
+
+
+def test_imported_fan_runs_the_covering_test_once(monkeypatch):
+    """load_fan's validation and roots_from_fan's verdict share one covering test."""
+    text = json.dumps(fan_to_json(fan_from_arrangement(catalog("A_4"))))
+    runs = []
+    covering = Fan.overlap.func
+    counted = functools.cached_property(lambda f: runs.append(f) or covering(f))
+    counted.__set_name__(Fan, "overlap")
+    monkeypatch.setattr(Fan, "overlap", counted)
+    f = load_fan(text)
+    assert roots_from_fan(f) == catalog("A_4")
+    assert len(runs) == 1 and runs[0] is f
+
+
+def test_restricting_to_every_flat_checks_the_input_fan_once(monkeypatch):
+    a = catalog("D_4")
+    f = fan_from_arrangement(a)
+    checked = []
+    check = fan_module.check_properties
+    monkeypatch.setattr(fan_module, "check_properties", lambda g: checked.append(g) or check(g))
+    for e in intersection_poset(a).flats[1:]:  # every flat but the zero flat
+        restricted_arrangement(a, e)
+    assert sum(g is f for g in checked) == 1
 
 
 @st.composite

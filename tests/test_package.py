@@ -113,7 +113,9 @@ def test_tables_are_cached_per_instance():
     assert a.chambers is a.chambers
     assert a.ray_signs is a.ray_signs
     f = fan_from_arrangement(a)
+    assert fan_from_arrangement(a) is f
     assert f.walls is f.walls
-    assert f.inverses is f.inverses
+    assert f.normals is f.normals
+    assert f.properties is f.properties
     # an equal record built separately has its own tables
     assert catalog("A_3").chambers is not a.chambers
