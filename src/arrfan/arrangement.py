@@ -132,12 +132,19 @@ def make_arrangement(rank: int, covectors: Sequence[Sequence[int]]) -> Arrangeme
     return Arrangement(rank=rank, positive_covectors=tuple(sorted(canon)))
 
 
-def load_arrangement(data: bytes | str) -> Arrangement:
-    """Parse the arrangement JSON format {"rank": r, "positive_covectors": [[...], ...]}."""
+def _parse_json(data: bytes | str):
     try:
-        obj = json.loads(data)
+        return json.loads(data)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise InputFormatError(f"invalid JSON: {e}") from e
+
+
+def load_arrangement(data: bytes | str) -> Arrangement:
+    """Parse the arrangement JSON format {"rank": r, "positive_covectors": [[...], ...]}."""
+    return _arrangement_from_json(_parse_json(data))
+
+
+def _arrangement_from_json(obj) -> Arrangement:
     if not isinstance(obj, dict) or "rank" not in obj or "positive_covectors" not in obj:
         raise InputFormatError("expected an object with 'rank' and 'positive_covectors'")
     rank = obj["rank"]

@@ -89,20 +89,17 @@ def _parse_rows(text: str) -> tuple[tuple[int, ...], ...]:
 
 def _load_any(data: bytes):
     """Sniff a JSON input: arrangement, fan, or weights."""
-    try:
-        obj = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
-        raise InputFormatError(f"invalid JSON: {e}") from e
+    from .arrangement import _arrangement_from_json, _parse_json
+
+    obj = _parse_json(data)
     if not isinstance(obj, dict):
         raise InputFormatError("expected a JSON object")
     if "positive_covectors" in obj:
-        from .arrangement import load_arrangement
-
-        return load_arrangement(data)
+        return _arrangement_from_json(obj)
     if "max_cones" in obj:
-        from .fan import load_fan
+        from .fan import _fan_from_json
 
-        return load_fan(data)
+        return _fan_from_json(obj)
     if "weights" in obj:
         w = obj["weights"]
         if not isinstance(w, list) or any(

@@ -18,12 +18,11 @@ chamber fan, read off the walk once per arrangement.  The covering test
 from __future__ import annotations
 
 import itertools
-import json
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from . import intlinalg as la
-from .arrangement import Arrangement, is_crystallographic, make_arrangement
+from .arrangement import Arrangement, _parse_json, is_crystallographic, make_arrangement
 from .errors import (
     BadReferenceError,
     CertificationError,
@@ -242,10 +241,10 @@ def load_fan(data: bytes | str) -> Fan:
     {"rank": r, "rays": [[...], ...], "max_cones": [[i, ...], ...]} with rays
     primitive, strictly lex-sorted, and 0-based cone indices.
     """
-    try:
-        obj = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
-        raise InputFormatError(f"invalid JSON: {e}") from e
+    return _fan_from_json(_parse_json(data))
+
+
+def _fan_from_json(obj) -> Fan:
     if not isinstance(obj, dict) or any(k not in obj for k in ("rank", "rays", "max_cones")):
         raise InputFormatError("expected an object with 'rank', 'rays' and 'max_cones'")
     rank, rays, cones = obj["rank"], obj["rays"], obj["max_cones"]
@@ -473,10 +472,10 @@ def restrict_fan(f: Fan, subspace_rows: Sequence[Sequence[int]]) -> Fan:
     are those of a maximal cone holding it, read on H.  The result is
     certified smooth and strongly symmetric, hence complete, of rank d.
     """
-    f.require("smooth", "strongly_symmetric")
     rows = [tuple(r) for r in subspace_rows]
     if any(len(r) != f.rank for r in rows):
-        raise ValueError("row width does not match ambient dimension")
+        raise InputFormatError("row width does not match ambient dimension")
+    f.require("smooth", "strongly_symmetric")
     kernel = la.kernel_basis(rows) if rows else la.identity(f.rank)
     d = f.rank - len(kernel)
     if d == f.rank:
@@ -534,6 +533,8 @@ def insert_hyperplane(a: Arrangement, h: Sequence[int]) -> tuple[Fan, BlowupCert
     ray is exactly ray_a + ray_b.  Every other chamber must reappear with its
     rays under its one extension.
     """
+    if not any(h):
+        raise InputFormatError("zero hyperplane")
     hv = la.canonical_sign(la.primitive(tuple(h)))
     if hv in a.positive_covectors:
         raise BadReferenceError(f"hyperplane {tuple(h)} already in the arrangement")

@@ -4,8 +4,9 @@ Flats are subspaces cut out by hyperplane subsets, keyed by the
 Hermite-canonical basis of the saturated sublattice they carry, so equality
 of flats is equality of basis rows.  A flat X is also the intersection of
 the set H(X) of hyperplanes containing it, held as an int bitmask over the
-covectors, so order, covers and containment are set operations: X <= Y
-exactly when H(Y) is a subset of H(X), and covers are one dimension apart.
+covectors, so order and containment are set operations: X <= Y exactly when
+H(Y) is a subset of H(X).  The flats covered by X are the hyperplanes of the
+restricted arrangement A^X, the distinct traces of the others on X.
 The toric-arrangement report verifies, purely on cones, the statements that
 make the family of flat subfans an embedded copy of the poset.
 """
@@ -75,39 +76,37 @@ def _covectors(a: Arrangement, held: int) -> Mat:
 def intersection_poset(a: Arrangement) -> IntersectionPoset:
     """All intersections of hyperplane subsets, with cover relations.
 
-    A flat X is the intersection of the set H(X) of hyperplanes containing
-    it.  Closure refines each flat X by each hyperplane H outside H(X),
-    starting from the whole space, as the kernel of H together with the
-    codim X members of H(X) that first cut X out: their kernel is already
-    X, and at most `rank` rows keep the elimination small.  Flats are
-    deduplicated by canonical basis and sorted by dimension.  X <= Y exactly
-    when H(Y) is a subset of H(X), and since the intersection lattice is
-    geometric, hence graded by dimension, Y covers X exactly when moreover
-    dim Y = dim X + 1.
+    One pass per flat X, keyed by the set H(X) of hyperplanes containing it,
+    from the whole space down.  The traces on X of the other hyperplanes,
+    their values on X's basis rows up to scale, are the restricted
+    arrangement A^X, and each trace is one flat Y covered by X: H(Y) is H(X)
+    with the hyperplanes of that trace.  A new Y is the kernel of the codim X
+    rows that cut X out plus one of them, so each flat below the whole space
+    costs one elimination.  Flats are sorted by dimension and basis.
     """
-    r = a.rank
-    top = flat_from_constraints(r, ())
-    held = {top: 0}
-    frontier = [(top, ())]  # each flat with the codim-many hyperplanes that cut it out
-    while frontier:
-        nxt = []
-        for flat, rows in frontier:
-            for i, cov in enumerate(a.positive_covectors):
-                if held[flat] >> i & 1:
-                    continue  # hyperplane contains the flat
-                cut = flat_from_constraints(r, rows + (cov,))
-                if cut not in held:
-                    held[cut] = _held(a, cut.basis)
-                    nxt.append((cut, rows + (cov,)))
-        frontier = nxt
-    ordered = sorted(held, key=lambda f: (f.dim, f.basis))
-    covers = tuple(
-        (i, j)
-        for i, low in enumerate(ordered)
-        for j, high in enumerate(ordered)
-        if high.dim == low.dim + 1 and held[high] & ~held[low] == 0
+    r, covs = a.rank, a.positive_covectors
+    flats = {0: (flat_from_constraints(r, ()), ())}  # H(X) -> (X, rows cutting X out)
+    found, covers = [0], []
+    for held in found:  # `found` grows as it is read
+        flat, rows = flats[held]
+        values = [a.ray_signs(row).values for row in flat.basis]
+        traces: dict[Vec, int] = {}
+        for i in range(len(covs)):
+            if not held >> i & 1:
+                trace = la.canonical_sign(la.primitive([v[i] for v in values]))
+                traces[trace] = traces.get(trace, 0) | 1 << i
+        for g in traces.values():
+            if held | g not in flats:
+                cut = rows + (covs[g.bit_length() - 1],)
+                flats[held | g] = (flat_from_constraints(r, cut), cut)
+                found.append(held | g)
+            covers.append((held | g, held))
+    order = sorted(flats, key=lambda h: (flats[h][0].dim, flats[h][0].basis))
+    index = {h: k for k, h in enumerate(order)}
+    return IntersectionPoset(
+        flats=tuple(flats[h][0] for h in order),
+        cover_pairs=tuple(sorted((index[low], index[high]) for low, high in covers)),
     )
-    return IntersectionPoset(flats=tuple(ordered), cover_pairs=covers)
 
 
 def _require_flat(a: Arrangement, e: FlatSubspace) -> None:

@@ -215,37 +215,20 @@ def symmetrize(f: Fan) -> Fan:
 def _hilbert_middle_rays(u: Vec, w: Vec) -> list[Vec]:
     """Interior Hilbert basis members of the 2-cone (u, w), CCW from u.
 
-    These are exactly the rays of the minimal desingularization.  Candidates
-    are the lattice points of the half-open fundamental parallelogram; a point
-    is kept when it is not a sum of two nonzero lattice points of the cone.
+    These are exactly the rays of the minimal desingularization, found by the
+    Hirzebruch-Jung step (Cox, Little and Schenck, *Toric Varieties*, 10.2):
+    while d = det(u, w) > 1, the next member is u' = (k u + w)/d for the one
+    k in (0, d) that makes it integral; then det(u, u') = 1 and det(u', w) = k.
     """
     d = _det2(u, w)
     if d <= 0:
         raise CertificationError(f"cone ({u}, {w}) is not counterclockwise")
-    if d == 1:
-        return []
-    pts = set()
-    for i in range(d):
-        for j in range(d):
-            x = i * u[0] + j * w[0]
-            y = i * u[1] + j * w[1]
-            if (i or j) and x % d == 0 and y % d == 0:
-                pts.add((x // d, y // d))
-    candidates = pts | {u, w}
-
-    def in_cone(p: Vec) -> bool:
-        coords = la.solve_in_row_space((u, w), p)
-        return coords is not None and all(c >= 0 for c in coords)
-
     middles = []
-    for p in sorted(pts):
-        reducible = any(
-            q != p and in_cone(la.vec_sub(p, q)) and la.vec_sub(p, q) != (0, 0)
-            for q in candidates
-        )
-        if not reducible:
-            middles.append(p)
-    middles.sort(key=functools.cmp_to_key(lambda p, q: -_det2(p, q)))
+    while d > 1:
+        k = next(k for k in range(1, d) if (k * u[0] + w[0]) % d == (k * u[1] + w[1]) % d == 0)
+        u = ((k * u[0] + w[0]) // d, (k * u[1] + w[1]) // d)
+        middles.append(u)
+        d = k
     return middles
 
 

@@ -859,3 +859,48 @@ def ref_restrict_fan(f, subspace_rows):
     if not (rprops.smooth and rprops.strongly_symmetric and rprops.complete):
         raise CertificationError("restriction fan lost smoothness or symmetry")
     return result
+
+
+def ref_hilbert_middle_rays(u, w):
+    """Interior Hilbert basis members of the 2-cone (u, w), CCW from u.
+
+    Candidates are the lattice points of the half-open fundamental
+    parallelogram; a point is kept when it is not a sum of two nonzero
+    lattice points of the cone.
+    """
+    import functools
+
+    from arrfan import intlinalg as la
+    from arrfan.errors import CertificationError
+
+    def det2(p, q):
+        return p[0] * q[1] - p[1] * q[0]
+
+    d = det2(u, w)
+    if d <= 0:
+        raise CertificationError(f"cone ({u}, {w}) is not counterclockwise")
+    if d == 1:
+        return []
+    pts = set()
+    for i in range(d):
+        for j in range(d):
+            x = i * u[0] + j * w[0]
+            y = i * u[1] + j * w[1]
+            if (i or j) and x % d == 0 and y % d == 0:
+                pts.add((x // d, y // d))
+    candidates = pts | {u, w}
+
+    def in_cone(p):
+        coords = la.solve_in_row_space((u, w), p)
+        return coords is not None and all(c >= 0 for c in coords)
+
+    middles = []
+    for p in sorted(pts):
+        reducible = any(
+            q != p and in_cone(la.vec_sub(p, q)) and la.vec_sub(p, q) != (0, 0)
+            for q in candidates
+        )
+        if not reducible:
+            middles.append(p)
+    middles.sort(key=functools.cmp_to_key(lambda p, q: -det2(p, q)))
+    return middles

@@ -73,6 +73,22 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, a2_file):
     assert code == 2
 
 
+def test_malformed_arguments_are_parse_errors(tmp_path, capsys):
+    # a zero or wrong-length hyperplane and a subspace row of the wrong width
+    # are input errors (2), not verdicts on the arrangement or the fan (10)
+    a3, fan = str(tmp_path / "a3.json"), str(tmp_path / "a3.fan.json")
+    assert run(capsys, "catalog", "A_3", "--out", a3)[0] == 0
+    assert run(capsys, "fan", a3, "--out", fan)[0] == 0
+    for hyperplane in ("0,0,0", "1,0"):
+        assert run(capsys, "insert", a3, "--hyperplane", hyperplane) == (2, "")
+    singular = write(tmp_path, "singular.json", {
+        "rank": 2, "rays": [[-1, -2], [-1, 2], [1, 0]], "max_cones": [[0, 1], [1, 2], [0, 2]],
+    })
+    assert run(capsys, "restrict", singular, "--subspace", "[[1,0]]")[0] == 10
+    for path, rows in ((fan, "[[1,0]]"), (fan, "[[1,0,0],[0,1]]"), (singular, "[[1,0,0]]")):
+        assert run(capsys, "restrict", path, "--subspace", rows) == (2, "")
+
+
 def test_absurd_rank_is_a_lattice_span_verdict(tmp_path, capsys):
     # fewer covectors than the rank cannot span Z^r: exit 10 before the
     # rank-length all-ones Smith form is ever built

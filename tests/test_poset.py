@@ -92,6 +92,50 @@ def test_zaslavsky_count_from_covers():
     for name in LADDER + tuple(ngons):
         a = catalog(name)
         assert _zaslavsky_count(intersection_poset(a)) == len(a.chambers), name
+    # the larger rungs, with their flat counts (A_6: the Bell number B_7)
+    for name, flats in (("D_5", 403), ("B_5", 648), ("A_6", 877)):
+        a = catalog(name)
+        p = intersection_poset(a)
+        assert len(p.flats) == flats, name
+        assert _zaslavsky_count(p) == len(a.chambers), name
+
+
+def test_poset_makes_one_elimination_per_flat(monkeypatch):
+    # each flat below the whole space is one kernel; no flat is re-derived
+    # from its basis and no pair of flats is compared
+    import arrfan.poset
+
+    calls = []
+
+    def kernel_basis(rows, kernel=la.kernel_basis):
+        calls.append(rows)
+        return kernel(rows)
+
+    def held(*args):
+        raise AssertionError("intersection_poset reads H(X) off its own construction")
+
+    a = catalog("D_4")
+    monkeypatch.setattr(la, "kernel_basis", kernel_basis)
+    monkeypatch.setattr(arrfan.poset, "_held", held)
+    p = intersection_poset(a)
+    assert len(calls) == len(p.flats) - 1
+    monkeypatch.undo()
+    assert p == ref_intersection_poset(a)
+
+
+@pytest.mark.parametrize("name", LADDER + ("ngon:8:77", "ngon:10:1000"))
+def test_cover_traces_are_the_restricted_arrangement(name):
+    # the hyperplanes of A^X, read on X's basis rows, are the fan-side restriction
+    a = catalog(name)
+    for flat in intersection_poset(a).flats:
+        if flat.dim == 0:
+            continue
+        traces = {
+            la.canonical_sign(la.primitive([la.vec_dot(cov, row) for row in flat.basis]))
+            for cov in a.positive_covectors
+            if any(la.vec_dot(cov, row) for row in flat.basis)
+        }
+        assert tuple(sorted(traces)) == restricted_arrangement(a, flat).positive_covectors
 
 
 def test_cover_relations():

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from arrfan import intlinalg as la
 from arrfan.arrangement import catalog, make_arrangement
 from arrfan.errors import (
+    CertificationError,
     DoesNotCloseError,
     NotSmoothError,
     OrientationError,
@@ -10,6 +13,7 @@ from arrfan.errors import (
 from arrfan.fan import check_properties, fan_from_arrangement, make_fan
 from arrfan.surface import (
     CircularGraph,
+    _hilbert_middle_rays,
     circular_graph,
     desingularize,
     intersection_numbers,
@@ -22,7 +26,12 @@ from arrfan.surface import (
     y_divisor_class,
 )
 
-from oracles import brute_triangulation_count, catalan, equal_up_to_rotation
+from oracles import (
+    brute_triangulation_count,
+    catalan,
+    equal_up_to_rotation,
+    ref_hilbert_middle_rays,
+)
 
 
 def hirzebruch(a):
@@ -134,6 +143,24 @@ def test_desingularize():
 
     smooth = fan_from_arrangement(catalog("B_2"))
     assert desingularize(smooth) == smooth
+
+
+def test_hilbert_middle_rays_match_the_parallelogram_search():
+    # random primitive cones of determinant up to 40, both orientations
+    rng = random.Random(12)
+    seen = 0
+    while seen < 600:
+        u, w = (tuple(rng.randint(-9, 9) for _ in range(2)) for _ in range(2))
+        d = u[0] * w[1] - u[1] * w[0]
+        if not (u != (0, 0) != w and la.primitive(u) == u and la.primitive(w) == w):
+            continue
+        if 0 < d <= 40:
+            seen += 1
+            assert _hilbert_middle_rays(u, w) == ref_hilbert_middle_rays(u, w), (u, w)
+        elif d <= 0:
+            for rays in (_hilbert_middle_rays, ref_hilbert_middle_rays):
+                with pytest.raises(CertificationError):
+                    rays(u, w)
 
 
 def test_desingularize_symmetrize_always_strongly_symmetric():
