@@ -1,16 +1,15 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
 Everything runs on Python's arbitrary-precision integers; no floating point
-enters any computation, so every returned value is exact.  Rank and
-determinant read one fraction-free (Bareiss) elimination; one integer
+or fraction enters any computation, so every returned value is exact.  Rank
+and determinant read one fraction-free (Bareiss) elimination; one integer
 inverse on top of it, `scaled_inverse` (m*D = d*I), serves inverses, linear
 solves and a simplicial cone's dual rays (facet normals, inequality rows).
-``fractions.Fraction`` appears only in returned values.  Matrices are
-sequences of equal-length rows and are returned as tuples of tuples.
+Matrices are sequences of equal-length rows and are returned as tuples of
+tuples.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -328,24 +327,6 @@ def kernel_basis(m: Sequence[Sequence[int]]) -> Mat:
         return ()
     h2, _ = hnf(ker)
     return tuple(r for r in h2 if any(x != 0 for x in r))
-
-
-def solve_in_row_space(basis: Sequence[Sequence[int]], v: Sequence[int]):
-    """Coefficients c with c*basis = v, or None when v is outside the span.
-
-    `basis` must have linearly independent rows; the solution is then unique
-    and returned as a tuple of Fractions.
-    """
-    if len(basis) == 0:
-        return () if all(x == 0 for x in v) else None
-    try:
-        inv, d = scaled_inverse(basis)
-    except ValueError:
-        raise ValueError("basis rows are linearly dependent") from None
-    c = vec_mat(v, inv)
-    if vec_mat(c, basis) != tuple(d * x for x in v):
-        return None
-    return tuple(Fraction(x, d) for x in c)
 
 
 def complete_to_basis(rows: Sequence[Sequence[int]], ambient: int) -> tuple[Mat, Mat, int]:

@@ -12,8 +12,9 @@ make the family of flat subfans an embedded copy of the poset.
 """
 from __future__ import annotations
 
+import itertools
 from functools import cache, reduce
-from operator import and_
+from operator import and_, or_
 from typing import NamedTuple, Sequence
 
 from . import intlinalg as la
@@ -21,7 +22,6 @@ from .arrangement import Arrangement, is_crystallographic, make_arrangement
 from .errors import BadReferenceError, CertificationError, NotCrystallographicError
 from .fan import (
     _require_face,
-    fan_faces,
     fan_from_arrangement,
     quotient_data,
     restrict_fan,
@@ -165,118 +165,97 @@ def toric_arrangement_report(a: Arrangement) -> ToricArrangementReport:
 
     For every flat E let S(E) be the faces of the chamber fan contained in E.
     Checked: (a) S(E n F) = S(E) n S(F) for all flat pairs; (b) slicing each
-    face by E's vanishing covectors lands on a face and reproduces S(E)
-    (the two descriptions of the flat subfan agree); (c) E <= F exactly when
+    face by E's vanishing covectors lands on a face and reproduces S(E) (the
+    two descriptions of the flat subfan agree); (c) E <= F exactly when
     S(E) <= S(F); (d) faces with equal span have identical star fans, all
-    projected through one quotient basis of that span (the flat of the
-    face's dimension held by the covectors vanishing on all its rays); and
-    the top dimension of S(E) equals dim E.  Flats enter through their
-    hyperplane sets H(E):
-    a face lies in E when every covector of H(E) vanishes on its rays, and
-    E n F is the kernel of H(E) with H(F).  Any failure raises
-    CertificationError; the report records sizes and dimensions.
+    projected through one quotient basis of that span (the flat of the face's
+    dimension held by the covectors vanishing on all its rays); and the top
+    dimension of S(E) equals dim E.  All read one face table of star cones,
+    ray masks and span masks H(span): a face lies in E when H(E) is in its
+    H(span), so S(E) is a face bitmask.  Failures raise CertificationError.
     """
     if not is_crystallographic(a).verdict:
         raise NotCrystallographicError("report requires a crystallographic arrangement")
-    r = a.rank
-    f = fan_from_arrangement(a)
-    poset = intersection_poset(a)
-    faces = fan_faces(f)
-
+    r, f, poset = a.rank, fan_from_arrangement(a), intersection_poset(a)
     held = [_held(a, flat.basis) for flat in poset.flats]
-    ray_signs = [a.ray_signs(ray) for ray in f.rays]
-    # a face lies in a flat when every held covector vanishes on every ray of the face
-    members = [
-        frozenset(face for face in faces if all(h & ~ray_signs[i].zeros == 0 for i in face))
-        for h in held
-    ]
+    star: dict[tuple[int, ...], list[int]] = {}  # face -> the maximal cones holding it
+    for ci, cone in enumerate(f.max_cones):
+        for keep in itertools.product((False, True), repeat=len(cone)):
+            star.setdefault(tuple(itertools.compress(cone, keep)), []).append(ci)
+    faces = sorted(star, key=lambda c: (len(c), c))
+    signs = [a.ray_signs(ray) for ray in f.rays]
+    ray_masks = [sum(1 << i for i in face) for face in faces]
+    spans = []  # per face, H(span): the covectors vanishing on all its rays
+    for face in faces:
+        pos, neg, span = 0, 0, (1 << a.n_hyperplanes) - 1
+        for s in (signs[i] for i in face):
+            pos, neg, span = pos | s.pos, neg | s.neg, span & s.zeros
+        if pos & neg:
+            cov = a.positive_covectors[(pos & neg).bit_length() - 1]
+            raise CertificationError(f"covector {cov} cuts the interior of face {face}")
+        spans.append(span)
+    by_span: dict[int, int] = {}  # H(span) -> its faces, as a bitmask
+    for k, span in enumerate(spans):
+        by_span[span] = by_span.get(span, 0) | 1 << k
+    members = [reduce(or_, (m for s, m in by_span.items() if not h & ~s), 0) for h in held]
 
-    checks = []
     # (b) slicing each face by the flat's annihilating covectors is a face op
-    for fi, flat in enumerate(poset.flats):
-        ann = [c for c in range(a.n_hyperplanes) if held[fi] >> c & 1]
-        sliced = set()
-        for face in faces:
-            cur = face
-            for c in ann:
-                vals = [ray_signs[i].values[c] for i in cur]
-                if any(v > 0 for v in vals) and any(v < 0 for v in vals):
-                    raise CertificationError(
-                        f"covector {a.positive_covectors[c]} cuts the interior of face {cur}"
-                    )
-                cur = tuple(i for i, v in zip(cur, vals) if v == 0)
-            sliced.add(cur)
-        if sliced != set(members[fi]):
-            raise CertificationError(
-                f"sliced faces disagree with containment for flat {flat.basis}"
-            )
-    checks.append("slice-vs-containment")
+    for e, h in zip(poset.flats, held):
+        inside = sum(1 << i for i, s in enumerate(signs) if not h & ~s.zeros)
+        if {m & inside for m in ray_masks} != {m for m in ray_masks if not m & ~inside}:
+            raise CertificationError(f"sliced faces disagree with containment for flat {e.basis}")
 
     # (a) intersections of flats match intersections of subfans
     @cache
-    def meet(h: int) -> FlatSubspace:  # the kernel of H(E) and H(G) together
-        return flat_from_constraints(r, _covectors(a, h))
-
+    def meet(h: int) -> Mat:  # the kernel of H(E) and H(G) together
+        return flat_from_constraints(r, _covectors(a, h)).basis
     index_of = {flat.basis: i for i, flat in enumerate(poset.flats)}
     for i, e in enumerate(poset.flats):
-        for j, g in enumerate(poset.flats):
-            cap = meet(held[i] | held[j])
-            if cap.basis not in index_of:
+        for j in range(i, len(held)):
+            cap = index_of.get(meet(held[i] | held[j]))
+            if cap is None:
                 raise CertificationError("poset is not intersection-closed")
-            if members[index_of[cap.basis]] != members[i] & members[j]:
+            if members[cap] != members[i] & members[j]:
                 raise CertificationError(
                     f"subfan of intersection differs from intersection of subfans "
-                    f"({e.basis} vs {g.basis})"
+                    f"({e.basis} vs {poset.flats[j].basis})"
                 )
-    checks.append("pairwise-intersections")
 
     # (c) order isomorphism onto the image: E <= G exactly when H(G) is in H(E)
-    for i in range(len(poset.flats)):
-        for j in range(len(poset.flats)):
-            if (held[j] & ~held[i] == 0) != (members[i] <= members[j]):
-                raise CertificationError("subfan inclusion does not mirror flat order")
-    checks.append("order-isomorphism")
+    pairs = itertools.product(zip(held, members), repeat=2)
+    if any((not hj & ~hi) != (mi & mj == mi) for (hi, mi), (hj, mj) in pairs):
+        raise CertificationError("subfan inclusion does not mirror flat order")
 
     # (d) equal spans give identical star fans, all in one quotient basis per span
     flat_of = dict(zip(held, poset.flats))
-    by_span: dict[Mat, list] = {}
-    for face in faces:
-        span = flat_of.get(_held(a, f.cone_vectors(face)))
-        if span is None or span.dim != len(face):
+    by_flat: dict[Mat, list] = {}
+    for face, span in zip(faces, spans):
+        flat = flat_of.get(span)
+        if flat is None or flat.dim != len(face):
             raise CertificationError(f"face {face} does not span a flat of its dimension")
-        by_span.setdefault(span.basis, []).append(face)
-    for span_basis, group in sorted(by_span.items()):
+        by_flat.setdefault(flat.basis, []).append(face)
+    for span_basis, group in sorted(by_flat.items()):
         kappa, _, _ = quotient_data(span_basis, r)
-        stars = {
-            frozenset(
-                frozenset(la.primitive(kappa(f.rays[i])) for i in cone if i not in face)
-                for cone in f.max_cones
-                if set(face) <= set(cone)
-            )
-            for face in group
-        }
+        links = [[set(f.max_cones[c]).difference(face) for c in star[face]] for face in group]
+        image = {i: la.primitive(kappa(f.rays[i])) for i in set().union(*itertools.chain(*links))}
+        stars = {frozenset(frozenset(map(image.get, link)) for link in cs) for cs in links}
         if len(stars) != 1:
             raise CertificationError(
                 f"faces spanning {span_basis} have {len(stars)} distinct star fans"
             )
-    checks.append("stars-depend-on-span")
 
-    dims = []
-    sizes = []
-    for fi, flat in enumerate(poset.flats):
-        top = max((len(face) for face in members[fi]), default=0)
+    for flat, m in zip(poset.flats, members):
+        top = len(faces[m.bit_length() - 1])  # faces run by dimension; S(E) holds the origin
         if top != flat.dim:
             raise CertificationError(
                 f"subfan of flat {flat.basis} has top dimension {top}, not {flat.dim}"
             )
-        dims.append(flat.dim)
-        sizes.append(len(members[fi]))
-    checks.append("dimensions")
     return ToricArrangementReport(
         flat_count=len(poset.flats),
-        subfan_dims=tuple(dims),
-        subfan_sizes=tuple(sizes),
-        checks=tuple(checks),
+        subfan_dims=tuple(flat.dim for flat in poset.flats),
+        subfan_sizes=tuple(m.bit_count() for m in members),
+        checks=("slice-vs-containment", "pairwise-intersections", "order-isomorphism",
+                "stars-depend-on-span", "dimensions"),
     )
 
 

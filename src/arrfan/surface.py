@@ -35,13 +35,13 @@ class CircularGraph(_CircularGraphFields):
     def __new__(cls, weights: tuple[int, ...], rays: Mat):
         s = len(weights)
         if s < 3 or len(rays) != s:
-            raise ValueError("need at least 3 rays with one weight each")
+            raise DoesNotCloseError("need at least 3 rays with one weight each")
         for j in range(s):
             prev, cur, nxt = rays[j - 1], rays[j], rays[(j + 1) % s]
             if la.vec_add(la.vec_add(prev, nxt), la.vec_scale(weights[j], cur)) != (0, 0):
-                raise ValueError(f"weight {weights[j]} at ray {cur} violates the recurrence")
+                raise DoesNotCloseError(f"weight {weights[j]} at ray {cur} violates the recurrence")
             if _det2(cur, nxt) != 1:
-                raise ValueError("consecutive rays must be positively oriented lattice bases")
+                raise OrientationError("consecutive rays must be positively oriented lattice bases")
         return super().__new__(cls, weights, rays)
 
 
@@ -282,14 +282,15 @@ def _central_t(g: CircularGraph) -> int:
 
 
 def _end_ray_coordinates(g: CircularGraph, t: int) -> Mat:
-    """The first t rays as integer pairs in the basis (n_1, n_t)."""
-    basis = (g.rays[0], g.rays[t - 1])
+    """The first t rays as integer pairs in the basis (n_1, n_t), by Cramer's rule."""
+    n1, nt = g.rays[0], g.rays[t - 1]
+    d = _det2(n1, nt)
     rows = []
     for nu in range(t):
-        coords = la.solve_in_row_space(basis, g.rays[nu])
-        if coords is None or any(c.denominator != 1 for c in coords):
+        x, y = _det2(g.rays[nu], nt), _det2(n1, g.rays[nu])
+        if x % d or y % d:
             raise CertificationError(f"ray {nu + 1} has no integer coordinates in (n_1, n_t)")
-        rows.append((int(coords[0]), int(coords[1])))
+        rows.append((x // d, y // d))
     return la.freeze(rows)
 
 

@@ -422,11 +422,9 @@ def ref_is_crystallographic(a):
 
 
 def ref_flat_contains(e, v) -> bool:
-    from arrfan import intlinalg as la
-
     if e.dim == 0:
         return all(x == 0 for x in v)
-    return la.solve_in_row_space(e.basis, v) is not None
+    return ref_solve_in_row_space(e.basis, v) is not None
 
 
 def ref_flat_leq(e, f) -> bool:
@@ -489,6 +487,142 @@ def ref_intersection_poset(a):
                 if not between:
                     covers.append((i, j))
     return IntersectionPoset(flats=tuple(ordered), cover_pairs=tuple(covers))
+
+
+def ref_toric_arrangement_report(a):
+    """Verify the cone-level statements tying flats to subfans.
+
+    For every flat E let S(E) be the faces of the chamber fan contained in E.
+    Checked: (a) S(E n F) = S(E) n S(F) for all flat pairs; (b) slicing each
+    face by E's vanishing covectors lands on a face and reproduces S(E)
+    (the two descriptions of the flat subfan agree); (c) E <= F exactly when
+    S(E) <= S(F); (d) faces with equal span have identical star fans, all
+    projected through one quotient basis of that span (the flat of the
+    face's dimension held by the covectors vanishing on all its rays); and
+    the top dimension of S(E) equals dim E.  Flats enter through their
+    hyperplane sets H(E):
+    a face lies in E when every covector of H(E) vanishes on its rays, and
+    E n F is the kernel of H(E) with H(F).  Any failure raises
+    CertificationError; the report records sizes and dimensions.
+    """
+    from functools import cache
+
+    from arrfan import intlinalg as la
+    from arrfan.arrangement import is_crystallographic
+    from arrfan.errors import CertificationError, NotCrystallographicError
+    from arrfan.fan import fan_faces, fan_from_arrangement
+    from arrfan.poset import (
+        FlatSubspace,
+        ToricArrangementReport,
+        _covectors,
+        _held,
+        flat_from_constraints,
+        intersection_poset,
+        quotient_data,
+    )
+
+    if not is_crystallographic(a).verdict:
+        raise NotCrystallographicError("report requires a crystallographic arrangement")
+    r = a.rank
+    f = fan_from_arrangement(a)
+    poset = intersection_poset(a)
+    faces = fan_faces(f)
+
+    held = [_held(a, flat.basis) for flat in poset.flats]
+    ray_signs = [a.ray_signs(ray) for ray in f.rays]
+    # a face lies in a flat when every held covector vanishes on every ray of the face
+    members = [
+        frozenset(face for face in faces if all(h & ~ray_signs[i].zeros == 0 for i in face))
+        for h in held
+    ]
+
+    checks = []
+    # (b) slicing each face by the flat's annihilating covectors is a face op
+    for fi, flat in enumerate(poset.flats):
+        ann = [c for c in range(a.n_hyperplanes) if held[fi] >> c & 1]
+        sliced = set()
+        for face in faces:
+            cur = face
+            for c in ann:
+                vals = [ray_signs[i].values[c] for i in cur]
+                if any(v > 0 for v in vals) and any(v < 0 for v in vals):
+                    raise CertificationError(
+                        f"covector {a.positive_covectors[c]} cuts the interior of face {cur}"
+                    )
+                cur = tuple(i for i, v in zip(cur, vals) if v == 0)
+            sliced.add(cur)
+        if sliced != set(members[fi]):
+            raise CertificationError(
+                f"sliced faces disagree with containment for flat {flat.basis}"
+            )
+    checks.append("slice-vs-containment")
+
+    # (a) intersections of flats match intersections of subfans
+    @cache
+    def meet(h: int) -> FlatSubspace:  # the kernel of H(E) and H(G) together
+        return flat_from_constraints(r, _covectors(a, h))
+
+    index_of = {flat.basis: i for i, flat in enumerate(poset.flats)}
+    for i, e in enumerate(poset.flats):
+        for j, g in enumerate(poset.flats):
+            cap = meet(held[i] | held[j])
+            if cap.basis not in index_of:
+                raise CertificationError("poset is not intersection-closed")
+            if members[index_of[cap.basis]] != members[i] & members[j]:
+                raise CertificationError(
+                    f"subfan of intersection differs from intersection of subfans "
+                    f"({e.basis} vs {g.basis})"
+                )
+    checks.append("pairwise-intersections")
+
+    # (c) order isomorphism onto the image: E <= G exactly when H(G) is in H(E)
+    for i in range(len(poset.flats)):
+        for j in range(len(poset.flats)):
+            if (held[j] & ~held[i] == 0) != (members[i] <= members[j]):
+                raise CertificationError("subfan inclusion does not mirror flat order")
+    checks.append("order-isomorphism")
+
+    # (d) equal spans give identical star fans, all in one quotient basis per span
+    flat_of = dict(zip(held, poset.flats))
+    by_span: dict[Mat, list] = {}
+    for face in faces:
+        span = flat_of.get(_held(a, f.cone_vectors(face)))
+        if span is None or span.dim != len(face):
+            raise CertificationError(f"face {face} does not span a flat of its dimension")
+        by_span.setdefault(span.basis, []).append(face)
+    for span_basis, group in sorted(by_span.items()):
+        kappa, _, _ = quotient_data(span_basis, r)
+        stars = {
+            frozenset(
+                frozenset(la.primitive(kappa(f.rays[i])) for i in cone if i not in face)
+                for cone in f.max_cones
+                if set(face) <= set(cone)
+            )
+            for face in group
+        }
+        if len(stars) != 1:
+            raise CertificationError(
+                f"faces spanning {span_basis} have {len(stars)} distinct star fans"
+            )
+    checks.append("stars-depend-on-span")
+
+    dims = []
+    sizes = []
+    for fi, flat in enumerate(poset.flats):
+        top = max((len(face) for face in members[fi]), default=0)
+        if top != flat.dim:
+            raise CertificationError(
+                f"subfan of flat {flat.basis} has top dimension {top}, not {flat.dim}"
+            )
+        dims.append(flat.dim)
+        sizes.append(len(members[fi]))
+    checks.append("dimensions")
+    return ToricArrangementReport(
+        flat_count=len(poset.flats),
+        subfan_dims=tuple(dims),
+        subfan_sizes=tuple(sizes),
+        checks=tuple(checks),
+    )
 
 
 def ref_build_polytope(a):
@@ -833,7 +967,7 @@ def ref_restrict_fan(f, subspace_rows):
         return f
 
     def inside(v):
-        return d > 0 and la.solve_in_row_space(basis, v) is not None
+        return d > 0 and ref_solve_in_row_space(basis, v) is not None
 
     if not any(
         len(cone) == d and all(inside(v) for v in f.cone_vectors(cone)) for cone in fan_faces(f)
@@ -849,7 +983,7 @@ def ref_restrict_fan(f, subspace_rows):
     for cone in maximal:
         vecs = []
         for i in cone:
-            coords = la.solve_in_row_space(basis, f.rays[i])
+            coords = ref_solve_in_row_space(basis, f.rays[i])
             if coords is None or any(x.denominator != 1 for x in coords):
                 raise CertificationError(f"ray {f.rays[i]} is not a lattice point of the subspace")
             vecs.append(tuple(int(x) for x in coords))
@@ -891,7 +1025,7 @@ def ref_hilbert_middle_rays(u, w):
     candidates = pts | {u, w}
 
     def in_cone(p):
-        coords = la.solve_in_row_space((u, w), p)
+        coords = ref_solve_in_row_space((u, w), p)
         return coords is not None and all(c >= 0 for c in coords)
 
     middles = []

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +93,22 @@ def test_catalog_ngon():
 )
 def test_chamber_counts(name, count):
     assert len(enumerate_chambers(catalog(name))) == count
+
+
+_WEYL_ORDER = {  # |W| for type X_r; W acts simply transitively on the chambers
+    "A": lambda r: factorial(r + 1),
+    "B": lambda r: 2**r * factorial(r),
+    "C": lambda r: 2**r * factorial(r),
+    "D": lambda r: 2 ** (r - 1) * factorial(r),
+}
+
+
+@pytest.mark.parametrize(
+    "name", [f"A_{r}" for r in range(2, 7)] + [f"{x}_{r}" for x in "BCD" for r in range(2, 6)]
+)
+def test_chamber_count_is_the_weyl_group_order(name):
+    letter, r = name.split("_")
+    assert len(catalog(name).chambers) == _WEYL_ORDER[letter](int(r))
 
 
 def test_chambers_match_brute_force_signs():

@@ -14,7 +14,6 @@ from oracles import (
     ref_mat_inverse_fraction,
     ref_particular_solution,
     ref_rank,
-    ref_solve_in_row_space,
 )
 
 
@@ -160,16 +159,6 @@ def test_kernel_and_saturation():
     assert k == 1 and abs(la.det(w)) == 1 and la.mat_mul(w, v) == la.identity(3)
 
 
-def test_solve_in_row_space():
-    assert la.solve_in_row_space([(1, 0, 1), (0, 1, 0)], (2, 3, 2)) == (
-        Fraction(2),
-        Fraction(3),
-    )
-    assert la.solve_in_row_space([(1, 0, 1)], (0, 1, 0)) is None
-    assert la.solve_in_row_space((), (0, 0)) == ()
-    assert la.solve_in_row_space((), (1, 0)) is None
-
-
 # Property tests: the elimination wrappers against the reference routines in
 # oracles.py.  Half the matrices are products of an n x k and a k x m factor,
 # so singular, rank-deficient and dependent-basis inputs are common.
@@ -199,20 +188,6 @@ def _square_matrices(draw):
     m = draw(_matrices())
     n = min(len(m), len(m[0]) if m else 0)
     return tuple(row[:n] for row in m[:n])
-
-
-@st.composite
-def _systems(draw):
-    """(m, b) for c*m = b; half are consistent."""
-    m = draw(_matrices())
-    if draw(st.booleans()):
-        width = draw(st.integers(1, 6))  # a basis that is most often independent
-        m = draw(_dense(draw(st.integers(1, width)), width))
-    n, k = (len(m[0]) if m else 0), len(m)
-    if draw(st.booleans()):
-        return m, draw(st.tuples(*[_ENTRY] * n))
-    x = draw(st.tuples(*[_ENTRY] * k))
-    return m, tuple(sum(x[i] * m[i][j] for i in range(k)) for j in range(n))
 
 
 def _outcome(f, *args):
@@ -269,11 +244,3 @@ def test_scaled_inverse_examples():
         la.scaled_inverse([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         la.scaled_inverse([[1], [2]])
-
-
-@_PROPERTY
-@given(_systems())
-def test_solve_in_row_space_matches_reference(system):
-    assert _outcome(la.solve_in_row_space, *system) == _outcome(
-        ref_solve_in_row_space, *system
-    )

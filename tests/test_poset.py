@@ -4,9 +4,14 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from arrfan import intlinalg as la
+from arrfan import intlinalg as la, poset
 from arrfan.arrangement import catalog, is_crystallographic, make_arrangement
-from arrfan.errors import BadReferenceError, NotCrystallographicError
+from arrfan.errors import (
+    BadReferenceError,
+    CertificationError,
+    NotCrystallographicError,
+    NotSimplicialError,
+)
 from arrfan.fan import fan_faces, fan_from_arrangement, roots_from_fan, star_fan
 from arrfan.poset import (
     FlatSubspace,
@@ -15,6 +20,7 @@ from arrfan.poset import (
     intersection_poset,
     parabolic_arrangement,
     poset_to_json,
+    quotient_data,
     restricted_arrangement,
     toric_arrangement_report,
 )
@@ -24,6 +30,7 @@ from oracles import (
     ref_flat_intersection,
     ref_flat_leq,
     ref_intersection_poset,
+    ref_toric_arrangement_report,
 )
 from test_arrangement import _small_arrangements
 
@@ -276,7 +283,7 @@ def test_poset_order_isomorphism_across_catalog():
         assert "order-isomorphism" in rep.checks
 
 
-@pytest.mark.parametrize("name", ["A_4", "D_4"])
+@pytest.mark.parametrize("name", ["A_4", "D_4", "B_4"])
 def test_toric_arrangement_report_rank_4(name):
     # faces with one span are projected through one quotient basis, so their
     # star fans compare equal even where each face's own basis differs
@@ -309,6 +316,75 @@ def test_toric_arrangement_report():
 
     with pytest.raises(NotCrystallographicError):
         toric_arrangement_report(make_arrangement(2, [(1, 0), (0, 1), (2, 1)]))
+
+
+@pytest.mark.parametrize("name", LADDER + ("ngon:8:77", "ngon:10:1000"))
+def test_toric_arrangement_report_matches_reference(name):
+    a = catalog(name)
+    assert toric_arrangement_report(a) == ref_toric_arrangement_report(a)
+
+
+def _report_or_error(report, a):
+    try:
+        return report(a)
+    except (NotSimplicialError, NotCrystallographicError) as e:
+        return type(e)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_small_arrangements())
+def test_toric_arrangement_report_matches_reference_on_random_arrangements(a):
+    got = _report_or_error(toric_arrangement_report, a)
+    assert got == _report_or_error(ref_toric_arrangement_report, a)
+
+
+def _both_reject(a):
+    for report in (toric_arrangement_report, ref_toric_arrangement_report):
+        with pytest.raises(CertificationError):
+            report(a)
+
+
+@pytest.mark.parametrize("name", ["A_3", "B_3"])
+@pytest.mark.parametrize("position", [0, 7, -1])
+def test_toric_report_rejects_a_dropped_flat(monkeypatch, name, position):
+    def dropped(a):
+        p = intersection_poset(a)
+        return p._replace(flats=p.flats[:position] + p.flats[position:][1:])
+
+    monkeypatch.setattr(poset, "intersection_poset", dropped)
+    _both_reject(catalog(name))
+
+
+@pytest.mark.parametrize("name", ["A_3", "B_3"])
+def test_toric_report_rejects_another_flat_basis(monkeypatch, name):
+    # the rows of one plane flat replaced by another basis of its lattice
+    def rebased(a):
+        p = intersection_poset(a)
+        k = next(i for i, flat in enumerate(p.flats) if flat.dim == 2)
+        b0, b1 = p.flats[k].basis
+        flat = FlatSubspace(dim=2, basis=(la.vec_add(b0, b1), b1))
+        return p._replace(flats=p.flats[:k] + (flat,) + p.flats[k + 1:])
+
+    monkeypatch.setattr(poset, "intersection_poset", rebased)
+    _both_reject(catalog(name))
+
+
+@pytest.mark.parametrize("name", ["A_3", "B_3", "A_4"])
+def test_toric_report_rejects_stars_in_different_bases(monkeypatch, name):
+    # a ray is projected through a sheared quotient basis when it is
+    # lexicographically negative, so faces of one span, such as v and -v,
+    # see their stars in different bases
+    def sheared(gens, rank):
+        kappa, lifts, d = quotient_data(gens, rank)
+
+        def project(x):
+            y = kappa(x)
+            return (y[0] + y[1],) + y[1:] if len(y) > 1 and x < la.vec_neg(x) else y
+
+        return project, lifts, d
+
+    monkeypatch.setattr(poset, "quotient_data", sheared)
+    _both_reject(catalog(name))
 
 
 def test_poset_json():

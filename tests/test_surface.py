@@ -13,6 +13,7 @@ from arrfan.errors import (
 from arrfan.fan import check_properties, fan_from_arrangement, make_fan
 from arrfan.surface import (
     CircularGraph,
+    _end_ray_coordinates,
     _hilbert_middle_rays,
     circular_graph,
     desingularize,
@@ -31,6 +32,7 @@ from oracles import (
     catalan,
     equal_up_to_rotation,
     ref_hilbert_middle_rays,
+    ref_solve_in_row_space,
 )
 
 
@@ -236,7 +238,21 @@ def test_picard_presentation():
 
 
 def test_circular_graph_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DoesNotCloseError):
         CircularGraph(weights=(0,), rays=((1, 0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(DoesNotCloseError):
         CircularGraph(weights=(0, 0, 0, 0), rays=((1, 0), (0, 1), (-1, 0), (0, -2)))
+    with pytest.raises(OrientationError):  # the square, clockwise
+        CircularGraph(weights=(0, 0, 0, 0), rays=((1, 0), (0, -1), (-1, 0), (0, 1)))
+
+
+def test_end_ray_coordinates_match_the_row_space_solve():
+    # Cramer's rule in the basis (n_1, n_t) against rational elimination, on
+    # the centrally symmetric graph of every ngon:t:i with t <= 10
+    for t in range(3, 11):
+        for diag in triangulations(t):
+            half = triangulation_to_weights(t, diag)
+            g = circular_graph(weights_to_fan(half + half))
+            basis = (g.rays[0], g.rays[t - 1])
+            solved = tuple(ref_solve_in_row_space(basis, v) for v in g.rays[:t])
+            assert _end_ray_coordinates(g, t) == solved
