@@ -78,6 +78,21 @@ class Arrangement(_ArrangementFields):
 
         return signs
 
+    def face_signs(self, gens: Mat) -> tuple[int, int]:
+        """Masks of the covectors positive and negative on the cone over `gens`:
+        the ORs of the generators' masks.  A covector in both cuts the cone's
+        interior, so the cone is no face of the arrangement's fan: a
+        CertificationError names the lowest such covector."""
+        pos = neg = 0
+        for s in map(self.ray_signs, gens):
+            pos, neg = pos | s.pos, neg | s.neg
+        if pos & neg:
+            cov = self.positive_covectors[(pos & neg & -(pos & neg)).bit_length() - 1]
+            raise CertificationError(
+                f"covector {cov} takes both signs on cone {gens}: not an arrangement fan"
+            )
+        return pos, neg
+
 
 class Chamber(NamedTuple):
     """A closed chamber: its extreme rays and the dual data on its walls.

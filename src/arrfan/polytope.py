@@ -14,7 +14,7 @@ from typing import NamedTuple
 from . import intlinalg as la
 from .arrangement import Arrangement, Chamber, is_crystallographic
 from .errors import CertificationError, NotCrystallographicError
-from .fan import Fan, _require_face, fan_faces, fan_from_arrangement
+from .fan import Fan, _require_face, fan_from_arrangement
 from .intlinalg import Mat, Vec
 
 
@@ -61,20 +61,8 @@ def _cut_out_by_signs(a: Arrangement, k: Chamber) -> bool:
 
 
 def _face_signs(a: Arrangement, gens: Mat) -> tuple[int, ...]:
-    """Per positive covector, its sign on the cone over `gens` (0 when it vanishes).
-
-    The generators' positive masks are ORed, and so are their negative masks.
-    A covector in both ORs takes both strict signs on the cone: a
-    CertificationError names the first such covector.
-    """
-    pos = neg = 0
-    for s in map(a.ray_signs, gens):
-        pos, neg = pos | s.pos, neg | s.neg
-    if pos & neg:
-        cov = a.positive_covectors[(pos & neg & -(pos & neg)).bit_length() - 1]
-        raise CertificationError(
-            f"covector {cov} takes both signs on cone {gens}: not an arrangement fan"
-        )
+    """Per positive covector, its sign on the cone over `gens` (0 when it vanishes)."""
+    pos, neg = a.face_signs(gens)
     return tuple((pos >> i & 1) - (neg >> i & 1) for i in range(a.n_hyperplanes))
 
 
@@ -142,7 +130,7 @@ def sign_vector(f: Fan, sigma, a: Arrangement) -> tuple[int, ...]:
 
     The cone is given by ray indices of f, which must be the fan of the
     arrangement.  The signs are ORs of the generators' sign masks in the
-    arrangement's covector table (`Arrangement.ray_signs`); a covector taking
+    arrangement's covector table (`Arrangement.face_signs`); a covector taking
     both strict signs on the cone is a CertificationError naming the first
     such covector.
     """
@@ -153,15 +141,17 @@ def phi_certificate(a: Arrangement) -> PhiCertificate:
     """Certify the sign-map embedding of the chamber fan combinatorially.
 
     Builds the matrix of all 2n signed covectors in the coordinates of the
-    base chamber's ray basis (wall basis first, giving an identity block),
-    checks its Smith form is all ones, verifies that each chamber's full
-    sign pattern cuts out exactly the chamber's closed cone (every signed
-    covector is >= 0 on its rays, and wall b_p is positive on ray r_q exactly
-    when p = q), then records the sign vector of every fan face and checks
-    they are pairwise distinct.  The chamber and face checks read the
+    base chamber's ray basis, wall basis first.  Its Smith form is all ones
+    once that top block is the identity, which is checked: on a
+    crystallographic arrangement the wall basis is a Z-basis and the rays are
+    its dual basis.  It then verifies that each chamber's full sign pattern
+    cuts out exactly the chamber's closed cone (every signed covector is >= 0
+    on its rays, and wall b_p is positive on ray r_q exactly when p = q),
+    then records the sign vector of every face in the fan's face table and
+    checks they are pairwise distinct.  The chamber and face checks read the
     arrangement's covector table: a face lies in a chamber, on whose rays
     each covector takes one sign or 0 (the cut-out check), so its sign on the
-    face is the OR of its rays' sign masks.
+    face is the OR of its rays' sign masks (`Arrangement.face_signs`).
     """
     if not is_crystallographic(a).verdict:
         raise NotCrystallographicError("embedding requires a crystallographic arrangement")
@@ -172,9 +162,8 @@ def phi_certificate(a: Arrangement) -> PhiCertificate:
     signed = {la.vec_scale(sign, cov) for cov in a.positive_covectors for sign in (1, -1)}
     row_roots = tuple(basis_signed) + tuple(sorted(signed - set(basis_signed)))
     matrix = tuple(tuple(la.vec_dot(root, ray) for ray in base.rays) for root in row_roots)
-    factors = la.snf(matrix)
-    if factors != (1,) * a.rank:
-        raise CertificationError(f"sign-map matrix has Smith form {factors}, not all ones")
+    if matrix[:a.rank] != la.identity(a.rank):
+        raise CertificationError(f"sign-map top block {matrix[:a.rank]} is not the identity")
 
     for k in chambers:
         cols = [a.ray_signs(ray).values for ray in k.rays]
@@ -186,21 +175,17 @@ def phi_certificate(a: Arrangement) -> PhiCertificate:
             raise CertificationError(f"chamber {k.index} is not cut out by its sign pattern")
 
     f = fan_from_arrangement(a)
-    sign_rows = []
-    seen: dict[tuple[int, ...], Mat] = {}
-    for face in fan_faces(f):
+    seen: dict[tuple[int, ...], Mat] = {}  # sign vector -> the face having it
+    for face in f.faces:
         gens = f.cone_vectors(face)
         sv = _face_signs(a, gens)
         if sv in seen:
-            raise CertificationError(
-                f"cones {seen[sv]} and {gens} share the sign vector {sv}"
-            )
+            raise CertificationError(f"cones {seen[sv]} and {gens} share the sign vector {sv}")
         seen[sv] = gens
-        sign_rows.append((gens, sv))
     return PhiCertificate(
         matrix=matrix,
         row_roots=row_roots,
-        invariant_factors=factors,
-        sign_vectors=tuple(sign_rows),
+        invariant_factors=(1,) * a.rank,
+        sign_vectors=tuple((gens, sv) for sv, gens in seen.items()),
         base_chamber=base.index,
     )

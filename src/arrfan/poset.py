@@ -8,12 +8,15 @@ covectors, so order and containment are set operations: X <= Y exactly when
 H(Y) is a subset of H(X).  The flats covered by X are the hyperplanes of the
 restricted arrangement A^X, the distinct traces of the others on X.
 The toric-arrangement report verifies, purely on cones, the statements that
-make the family of flat subfans an embedded copy of the poset.
+make the family of flat subfans an embedded copy of the poset.  It reads the
+fan's face table with one sign fold per face, whose cut test is the whole of
+the slice check, and finds the meet of two flats as the span of the top face
+their subfans share, which the complete fan's faces in the meet reach.
 """
 from __future__ import annotations
 
 import itertools
-from functools import cache, reduce
+from functools import reduce
 from operator import and_, or_
 from typing import NamedTuple, Sequence
 
@@ -49,11 +52,9 @@ class ToricArrangementReport(NamedTuple):
 
 
 def flat_from_constraints(rank: int, covectors: Sequence[Vec]) -> FlatSubspace:
-    """The flat annihilated by the given covectors (all of Z^rank when empty)."""
-    rows = [tuple(c) for c in covectors]
-    if not rows:
-        return FlatSubspace(dim=rank, basis=la.identity(rank))
-    basis = la.kernel_basis(rows)
+    """The flat annihilated by the given covectors, one elimination; with none,
+    the kernel of the zero row, all of Z^rank."""
+    basis = la.kernel_basis([tuple(c) for c in covectors] or [(0,) * rank])
     return FlatSubspace(dim=len(basis), basis=basis)
 
 
@@ -85,7 +86,7 @@ def intersection_poset(a: Arrangement) -> IntersectionPoset:
     costs one elimination.  Flats are sorted by dimension and basis.
     """
     r, covs = a.rank, a.positive_covectors
-    flats = {0: (flat_from_constraints(r, ()), ())}  # H(X) -> (X, rows cutting X out)
+    flats = {0: (FlatSubspace(r, la.identity(r)), ())}  # H(X) -> (X, rows cutting X out)
     found, covers = [0], []
     for held in found:  # `found` grows as it is read
         flat, rows = flats[held]
@@ -109,11 +110,6 @@ def intersection_poset(a: Arrangement) -> IntersectionPoset:
     )
 
 
-def _require_flat(a: Arrangement, e: FlatSubspace) -> None:
-    if flat_from_constraints(a.rank, _covectors(a, _held(a, e.basis))) != e:
-        raise BadReferenceError("subspace is not a flat of the arrangement")
-
-
 def restricted_arrangement(a: Arrangement, e: FlatSubspace) -> Arrangement:
     """The traces of the other hyperplanes on a flat, in the flat's own lattice.
 
@@ -121,7 +117,8 @@ def restricted_arrangement(a: Arrangement, e: FlatSubspace) -> Arrangement:
     is certified crystallographic.  The flat must belong to the poset and be
     nonzero.
     """
-    _require_flat(a, e)
+    if flat_from_constraints(a.rank, _covectors(a, _held(a, e.basis))) != e:
+        raise BadReferenceError("subspace is not a flat of the arrangement")
     if e.dim == 0:
         raise BadReferenceError("restriction to the zero flat has rank 0")
     if e.dim == a.rank:
@@ -164,58 +161,49 @@ def toric_arrangement_report(a: Arrangement) -> ToricArrangementReport:
     """Verify the cone-level statements tying flats to subfans.
 
     For every flat E let S(E) be the faces of the chamber fan contained in E.
-    Checked: (a) S(E n F) = S(E) n S(F) for all flat pairs; (b) slicing each
-    face by E's vanishing covectors lands on a face and reproduces S(E) (the
-    two descriptions of the flat subfan agree); (c) E <= F exactly when
-    S(E) <= S(F); (d) faces with equal span have identical star fans, all
-    projected through one quotient basis of that span (the flat of the face's
-    dimension held by the covectors vanishing on all its rays); and the top
-    dimension of S(E) equals dim E.  All read one face table of star cones,
-    ray masks and span masks H(span): a face lies in E when H(E) is in its
-    H(span), so S(E) is a face bitmask.  Failures raise CertificationError.
+    Checked: (a) S(E n G) = S(E) n S(G) for all flat pairs; (b) slicing each
+    face by E's vanishing covectors lands on a face and reproduces S(E);
+    (c) E <= G exactly when S(E) <= S(G); (d) faces with equal span have
+    identical star fans, all projected through one quotient basis of that
+    span; and the top dimension of S(E) equals dim E.  All read the face
+    table (`Fan.faces`) and one sign fold per face (`Arrangement.face_signs`),
+    whose covectors of neither sign are H(span): a face lies in E when H(E)
+    is in its H(span), so S(E) is a face bitmask.
+
+    (b) is the fold's cut test: faces are the subsets of simplicial cones, so
+    a face sliced to its rays in E is a face in E, and each face in E is its
+    own slice, unless a covector cuts a face's interior.  (a) checks each
+    flat to be the kernel of its own H(E), then reads S(E) n S(G), the faces
+    in E n G, which cover it as the fan is complete: their top face spans
+    E n G, so they must be the subfan of that span's flat.  Failures raise
+    CertificationError.
     """
     if not is_crystallographic(a).verdict:
         raise NotCrystallographicError("report requires a crystallographic arrangement")
     r, f, poset = a.rank, fan_from_arrangement(a), intersection_poset(a)
     held = [_held(a, flat.basis) for flat in poset.flats]
-    star: dict[tuple[int, ...], list[int]] = {}  # face -> the maximal cones holding it
-    for ci, cone in enumerate(f.max_cones):
-        for keep in itertools.product((False, True), repeat=len(cone)):
-            star.setdefault(tuple(itertools.compress(cone, keep)), []).append(ci)
-    faces = sorted(star, key=lambda c: (len(c), c))
-    signs = [a.ray_signs(ray) for ray in f.rays]
-    ray_masks = [sum(1 << i for i in face) for face in faces]
-    spans = []  # per face, H(span): the covectors vanishing on all its rays
-    for face in faces:
-        pos, neg, span = 0, 0, (1 << a.n_hyperplanes) - 1
-        for s in (signs[i] for i in face):
-            pos, neg, span = pos | s.pos, neg | s.neg, span & s.zeros
-        if pos & neg:
-            cov = a.positive_covectors[(pos & neg).bit_length() - 1]
-            raise CertificationError(f"covector {cov} cuts the interior of face {face}")
-        spans.append(span)
-    by_span: dict[int, int] = {}  # H(span) -> its faces, as a bitmask
+    flat_at = {h: k for k, h in enumerate(held)}
+    faces, everything = list(f.faces), (1 << a.n_hyperplanes) - 1
+    # (b) is the fold's cut test: no covector takes both signs on a face
+    folds = (a.face_signs(f.cone_vectors(face)) for face in faces)
+    spans = [everything & ~(pos | neg) for pos, neg in folds]  # per face, H(span)
+    by_span: dict[int, list[int]] = {}  # H(span) -> the indices of its faces
     for k, span in enumerate(spans):
-        by_span[span] = by_span.get(span, 0) | 1 << k
-    members = [reduce(or_, (m for s, m in by_span.items() if not h & ~s), 0) for h in held]
-
-    # (b) slicing each face by the flat's annihilating covectors is a face op
-    for e, h in zip(poset.flats, held):
-        inside = sum(1 << i for i, s in enumerate(signs) if not h & ~s.zeros)
-        if {m & inside for m in ray_masks} != {m for m in ray_masks if not m & ~inside}:
-            raise CertificationError(f"sliced faces disagree with containment for flat {e.basis}")
+        by_span.setdefault(span, []).append(k)
+    masks = [(span, sum(1 << k for k in ks)) for span, ks in by_span.items()]
+    members = [reduce(or_, (m for s, m in masks if not h & ~s), 0) for h in held]
 
     # (a) intersections of flats match intersections of subfans
-    @cache
-    def meet(h: int) -> Mat:  # the kernel of H(E) and H(G) together
-        return flat_from_constraints(r, _covectors(a, h)).basis
-    index_of = {flat.basis: i for i, flat in enumerate(poset.flats)}
+    for flat, h in zip(poset.flats, held):
+        if flat_from_constraints(r, _covectors(a, h)) != flat:
+            raise CertificationError(f"flat {flat.basis} is not cut out by its hyperplanes")
     for i, e in enumerate(poset.flats):
         for j in range(i, len(held)):
-            cap = index_of.get(meet(held[i] | held[j]))
+            common = members[i] & members[j]  # holds the origin, so it has a top face
+            cap = flat_at.get(spans[common.bit_length() - 1])
             if cap is None:
                 raise CertificationError("poset is not intersection-closed")
-            if members[cap] != members[i] & members[j]:
+            if members[cap] != common:
                 raise CertificationError(
                     f"subfan of intersection differs from intersection of subfans "
                     f"({e.basis} vs {poset.flats[j].basis})"
@@ -226,22 +214,20 @@ def toric_arrangement_report(a: Arrangement) -> ToricArrangementReport:
     if any((not hj & ~hi) != (mi & mj == mi) for (hi, mi), (hj, mj) in pairs):
         raise CertificationError("subfan inclusion does not mirror flat order")
 
-    # (d) equal spans give identical star fans, all in one quotient basis per span
-    flat_of = dict(zip(held, poset.flats))
-    by_flat: dict[Mat, list] = {}
-    for face, span in zip(faces, spans):
-        flat = flat_of.get(span)
-        if flat is None or flat.dim != len(face):
-            raise CertificationError(f"face {face} does not span a flat of its dimension")
-        by_flat.setdefault(flat.basis, []).append(face)
-    for span_basis, group in sorted(by_flat.items()):
-        kappa, _, _ = quotient_data(span_basis, r)
-        links = [[set(f.max_cones[c]).difference(face) for c in star[face]] for face in group]
+    # (d) equal spans give identical star fans, all in one quotient basis per span;
+    # the faces of one span share its dimension, as each face's rays are independent
+    for span, ks in by_span.items():
+        group, at = [faces[k] for k in ks], flat_at.get(span)
+        flat = None if at is None else poset.flats[at]
+        if flat is None or flat.dim != len(group[0]):
+            raise CertificationError(f"face {group[0]} does not span a flat of its dimension")
+        kappa, _, _ = quotient_data(flat.basis, r)
+        links = [[set(f.max_cones[c]).difference(face) for c in f.faces[face]] for face in group]
         image = {i: la.primitive(kappa(f.rays[i])) for i in set().union(*itertools.chain(*links))}
         stars = {frozenset(frozenset(map(image.get, link)) for link in cs) for cs in links}
         if len(stars) != 1:
             raise CertificationError(
-                f"faces spanning {span_basis} have {len(stars)} distinct star fans"
+                f"faces spanning {flat.basis} have {len(stars)} distinct star fans"
             )
 
     for flat, m in zip(poset.flats, members):

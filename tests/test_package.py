@@ -1,5 +1,6 @@
 """The package's public names and the semantics of its immutable records."""
 import importlib
+import itertools
 
 import pytest
 
@@ -13,6 +14,9 @@ from arrfan import (
     is_crystallographic,
     make_arrangement,
 )
+from arrfan.fan import fan_faces, load_fan
+
+from test_fan import LADDER
 
 # every name the package exported when it imported all of its modules eagerly
 OLD_EXPORTS = [
@@ -117,5 +121,23 @@ def test_tables_are_cached_per_instance():
     assert f.walls is f.walls
     assert f.normals is f.normals
     assert f.properties is f.properties
+    assert f.faces is f.faces
+    assert tuple(f.faces) == fan_faces(f)
     # an equal record built separately has its own tables
     assert catalog("A_3").chambers is not a.chambers
+
+
+# an octant, a plane cone and a ray: maximal cones of three dimensions
+IMPORTED = """{"rank": 3, "rays": [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [0, 0, 1], [0, 1, 0],
+              [1, 0, 0]], "max_cones": [[3, 4, 5], [0, 1], [2]]}"""
+
+
+@pytest.mark.parametrize("name", LADDER + ("imported",))
+def test_face_table_holds_each_faces_star(name):
+    f = load_fan(IMPORTED) if name == "imported" else fan_from_arrangement(catalog(name))
+    subsets = {s for c in f.max_cones for k in range(len(c) + 1)
+               for s in itertools.combinations(c, k)}
+    stars = [(face, tuple(i for i, c in enumerate(f.max_cones) if set(face) <= set(c)))
+             for face in sorted(subsets, key=lambda c: (len(c), c))]
+    assert list(f.faces.items()) == stars
+    assert tuple(f.faces) == fan_faces(f)

@@ -179,6 +179,13 @@ def test_phi_face_rows_equal_sign_vectors(name):
     assert list(phi_certificate(a).sign_vectors) == expected
 
 
+@pytest.mark.parametrize("name", ["A_2", "B_3", "C_3", "A_4", "D_4", "ngon:8:77", "ngon:10:1000"])
+def test_phi_invariant_factors_are_the_smith_form(name):
+    # the certificate reads the all-ones Smith form off its identity top block
+    cert = phi_certificate(catalog(name))
+    assert cert.invariant_factors == la.snf(cert.matrix)
+
+
 def test_phi_certificate():
     c11 = phi_certificate(make_arrangement(2, [(1, 0), (0, 1)]))
     assert len(c11.matrix) == 4

@@ -318,6 +318,46 @@ def test_toric_arrangement_report():
         toric_arrangement_report(make_arrangement(2, [(1, 0), (0, 1), (2, 1)]))
 
 
+def test_toric_report_makes_one_elimination_per_flat(monkeypatch):
+    # beyond the poset's own kernels, each flat is checked once against the
+    # kernel of its hyperplanes, and no meet of two flats is eliminated
+    calls = []
+
+    def kernel_basis(rows, kernel=la.kernel_basis):
+        calls.append(rows)
+        return kernel(rows)
+
+    a = catalog("D_4")
+    flats = intersection_poset(a).flats
+    monkeypatch.setattr(la, "kernel_basis", kernel_basis)
+    toric_arrangement_report(a)
+    assert len(calls) == (len(flats) - 1) + len(flats)
+
+
+BELL = {2: 5, 3: 15, 4: 52, 5: 203, 6: 877}           # set partitions of r + 1
+FUBINI = {2: 13, 3: 75, 4: 541, 5: 4683, 6: 47293}     # ordered set partitions of r + 1
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+def test_toric_report_closed_forms_type_a(r):
+    # flats of A_r are the set partitions of r + 1 coordinates and faces of its
+    # fan the ordered ones; the whole space holds every face, the origin alone
+    # holds one
+    rep = toric_arrangement_report(catalog(f"A_{r}"))
+    assert rep.flat_count == BELL[r]
+    assert rep.subfan_sizes[0] == 1
+    assert rep.subfan_sizes[-1] == FUBINI[r]
+
+
+@pytest.mark.parametrize("name, flats", [("D_5", 403), ("B_5", 648)])
+def test_toric_report_closed_forms_rank_5(name, flats):
+    a = catalog(name)
+    rep = toric_arrangement_report(a)
+    assert rep.flat_count == flats
+    assert rep.subfan_sizes[0] == 1
+    assert rep.subfan_sizes[-1] == len(fan_faces(fan_from_arrangement(a)))
+
+
 @pytest.mark.parametrize("name", LADDER + ("ngon:8:77", "ngon:10:1000"))
 def test_toric_arrangement_report_matches_reference(name):
     a = catalog(name)
