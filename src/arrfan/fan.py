@@ -16,6 +16,9 @@ toric-arrangement report.  Its normal table (`Fan.normals`) holds each
 maximal cone's primitive facet normals: the walk's wall covectors for a
 chamber fan, read off the walk once per arrangement.  The covering test
 (`Fan.overlap`) and the property verdict (`Fan.properties`) run once per fan.
+The automorphism search verifies the base cone's orderings and one ordering
+per further orbit of cones, and gets the rest of the group as products of
+ray permutations.
 """
 from __future__ import annotations
 
@@ -594,13 +597,19 @@ def insert_hyperplane(a: Arrangement, h: Sequence[int]) -> tuple[Fan, BlowupCert
 def fan_automorphisms(f: Fan) -> tuple[Mat, ...]:
     """All unimodular matrices mapping the ray set and the cone set to themselves.
 
-    Vectors transform as rows: v -> v*G.  Found by mapping one fixed maximal
-    cone's ordered generators to every ordered generator tuple of every
-    maximal cone.  A candidate sending the base cone to (K, ordering) sends
-    the base cone's wall j to K's wall at the image of generator j, so it
-    must send the ray across base wall j to the ray across that wall of K;
-    these r rays, read off the wall table, reject almost every candidate
-    before the determinant and the map of every ray verify the rest.
+    Vectors transform as rows: v -> v*G.  A linear map is fixed by where it
+    sends one full-rank cone's ordered generators, so the group acts freely
+    on (maximal cone, ordering) flags.  A candidate sending base cone 0 to
+    (K, ordering) must send the ray across base wall j to the ray across K's
+    wall at the image of generator j; these r rays, read off the wall table,
+    reject almost every candidate before the determinant and the map of every
+    ray and cone verify the rest.  All r! orderings of the base cone are
+    verified, which gives its whole stabiliser S.  Each later cone outside the
+    orbit of the base cone under the group found so far has its orderings
+    tried until one passes, which becomes a generator; when none passes, no
+    automorphism reaches that cone.  Every automorphism g is then s*t_K with
+    s in S and t_K the found element sending the base cone to K = g(base),
+    so the products s*t_K, held as ray permutations, are the whole group.
     Requires a complete fan.
     """
     if f.rank == 0:
@@ -610,31 +619,51 @@ def fan_automorphisms(f: Fan) -> tuple[Mat, ...]:
     for (a, j), (b, k) in f.walls.values():
         across[a][j] = f.max_cones[b][k]
         across[b][k] = f.max_cones[a][j]
-    binv, d = la.scaled_inverse(f.cone_vectors(f.max_cones[0]))  # base * binv = d * I
+    base = f.max_cones[0]
+    binv, d = la.scaled_inverse(f.cone_vectors(base))  # base * binv = d * I
     base_across = [f.rays[i] for i in across[0]]
     ray_index = {v: i for i, v in enumerate(f.rays)}
-    cone_set = set(f.max_cones)
-    found = set()
-    for ci, cone in enumerate(f.max_cones):
-        for perm in itertools.permutations(range(f.rank)):
-            g = la.mat_mul(binv, [f.rays[cone[p]] for p in perm])
-            if any(x % d for row in g for x in row):
-                continue
-            gi = tuple(tuple(x // d for x in row) for row in g)
-            if any(
-                la.vec_mat(v, gi) != f.rays[across[ci][p]]
-                for v, p in zip(base_across, perm)
-            ):
-                continue
-            if abs(la.det(gi)) != 1:
-                continue
-            images = [la.vec_mat(v, gi) for v in f.rays]
-            if any(w not in ray_index for w in images):
-                continue
-            perm_map = [ray_index[w] for w in images]
-            if all(
-                tuple(sorted(perm_map[i] for i in cone2)) in cone_set
-                for cone2 in f.max_cones
-            ):
-                found.add(gi)
-    return tuple(sorted(found))
+    cone_index = {c: i for i, c in enumerate(f.max_cones)}
+
+    def matrix(images: Sequence[int]) -> Mat | None:
+        g = la.mat_mul(binv, [f.rays[i] for i in images])
+        if any(x % d for row in g for x in row):
+            return None
+        return tuple(tuple(x // d for x in row) for row in g)
+
+    def verified(ci: int, perm: Sequence[int]) -> tuple[int, ...] | None:
+        """Ray permutation of base generator j -> generator perm[j] of ci, if an automorphism."""
+        gi = matrix([f.max_cones[ci][p] for p in perm])
+        if (
+            gi is None
+            or any(la.vec_mat(v, gi) != f.rays[across[ci][p]] for v, p in zip(base_across, perm))
+            or abs(la.det(gi)) != 1
+        ):
+            return None
+        perm_map = tuple(ray_index.get(la.vec_mat(v, gi)) for v in f.rays)
+        if None in perm_map:
+            return None
+        cones_kept = all(tuple(sorted(perm_map[i] for i in c)) in cone_index for c in f.max_cones)
+        return perm_map if cones_kept else None
+
+    orderings = list(itertools.permutations(range(f.rank)))
+    stabiliser = [p for p in (verified(0, perm) for perm in orderings) if p is not None]
+    gens = list(stabiliser)
+    orbit = {0: tuple(range(len(f.rays)))}  # orbit cone -> a found element sending base to it
+    for ci in range(1, len(f.max_cones)):
+        if ci in orbit:
+            continue
+        g = next((p for p in (verified(ci, perm) for perm in orderings) if p is not None), None)
+        if g is None:
+            continue
+        gens.append(g)
+        queue = list(orbit)
+        for k in queue:
+            for h in gens:
+                image = cone_index[tuple(sorted(h[i] for i in f.max_cones[k]))]
+                if image not in orbit:
+                    orbit[image] = tuple(h[i] for i in orbit[k])
+                    queue.append(image)
+    return tuple(sorted(
+        matrix([t[s[i]] for i in base]) for s in stabiliser for t in orbit.values()
+    ))

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -529,17 +530,123 @@ def test_face_check_matches_reference_on_random_cones(data):
         assert checked == f
 
 
-def test_automorphisms_of_a_singular_fan():
-    """The base cone has |det| 2, so candidates need divisibility by d = 2."""
+def singular_fan():
+    """A centrally symmetric rank-2 fan with a cone of |det| 2."""
     from arrfan.surface import symmetrize
 
-    sy = symmetrize(
+    return symmetrize(
         make_fan(2, [[(1, 0), (0, 1)], [(0, 1), (-1, 2)], [(-1, 2), (0, -1)], [(0, -1), (1, 0)]])
     )
+
+
+def test_automorphisms_of_a_singular_fan():
+    """The base cone has |det| 2, so candidates need divisibility by d = 2."""
+    sy = singular_fan()
     assert la.scaled_inverse(sy.cone_vectors(sy.max_cones[0]))[1] == 2
     autos = fan_automorphisms(sy)
     assert autos == ref_fan_automorphisms(sy)
     assert ((-1, 0), (0, -1)) in autos and len(autos) == 4
+
+
+def _assert_automorphisms(f, autos, budget=10**6):
+    """The matrices are distinct, and each is unimodular and maps the ray set
+    and the cone set onto themselves.
+
+    Each matrix is checked up to `budget` cone images in all, and an evenly
+    strided sample of the matrices beyond it (A_6, B_5 and D_5).
+    """
+    assert len(set(autos)) == len(autos)
+    index = {v: i for i, v in enumerate(f.rays)}
+    cones = set(f.max_cones)
+    for g in autos[:: max(1, len(autos) * len(cones) // budget)]:
+        assert abs(la.det(g)) == 1
+        images = [index.get(la.vec_mat(v, g)) for v in f.rays]
+        assert set(images) == set(range(len(f.rays)))
+        assert {tuple(sorted(images[i] for i in c)) for c in f.max_cones} == cones
+
+
+WEYL_AUTOMORPHISM_ORDERS = (
+    [(f"A_{n}", 2 * math.factorial(n + 1)) for n in range(2, 7)]
+    + [(f"B_{n}", 2**n * math.factorial(n)) for n in range(2, 6)]
+    + [(f"C_{n}", 2**n * math.factorial(n)) for n in (3, 4)]
+    + [("D_4", 1152), ("D_5", 3840)]
+)
+
+
+@pytest.mark.parametrize("name, order", WEYL_AUTOMORPHISM_ORDERS)
+def test_automorphism_group_orders_in_closed_form(name, order):
+    """The Weyl group extended by the diagram symmetries, on the loaded chamber fans."""
+    f = load_fan(json.dumps(fan_to_json(fan_from_arrangement(catalog(name)))))
+    autos = fan_automorphisms(f)
+    assert len(autos) == order
+    _assert_automorphisms(f, autos)
+
+
+def test_automorphism_search_verifies_few_candidates(monkeypatch):
+    """On A_5's fan only the base cone's 120 orderings and a few more are verified.
+
+    The other elements of the order-1440 group are products of verified
+    ones, one matrix product each; trying every (cone, ordering) flag made
+    1,440 determinants and 86,400 matrix products.
+    """
+    f = fan_from_arrangement(catalog("A_5"))
+    calls = {n: _count_calls(monkeypatch, n) for n in ("det", "mat_mul")}
+    assert len(fan_automorphisms(f)) == 1440
+    assert len(calls["det"]) < 100 and len(calls["mat_mul"]) < 5000
+
+
+def _star_subdivided(name):
+    f = fan_from_arrangement(catalog(name))
+    return star_subdivide(f, f.max_cones[0])
+
+
+def _flipped(name, *facet):
+    """`name`'s chamber fan with the wall on `facet` flipped.
+
+    The cones (x, y, c) and (x, y, d) on the facet (x, y) become (x, c, d)
+    and (y, c, d).  The rays stay, so a symmetry of the chamber fan that
+    moves this wall maps every ray to a ray and only the cone check rejects it.
+    """
+    f = fan_from_arrangement(catalog(name))
+    x, y = _cone_of(f, *facet)
+    (a, j), (b, k) = f.walls[(x, y)]
+    c, d = f.max_cones[a][j], f.max_cones[b][k]
+    cones = [f.cone_vectors(cone) for i, cone in enumerate(f.max_cones) if i not in (a, b)]
+    return make_fan(3, cones + [f.cone_vectors((x, c, d)), f.cone_vectors((y, c, d))])
+
+
+@pytest.mark.parametrize(
+    "build, order, orbit_size",
+    [
+        (functools.partial(_star_subdivided, "A_3"), 2, 2),
+        (functools.partial(_star_subdivided, "B_3"), 1, 1),
+        (lambda: fan_from_arrangement(catalog("ngon:8:77")), 2, 2),
+        (lambda: fan_from_arrangement(catalog("ngon:10:1000")), 2, 2),
+        (singular_fan, 4, 2),
+        (functools.partial(_flipped, "A_3", (-1, 0, 0), (0, 0, -1)), 4, 4),
+        (functools.partial(_flipped, "B_3", (-2, 0, 1), (0, -1, 1)), 2, 2),
+    ],
+    ids=["A_3-subdivided", "B_3-subdivided", "ngon:8:77", "ngon:10:1000", "singular",
+         "A_3-flipped", "B_3-flipped"],
+)
+def test_automorphisms_with_several_cone_orbits_match_reference(build, order, orbit_size):
+    """Fans whose group moves the base cone through some cones and not others.
+
+    The search skips the cones in the base cone's orbit (all but B_3's
+    subdivision, whose group is trivial) and finds that no ordering of any
+    other cone passes.  On the flipped fans the chamber fan's other
+    symmetries pass every check but the one on cones.
+    """
+    f = build()
+    autos = fan_automorphisms(f)
+    assert autos == ref_fan_automorphisms(f)
+    index = {v: i for i, v in enumerate(f.rays)}
+    orbit = {
+        tuple(sorted(index[la.vec_mat(v, g)] for v in f.cone_vectors(f.max_cones[0])))
+        for g in autos
+    }
+    assert (len(autos), len(orbit)) == (order, orbit_size) and orbit_size < len(f.max_cones)
+    _assert_automorphisms(f, autos)
 
 
 def test_failing_fans_match_reference_witnesses():
@@ -551,11 +658,7 @@ def test_failing_fans_match_reference_witnesses():
     first lower-dimensional cone is smooth although the d of its inverse, one
     maximal minor, is 2.
     """
-    from arrfan.surface import symmetrize
-
-    singular = symmetrize(
-        make_fan(2, [[(1, 0), (0, 1)], [(0, 1), (-1, 2)], [(-1, 2), (0, -1)], [(0, -1), (1, 0)]])
-    )
+    singular = singular_fan()
     a3 = fan_from_arrangement(catalog("A_3"))
     missing = make_fan(3, [a3.cone_vectors(c) for c in a3.max_cones[1:]], check_faces=False)
     cone = a3.cone_vectors(a3.max_cones[0])
