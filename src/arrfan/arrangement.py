@@ -11,12 +11,11 @@ from __future__ import annotations
 import json
 import re
 from collections import deque
-from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import count
 from math import lcm
 from operator import and_
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import intlinalg as la
 from .errors import (
@@ -28,6 +27,9 @@ from .errors import (
     NotSimplicialError,
 )
 from .intlinalg import Mat, Vec
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class RaySigns(NamedTuple):
@@ -141,8 +143,8 @@ def make_arrangement(rank: int, covectors: Sequence[Sequence[int]]) -> Arrangeme
         if v in seen:
             raise InputFormatError(f"parallel covector pair at {v}")
         seen.add(v)
-    # the row lattice is Z^r exactly when its Hermite form starts with the identity
-    if len(canon) < rank or la.hnf(canon)[0][:rank] != la.identity(rank):
+    # the row lattice is Z^r exactly when its Hermite basis is the identity
+    if len(canon) < rank or la.hermite_basis(canon) != la.identity(rank):
         raise LatticeSpanError("covectors do not generate the full integer lattice")
     return Arrangement(rank=rank, positive_covectors=tuple(sorted(canon)))
 
@@ -377,6 +379,8 @@ def is_crystallographic(a: Arrangement) -> CrystallographicReport:
         diag = [sign * col[i] for (i, sign), col in zip(k.basis, cols)]
         for m, root in enumerate(a.positive_covectors):
             if any(col[m] % d for col, d in zip(cols, diag)):
+                from fractions import Fraction
+
                 coords = tuple(Fraction(col[m], d) for col, d in zip(cols, diag))
                 return CrystallographicReport(False, (k.index, root, coords))
     return CrystallographicReport(True, None)

@@ -8,7 +8,7 @@ Timing goes to stderr so stdout stays byte-identical across runs.
 
 Each command imports the library modules it uses when it runs, so a process
 loads and compiles only those: `catalog` and `verify` need `arrangement` and
-`intlinalg`, the fan commands add `fan`, and so on.
+`intlinalg`, the fan commands add `fan`, `poset` adds only `poset`, and so on.
 """
 from __future__ import annotations
 

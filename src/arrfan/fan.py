@@ -91,7 +91,8 @@ class Fan(_FanFields):
 
         Normal j vanishes on every generator but the j-th and is positive on
         that one.  Computed once per fan; cones share one tuple per distinct
-        normal.  `fan_from_arrangement` fills the table from the walk instead.
+        normal.  `make_fan` fills the table from its simplicial check, and
+        `fan_from_arrangement` from the walk.
         """
         shared: dict[Vec, Vec] = {}
         return tuple(
@@ -208,9 +209,12 @@ def make_fan(
     """Canonical fan from maximal cones given as generator collections.
 
     Rays are deduplicated and sorted; cones become sorted index tuples, sorted
-    among themselves.  Every listed cone must be simplicial (independent
-    generators).  With check_faces=True any two cones that do not meet in a
-    common face raise MalformedFanError.  A pure full-dimensional input whose
+    among themselves.  Each distinct ray is checked once, in order of first
+    occurrence.  Every listed cone must be simplicial (independent
+    generators): its one elimination, `la.dual_rays`, fails on a singular
+    cone and otherwise gives the cone's row of `Fan.normals`.  With
+    check_faces=True any two cones that do not meet in a common face raise
+    MalformedFanError.  A pure full-dimensional input whose
     facets each lie in exactly two cones is checked through the wall table:
     opposite sides at every facet and one cone over a generic point, which is
     O(C·r) facet work over the fan's inverse table.  Any other input (an
@@ -221,21 +225,26 @@ def make_fan(
     cone_vecs = [tuple(tuple(v) for v in cone) for cone in cones]
     if rank == 0:
         return Fan(rank=0, rays=(), max_cones=((),))
-    for cone in cone_vecs:
-        for v in cone:
-            if len(v) != rank:
-                raise InputFormatError(f"ray {v} does not have length {rank}")
-            if all(x == 0 for x in v):
-                raise InputFormatError("zero ray")
-            if v != la.primitive(v):
-                raise InputFormatError(f"ray {v} is not primitive")
-    rays = sorted({v for cone in cone_vecs for v in cone})
+    distinct = dict.fromkeys(v for cone in cone_vecs for v in cone)  # first-occurrence order
+    for v in distinct:
+        if len(v) != rank:
+            raise InputFormatError(f"ray {v} does not have length {rank}")
+        if all(x == 0 for x in v):
+            raise InputFormatError("zero ray")
+        if v != la.primitive(v):
+            raise InputFormatError(f"ray {v} is not primitive")
+    rays = sorted(distinct)
     index = {v: i for i, v in enumerate(rays)}
     cone_idx = sorted({tuple(sorted({index[v] for v in cone})) for cone in cone_vecs})
+    shared: dict[Vec, Vec] = {}  # one tuple per distinct normal, as in `Fan.normals`
+    normals = []
     for cone in cone_idx:
         gens = [rays[i] for i in cone]
-        if la.rank(gens) != len(gens):
-            raise NotSimplicialError(f"cone {gens} is not simplicial")
+        try:  # the cone's one elimination: singular exactly when not simplicial
+            hs = la.dual_rays(gens)
+        except ValueError:
+            raise NotSimplicialError(f"cone {gens} is not simplicial") from None
+        normals.append(tuple(shared.setdefault(h, h) for h in hs))
     # distinct cones of one size never contain each other, so a pure fan skips this
     by_size: dict[int, list[frozenset]] = {}
     for cone in cone_idx:
@@ -244,6 +253,7 @@ def make_fan(
         if any(s <= b for s in by_size[lo] for b in by_size[hi]):
             raise InputFormatError("listed cones must be mutually maximal")
     f = Fan(rank=rank, rays=tuple(rays), max_cones=tuple(cone_idx))
+    vars(f)["normals"] = tuple(normals)
     if check_faces:
         pair = f.overlap if f.overlap != () else _pairwise_overlap(f)
         if pair is not None:

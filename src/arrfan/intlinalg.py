@@ -5,12 +5,15 @@ or fraction enters any computation, so every returned value is exact.  Rank
 and determinant read one fraction-free (Bareiss) elimination; one integer
 inverse on top of it, `scaled_inverse` (m*D = d*I), serves inverses, linear
 solves and a simplicial cone's dual rays (facet normals, inequality rows).
-Matrices are sequences of equal-length rows and are returned as tuples of
-tuples.
+Hermite forms come from one loop, which carries the transform only for
+`hnf`: `hermite_basis`, and with it the second step of `kernel_basis` and
+`saturation_basis`, reduces without building it.  Matrices are sequences of
+equal-length rows and are returned as tuples of tuples.
 """
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import NonPointedError
@@ -64,11 +67,12 @@ def vec_scale(c: int, u: Sequence[int]) -> Vec:
 
 def vec_mat(v: Sequence, m: Sequence[Sequence]) -> tuple:
     """Row vector times matrix."""
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
+    return tuple(sum(map(mul, v, col)) for col in zip(*m))
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
-    return tuple(vec_mat(row, b) for row in a)
+    cols = list(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def primitive(v: Sequence[int]) -> Vec:
@@ -76,12 +80,10 @@ def primitive(v: Sequence[int]) -> Vec:
 
     Raises ValueError on the zero vector.
     """
-    g = 0
-    for a in v:
-        g = gcd(g, a)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(a // g for a in v)
+    return tuple(v) if g == 1 else tuple(a // g for a in v)
 
 
 def canonical_sign(v: Sequence[int]) -> Vec:
@@ -143,23 +145,17 @@ def rank(m: Sequence[Sequence[int]]) -> int:
     return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
-def _row_sub(h: list[list[int]], u: list[list[int]], i: int, j: int, q: int) -> None:
+def _row_sub(h: list[list[int]], u: list[list[int]] | None, i: int, j: int, q: int) -> None:
     h[i] = [x - q * y for x, y in zip(h[i], h[j])]
-    u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+    if u is not None:
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
 
-def hnf(m: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
-    """Row-style Hermite normal form.
-
-    Returns (H, U) with H = U*m, U unimodular, pivots positive, entries above
-    each pivot reduced into [0, pivot), and zero rows at the bottom.  H is the
-    canonical representative of the row lattice of m, so two matrices with
-    equal row lattices (and equal row counts) produce identical H.
-    """
-    h = _rows(m)
+def _hermite(h: list[list[int]], u: list[list[int]] | None) -> None:
+    """Reduce h in place to row-style Hermite normal form, applying every row
+    operation to u as well unless u is None."""
     nrows = len(h)
     ncols = len(h[0]) if nrows else 0
-    u = [list(r) for r in identity(nrows)]
     piv = 0
     for c in range(ncols):
         if piv >= nrows:
@@ -171,7 +167,8 @@ def hnf(m: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
             i0 = min(nz, key=lambda i: (abs(h[i][c]), i))
             if i0 != piv:
                 h[piv], h[i0] = h[i0], h[piv]
-                u[piv], u[i0] = u[i0], u[piv]
+                if u is not None:
+                    u[piv], u[i0] = u[i0], u[piv]
             done = True
             for i in range(piv + 1, nrows):
                 if h[i][c] != 0:
@@ -184,13 +181,35 @@ def hnf(m: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
         if piv < nrows and h[piv][c] != 0:
             if h[piv][c] < 0:
                 h[piv] = [-x for x in h[piv]]
-                u[piv] = [-x for x in u[piv]]
+                if u is not None:
+                    u[piv] = [-x for x in u[piv]]
             for i in range(piv):
                 q = h[i][c] // h[piv][c]
                 if q:
                     _row_sub(h, u, i, piv, q)
             piv += 1
+
+
+def hnf(m: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
+    """Row-style Hermite normal form.
+
+    Returns (H, U) with H = U*m, U unimodular, pivots positive, entries above
+    each pivot reduced into [0, pivot), and zero rows at the bottom.  H is the
+    canonical representative of the row lattice of m, so two matrices with
+    equal row lattices (and equal row counts) produce identical H.
+    """
+    h = _rows(m)
+    u = [list(r) for r in identity(len(h))]
+    _hermite(h, u)
     return freeze(h), freeze(u)
+
+
+def hermite_basis(m: Sequence[Sequence[int]]) -> Mat:
+    """The nonzero rows of `hnf(m)`'s H: the canonical basis of the row
+    lattice of m, reduced without building the transform."""
+    h = _rows(m)
+    _hermite(h, None)
+    return tuple(tuple(r) for r in h if any(r))
 
 
 def snf_with_transforms(m: Sequence[Sequence[int]]) -> tuple[Mat, Mat, Mat]:
@@ -322,11 +341,7 @@ def kernel_basis(m: Sequence[Sequence[int]]) -> Mat:
     if not rows:
         raise ValueError("kernel of an empty matrix is ambiguous")
     h, u = hnf(transpose(rows))
-    ker = [u[i] for i in range(len(h)) if all(x == 0 for x in h[i])]
-    if not ker:
-        return ()
-    h2, _ = hnf(ker)
-    return tuple(r for r in h2 if any(x != 0 for x in r))
+    return hermite_basis([u[i] for i in range(len(h)) if not any(h[i])])
 
 
 def complete_to_basis(rows: Sequence[Sequence[int]], ambient: int) -> tuple[Mat, Mat, int]:
@@ -351,10 +366,7 @@ def complete_to_basis(rows: Sequence[Sequence[int]], ambient: int) -> tuple[Mat,
 def saturation_basis(rows: Sequence[Sequence[int]], ambient: int) -> Mat:
     """Hermite-canonical basis of the saturation of a row lattice."""
     w, _, k = complete_to_basis(rows, ambient)
-    if k == 0:
-        return ()
-    h, _ = hnf(w[:k])
-    return tuple(r for r in h if any(x != 0 for x in r))
+    return hermite_basis(w[:k])
 
 
 def _dedup(vectors: Iterable[Vec]) -> list[Vec]:

@@ -6,12 +6,16 @@ of flats is equality of basis rows.  A flat X is also the intersection of
 the set H(X) of hyperplanes containing it, held as an int bitmask over the
 covectors, so order and containment are set operations: X <= Y exactly when
 H(Y) is a subset of H(X).  The flats covered by X are the hyperplanes of the
-restricted arrangement A^X, the distinct traces of the others on X.
+restricted arrangement A^X, the distinct traces of the others on X, and each
+is built from X's basis with a kernel of one row and one Hermite reduction.
+Only the functions that read fans import `fan`, so `intersection_poset`
+loads no fan code.
 The toric-arrangement report verifies, purely on cones, the statements that
 make the family of flat subfans an embedded copy of the poset.  It reads the
 fan's face table with one sign fold per face, whose cut test is the whole of
 the slice check, and finds the meet of two flats as the span of the top face
-their subfans share, which the complete fan's faces in the meet reach.
+their subfans share, which the complete fan's faces in the meet reach, and
+checks the order once per cover pair.
 """
 from __future__ import annotations
 
@@ -23,14 +27,6 @@ from typing import NamedTuple, Sequence
 from . import intlinalg as la
 from .arrangement import Arrangement, is_crystallographic, make_arrangement
 from .errors import BadReferenceError, CertificationError, NotCrystallographicError
-from .fan import (
-    _require_face,
-    fan_from_arrangement,
-    quotient_data,
-    restrict_fan,
-    roots_from_fan,
-    star_fan,
-)
 from .intlinalg import Mat, Vec
 
 
@@ -80,32 +76,35 @@ def intersection_poset(a: Arrangement) -> IntersectionPoset:
     One pass per flat X, keyed by the set H(X) of hyperplanes containing it,
     from the whole space down.  The traces on X of the other hyperplanes,
     their values on X's basis rows up to scale, are the restricted
-    arrangement A^X, and each trace is one flat Y covered by X: H(Y) is H(X)
-    with the hyperplanes of that trace.  A new Y is the kernel of the codim X
-    rows that cut X out plus one of them, so each flat below the whole space
-    costs one elimination.  Flats are sorted by dimension and basis.
+    arrangement A^X, and each trace t is one flat Y covered by X: H(Y) is
+    H(X) with the hyperplanes of that trace.  X's basis B is a Z-basis of
+    X n Z^r, as X is saturated, so x*B runs over X n Z^r as x runs over
+    Z^dim X, and x*B lies in Y exactly when t(x) = 0.  The kernel K of t is
+    saturated, so K*B is a Z-basis of Y n Z^r, and its Hermite form is Y's
+    canonical basis: each flat below the whole space costs one kernel of
+    one row and one Hermite reduction.  Flats are sorted by dimension and
+    basis.
     """
-    r, covs = a.rank, a.positive_covectors
-    flats = {0: (FlatSubspace(r, la.identity(r)), ())}  # H(X) -> (X, rows cutting X out)
+    flats = {0: FlatSubspace(a.rank, la.identity(a.rank))}  # H(X) -> X
     found, covers = [0], []
     for held in found:  # `found` grows as it is read
-        flat, rows = flats[held]
+        flat = flats[held]
         values = [a.ray_signs(row).values for row in flat.basis]
         traces: dict[Vec, int] = {}
-        for i in range(len(covs)):
+        for i, column in enumerate(zip(*values)):
             if not held >> i & 1:
-                trace = la.canonical_sign(la.primitive([v[i] for v in values]))
+                trace = la.canonical_sign(la.primitive(column))
                 traces[trace] = traces.get(trace, 0) | 1 << i
-        for g in traces.values():
+        for trace, g in traces.items():
             if held | g not in flats:
-                cut = rows + (covs[g.bit_length() - 1],)
-                flats[held | g] = (flat_from_constraints(r, cut), cut)
+                basis = la.hermite_basis(la.mat_mul(la.kernel_basis([trace]), flat.basis))
+                flats[held | g] = FlatSubspace(len(basis), basis)
                 found.append(held | g)
             covers.append((held | g, held))
-    order = sorted(flats, key=lambda h: (flats[h][0].dim, flats[h][0].basis))
+    order = sorted(flats, key=lambda h: (flats[h].dim, flats[h].basis))
     index = {h: k for k, h in enumerate(order)}
     return IntersectionPoset(
-        flats=tuple(flats[h][0] for h in order),
+        flats=tuple(flats[h] for h in order),
         cover_pairs=tuple(sorted((index[low], index[high]) for low, high in covers)),
     )
 
@@ -123,6 +122,8 @@ def restricted_arrangement(a: Arrangement, e: FlatSubspace) -> Arrangement:
         raise BadReferenceError("restriction to the zero flat has rank 0")
     if e.dim == a.rank:
         return a
+    from .fan import fan_from_arrangement, restrict_fan, roots_from_fan
+
     return roots_from_fan(restrict_fan(fan_from_arrangement(a), e.basis))
 
 
@@ -134,6 +135,8 @@ def parabolic_arrangement(a: Arrangement, delta: Sequence[int]) -> Arrangement:
     covectors of the star fan at delta (the two descriptions of the same
     arrangement), using the same deterministic quotient basis.
     """
+    from .fan import _require_face, fan_from_arrangement, quotient_data, roots_from_fan, star_fan
+
     f = fan_from_arrangement(a)
     dl = _require_face(f, delta)
     if not dl:
@@ -175,9 +178,16 @@ def toric_arrangement_report(a: Arrangement) -> ToricArrangementReport:
     own slice, unless a covector cuts a face's interior.  (a) checks each
     flat to be the kernel of its own H(E), then reads S(E) n S(G), the faces
     in E n G, which cover it as the fan is complete: their top face spans
-    E n G, so they must be the subfan of that span's flat.  Failures raise
-    CertificationError.
+    E n G, so they must be the subfan of that span's flat.  (c) reads the
+    order off the covers: E <= G exactly when a chain of covers leads from E
+    up to G, as the flats are graded by dimension.  (=>) is then one subset
+    test per cover pair, since inclusion of subfans is transitive.  (<=)
+    needs no test of its own: the top face of S(E) has dimension dim E, by
+    the dimension check, and lies in E, so it spans E; when it lies in S(G),
+    E is inside G.  Failures raise CertificationError.
     """
+    from .fan import fan_from_arrangement, quotient_data
+
     if not is_crystallographic(a).verdict:
         raise NotCrystallographicError("report requires a crystallographic arrangement")
     r, f, poset = a.rank, fan_from_arrangement(a), intersection_poset(a)
@@ -209,11 +219,6 @@ def toric_arrangement_report(a: Arrangement) -> ToricArrangementReport:
                     f"({e.basis} vs {poset.flats[j].basis})"
                 )
 
-    # (c) order isomorphism onto the image: E <= G exactly when H(G) is in H(E)
-    pairs = itertools.product(zip(held, members), repeat=2)
-    if any((not hj & ~hi) != (mi & mj == mi) for (hi, mi), (hj, mj) in pairs):
-        raise CertificationError("subfan inclusion does not mirror flat order")
-
     # (d) equal spans give identical star fans, all in one quotient basis per span;
     # the faces of one span share its dimension, as each face's rays are independent
     for span, ks in by_span.items():
@@ -236,6 +241,11 @@ def toric_arrangement_report(a: Arrangement) -> ToricArrangementReport:
             raise CertificationError(
                 f"subfan of flat {flat.basis} has top dimension {top}, not {flat.dim}"
             )
+
+    # (c) order isomorphism onto the image, after the dimension check that gives
+    # (<=): (=>) is one subset test per cover pair
+    if any(members[low] & ~members[high] for low, high in poset.cover_pairs):
+        raise CertificationError("subfan inclusion does not mirror flat order")
     return ToricArrangementReport(
         flat_count=len(poset.flats),
         subfan_dims=tuple(flat.dim for flat in poset.flats),

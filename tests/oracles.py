@@ -510,7 +510,7 @@ def ref_toric_arrangement_report(a):
     from arrfan import intlinalg as la
     from arrfan.arrangement import is_crystallographic
     from arrfan.errors import CertificationError, NotCrystallographicError
-    from arrfan.fan import fan_faces, fan_from_arrangement
+    from arrfan.fan import fan_faces, fan_from_arrangement, quotient_data
     from arrfan.poset import (
         FlatSubspace,
         ToricArrangementReport,
@@ -518,7 +518,6 @@ def ref_toric_arrangement_report(a):
         _held,
         flat_from_constraints,
         intersection_poset,
-        quotient_data,
     )
 
     if not is_crystallographic(a).verdict:

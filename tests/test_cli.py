@@ -540,10 +540,11 @@ def _imports_of(tmp_path, *argv):
         (["catalog", "A_2"], set()),
         (["verify", "a2.json"], set()),
         (["fan", "a2.json"], {"fan"}),
-        (["poset", "a2.json"], {"fan", "poset"}),
+        (["poset", "a2.json"], {"poset"}),
         (["roots", "a2.fan.json"], {"fan"}),
         (["surface", "graph", "a2.fan.json"], {"fan", "surface"}),
         (["plot", "a2.json"], {"svgplot"}),
+        (["parabolic", "a2.json", "--cone", "0"], {"fan", "poset"}),
     ],
 )
 def test_each_command_imports_only_its_modules(tmp_path, capsys, argv, extra):
@@ -556,3 +557,6 @@ def test_each_command_imports_only_its_modules(tmp_path, capsys, argv, extra):
         f"arrfan.{m}" for m in extra
     }
     assert not loaded & {"dataclasses", "inspect"}
+    # only plotting computes with fractions; a witness of non-integrality would too
+    if argv[0] != "plot":
+        assert "fractions" not in loaded

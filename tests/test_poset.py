@@ -12,7 +12,7 @@ from arrfan.errors import (
     NotCrystallographicError,
     NotSimplicialError,
 )
-from arrfan.fan import fan_faces, fan_from_arrangement, roots_from_fan, star_fan
+from arrfan.fan import fan_faces, fan_from_arrangement, quotient_data, roots_from_fan, star_fan
 from arrfan.poset import (
     FlatSubspace,
     flat_from_constraints,
@@ -20,7 +20,6 @@ from arrfan.poset import (
     intersection_poset,
     parabolic_arrangement,
     poset_to_json,
-    quotient_data,
     restricted_arrangement,
     toric_arrangement_report,
 )
@@ -99,8 +98,8 @@ def test_zaslavsky_count_from_covers():
     for name in LADDER + tuple(ngons):
         a = catalog(name)
         assert _zaslavsky_count(intersection_poset(a)) == len(a.chambers), name
-    # the larger rungs, with their flat counts (A_6: the Bell number B_7)
-    for name, flats in (("D_5", 403), ("B_5", 648), ("A_6", 877)):
+    # the larger rungs, with their flat counts (A_6, A_7: the Bell numbers B_7, B_8)
+    for name, flats in (("D_5", 403), ("B_5", 648), ("A_6", 877), ("A_7", 4140)):
         a = catalog(name)
         p = intersection_poset(a)
         assert len(p.flats) == flats, name
@@ -409,6 +408,24 @@ def test_toric_report_rejects_another_flat_basis(monkeypatch, name):
     _both_reject(catalog(name))
 
 
+@pytest.mark.parametrize("name", ["A_3", "B_3"])
+def test_toric_report_rejects_a_false_cover(monkeypatch, name):
+    # one cover pair redirected to a flat of the same dimension that does not
+    # contain the lower flat; only the cover check reads the cover pairs
+    def redirected(a):
+        p = intersection_poset(a)
+        at = next(k for k, (low, _) in enumerate(p.cover_pairs) if p.flats[low].dim == 1)
+        low, high = p.cover_pairs[at]
+        other = next(k for k, flat in enumerate(p.flats)
+                     if flat.dim == p.flats[high].dim and not ref_flat_leq(p.flats[low], flat))
+        covers = p.cover_pairs[:at] + ((low, other),) + p.cover_pairs[at + 1:]
+        return p._replace(cover_pairs=covers)
+
+    monkeypatch.setattr(poset, "intersection_poset", redirected)
+    with pytest.raises(CertificationError, match="does not mirror flat order"):
+        toric_arrangement_report(catalog(name))
+
+
 @pytest.mark.parametrize("name", ["A_3", "B_3", "A_4"])
 def test_toric_report_rejects_stars_in_different_bases(monkeypatch, name):
     # a ray is projected through a sheared quotient basis when it is
@@ -423,7 +440,9 @@ def test_toric_report_rejects_stars_in_different_bases(monkeypatch, name):
 
         return project, lifts, d
 
-    monkeypatch.setattr(poset, "quotient_data", sheared)
+    import arrfan.fan
+
+    monkeypatch.setattr(arrfan.fan, "quotient_data", sheared)
     _both_reject(catalog(name))
 
 
