@@ -14,7 +14,7 @@ from collections import deque
 from functools import cache, cached_property, reduce
 from itertools import count
 from math import lcm
-from operator import and_
+from operator import and_, or_
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import intlinalg as la
@@ -300,39 +300,46 @@ def enumerate_chambers(a: Arrangement) -> tuple[Chamber, ...]:
     new wall opposite r_k is the hyperplane gamma through F minus r_k that
     maximises gamma(r_j)/gamma(r_k), gamma(r_k) > 0.  NotSimplicialError is
     raised when a covector, signed by the new chamber, is negative on the
-    new ray: that chamber has more than `rank` extreme rays.
+    new ray: that chamber has more than `rank` extreme rays.  The walk keys
+    chambers by their positive mask: crossing covector i flips bit i.
     """
     covs, n, r, signs = a.positive_covectors, a.n_hyperplanes, a.rank, a.ray_signs
+
+    def sign_tuple(m: int) -> tuple[int, ...]:
+        return tuple([1 if m >> i & 1 else -1 for i in range(n)])
 
     def meet(zeros: list[int]) -> int:  # the covectors vanishing on all rays of the masks
         return reduce(and_, zeros, (1 << n) - 1)
 
-    def cross(rays: Mat, walls: list[int], j: int, t: tuple[int, ...]):
-        # v/den = -r_j + sum of gamma(r_j)/gamma(r_k) r_k vanishes on each new wall gamma
+    def cross(rays: Mat, walls: list[int], j: int, m: int):
+        # v = -den*r_j + sum of den*gamma(r_j)/gamma(r_k) r_k vanishes on each new wall gamma
         facet = rays[:j] + rays[j + 1:]
-        v, den, new_walls = la.vec_neg(rays[j]), 1, {}
         vj = signs(rays[j]).values
         zeros = [signs(x).zeros for x in facet]
+        new_walls, ratios = {}, []
         for k, rk in enumerate(facet):
             best = None  # (index, gamma(r_k), gamma(r_j)) of the new wall opposite r_k
             pencil = meet(zeros[:k] + zeros[k + 1:]) & ~(1 << walls[j])
             vk = signs(rk).values
-            for i in [i for i in range(n) if pencil >> i & 1]:
+            while pencil:
+                i = (pencil & -pencil).bit_length() - 1
+                pencil &= pencil - 1
                 gk, gj = vk[i], vj[i]
                 if gk < 0:
                     gk, gj = -gk, -gj
                 if best is None or gj * best[1] > best[2] * gk:
                     best = (i, gk, gj)
             new_walls[rk], gk, gj = best
-            step = lcm(den, gk)
-            v = la.vec_add(la.vec_scale(step // den, v), la.vec_scale(step // gk * gj, rk))
-            den = step
-        v = la.primitive(v)
-        if any(t[i] * x < 0 for i, x in enumerate(signs(v).values)):
-            raise NotSimplicialError(f"chamber {t} has more than {r} extreme rays")
+            ratios.append((gk, gj))
+        den = lcm(*(gk for gk, _ in ratios))
+        v = la.primitive(la.vec_mat([den // gk * gj for gk, gj in ratios] + [-den],
+                                    facet + (rays[j],)))
+        s = signs(v)
+        if s.pos & ~m or s.neg & m:
+            raise NotSimplicialError(f"chamber {sign_tuple(m)} has more than {r} extreme rays")
         new_walls[v] = walls[j]
         new_rays = tuple(sorted(new_walls))
-        return t, new_rays, [new_walls[x] for x in new_rays]
+        return m, new_rays, [new_walls[x] for x in new_rays]
 
     seed = _seed_sign_vector(a)
     rays = la.extreme_rays([la.vec_scale(x, c) for x, c in zip(seed, covs)])
@@ -345,13 +352,15 @@ def enumerate_chambers(a: Arrangement) -> tuple[Chamber, ...]:
     if any(seed[i] * signs(ray).values[i] <= 0 for i, ray in zip(walls, rays)):
         raise CertificationError(f"a ray of chamber {seed} is not on its side of its wall")
     chambers: list[Chamber] = []
-    seen = {seed}
-    queue = deque([(seed, rays, walls)])
+    m0 = sum(1 << i for i, x in enumerate(seed) if x > 0)
+    seen = {m0}
+    queue = deque([(m0, rays, walls)])
     while queue:
-        s, rays, walls = queue.popleft()
+        m, rays, walls = queue.popleft()
+        s = sign_tuple(m)
         chambers.append(Chamber(len(chambers), rays, tuple((i, s[i]) for i in walls), s))
         for j, i in enumerate(walls):
-            t = s[:i] + (-s[i],) + s[i + 1:]
+            t = m ^ (1 << i)
             if t not in seen:
                 seen.add(t)
                 queue.append(cross(rays, walls, j, t))
@@ -369,20 +378,35 @@ def positive_roots(a: Arrangement, k: Chamber) -> Mat:
 def is_crystallographic(a: Arrangement) -> CrystallographicReport:
     """Do all covectors have integer coordinates in every chamber's wall basis?
 
-    Wall b_k is dual to ray r_k up to b_k(r_k) > 0, so the k-th coordinate of
-    beta is beta(r_k)/b_k(r_k), tested by integer division.  On failure the
-    witness is the first violating (chamber, root, coordinates) triple in
-    chamber/root enumeration order.
+    A chamber's walls b_k are dual to its rays r_k up to b_k(r_k) > 0, and
+    it passes exactly when every b_k(r_k) is 1 (the paper's smooth iff
+    crystallographic, per chamber).  Then B*R^T = I with both integral, so B
+    is unimodular.  Conversely, if every covector is integral in B, then B
+    generates what they generate, all of Z^r (`make_arrangement`), so B is
+    unimodular and r_k is b_k(r_k) times an integral column of B^-T; r_k is
+    primitive, so b_k(r_k) = 1.  On the first failing chamber the witness is
+    the first root with a fractional coordinate beta(r_k)/b_k(r_k); finding
+    none is a corrupt chamber record.  Computed once per arrangement.
     """
+    if "crystallographic" not in vars(a):
+        vars(a)["crystallographic"] = _integrality_report(a)
+    return vars(a)["crystallographic"]
+
+
+def _integrality_report(a: Arrangement) -> CrystallographicReport:
     for k in a.chambers:
         cols = [a.ray_signs(ray).values for ray in k.rays]
         diag = [sign * col[i] for (i, sign), col in zip(k.basis, cols)]
+        if diag.count(1) == len(diag):
+            continue
         for m, root in enumerate(a.positive_covectors):
             if any(col[m] % d for col, d in zip(cols, diag)):
                 from fractions import Fraction
 
                 coords = tuple(Fraction(col[m], d) for col, d in zip(cols, diag))
                 return CrystallographicReport(False, (k.index, root, coords))
+        raise CertificationError(f"chamber {k.index} has wall-ray diagonal {diag} "
+                                 "but no fractional coordinate")
     return CrystallographicReport(True, None)
 
 
@@ -394,46 +418,18 @@ def decompose(a: Arrangement) -> tuple[tuple[Arrangement, ...], tuple[tuple[int,
     connected components of this support graph give the factors, returned in
     the induced coordinates together with the index partition.
     """
-    report = is_crystallographic(a)
-    if not report.verdict:
+    if not is_crystallographic(a).verdict:
         raise NotCrystallographicError("decompose requires a crystallographic arrangement")
-    k0 = a.chambers[0]
-    cols = [a.ray_signs(ray).values for ray in k0.rays]
-    coords = [
-        tuple(col[m] // (sign * col[i]) for (i, sign), col in zip(k0.basis, cols))
-        for m in range(a.n_hyperplanes)
-    ]
-
-    parent = list(range(a.rank))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for c in coords:
-        support = [i for i in range(a.rank) if c[i] != 0]
-        for i in support[1:]:
-            union(support[0], i)
-
-    comps: dict[int, list[int]] = {}
-    for i in range(a.rank):
-        comps.setdefault(find(i), []).append(i)
-    partition = tuple(tuple(comps[key]) for key in sorted(comps))
-
+    # the seed chamber's walls are dual to its rays: coordinates are values on the rays
+    coords = list(zip(*(a.ray_signs(ray).values for ray in a.chambers[0].rays)))
+    supports = [sum(1 << j for j, x in enumerate(c) if x) for c in coords]
+    comps: list[int] = []  # disjoint masks of basis positions, joined along each support
+    for s in supports:
+        comps = [c for c in comps if not c & s] + [reduce(or_, (c for c in comps if c & s), s)]
+    partition = tuple(sorted(tuple(i for i in range(a.rank) if c >> i & 1) for c in comps))
     factors = []
     for part in partition:
-        part_set = set(part)
-        vecs = []
-        for c in coords:
-            support = {i for i in range(a.rank) if c[i] != 0}
-            if support and support <= part_set:
-                vecs.append(tuple(c[i] for i in part))
+        mask = sum(1 << i for i in part)
+        vecs = [tuple(c[i] for i in part) for c, s in zip(coords, supports) if not s & ~mask]
         factors.append(make_arrangement(len(part), vecs))
     return tuple(factors), partition

@@ -327,7 +327,7 @@ def cmd_embed(args, data: bytes):
     obj = {
         "matrix": [list(r) for r in cert.matrix],
         "invariant_factors": list(cert.invariant_factors),
-        "sign_vectors": len(cert.sign_vectors),
+        "sign_vectors": cert.sign_vectors,
     }
     _emit(
         args,

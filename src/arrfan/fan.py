@@ -11,19 +11,19 @@ cones containing it and the position of the ray opposite it.  It serves the
 validation of imported fans, the completeness test, the normal-fan
 certificate and the automorphism search, so none of them loops over pairs of
 cones on a complete fan.  Its face table (`Fan.faces`) maps every face to
-the maximal cones holding it, for the embedding certificate and the
-toric-arrangement report.  Its normal table (`Fan.normals`) holds each
-maximal cone's primitive facet normals: the walk's wall covectors for a
-chamber fan, read off the walk once per arrangement.  The covering test
-(`Fan.overlap`) and the property verdict (`Fan.properties`) run once per fan.
-The automorphism search verifies the base cone's orderings and one ordering
-per further orbit of cones, and gets the rest of the group as products of
-ray permutations.
+the maximal cones holding it, for the toric-arrangement report.  Its normal
+table (`Fan.normals`) holds each maximal cone's primitive facet normals: the
+walk's wall covectors for a chamber fan, read off the walk once per
+arrangement.  The covering test (`Fan.overlap`) and the property verdict
+(`Fan.properties`) run once per fan.  The automorphism search verifies the
+base cone's orderings and one ordering per further orbit of cones, and gets
+the rest of the group as products of ray permutations.
 """
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
 from . import intlinalg as la
@@ -354,10 +354,12 @@ def check_properties(f: Fan) -> PropertyReport:
     complete: the covering test (`Fan.overlap`), a pseudomanifold by the
     wall table that covers one generic point once.  centrally symmetric:
     rays and cones stable under negation.  strongly symmetric: complete and
-    no maximal cone has rays strictly on both sides of any facet normal,
-    tested with one positive and one negative ray bitmask per normal; the
-    normals are then returned as the primitive hyperplanes.  Consumers read
-    the report once per fan from `Fan.properties`.
+    no maximal cone has rays strictly on both sides of any facet normal.  Per
+    ray, one mask of the sorted distinct normals positive on it and one of
+    those negative; their ORs over a cone meet in the normals cutting it.
+    The witness is the lowest such normal and the first cone it cuts; else
+    the normals are the primitive hyperplanes.  Consumers read the report
+    once per fan from `Fan.properties`.
     """
     if f.rank == 0:
         return PropertyReport(True, True, True, True, hyperplanes=())
@@ -393,21 +395,18 @@ def check_properties(f: Fan) -> PropertyReport:
     hyperplanes: tuple[Vec, ...] | None = None
     if strongly:
         normals = sorted({la.canonical_sign(h) for h in set().union(*f.normals)})
-        cone_masks = [sum(1 << i for i in cone) for cone in f.max_cones]
-        for h in normals:
-            vals = [la.vec_dot(h, v) for v in f.rays]
-            pos = sum(1 << i for i, x in enumerate(vals) if x > 0)
-            neg = sum(1 << i for i, x in enumerate(vals) if x < 0)
-            cut = next((c for c, m in zip(f.max_cones, cone_masks) if pos & m and neg & m), None)
-            if cut is not None:
-                strongly = False
-                if witness is None:
-                    witness = {
-                        "property": "strongly_symmetric",
-                        "hyperplane": h,
-                        "cone": f.cone_vectors(cut),
-                    }
-                break
+        vals = [[la.vec_dot(h, v) for h in normals] for v in f.rays]
+        pos = [sum(1 << j for j, x in enumerate(row) if x > 0) for row in vals]
+        neg = [sum(1 << j for j, x in enumerate(row) if x < 0) for row in vals]
+        cuts = [reduce(or_, map(pos.__getitem__, c)) & reduce(or_, map(neg.__getitem__, c))
+                for c in f.max_cones]
+        cut = reduce(or_, cuts)
+        strongly = not cut
+        if cut and witness is None:
+            j = (cut & -cut).bit_length() - 1  # the first normal that cuts a cone
+            cone = next(c for c, m in zip(f.max_cones, cuts) if m >> j & 1)
+            witness = {"property": "strongly_symmetric", "hyperplane": normals[j],
+                       "cone": f.cone_vectors(cone)}
         if strongly:
             hyperplanes = tuple(normals)
     return PropertyReport(

@@ -6,16 +6,20 @@ normal-fan convention is outer/maximizing: the functional summing a chamber's
 rays attains its maximum over the vertex set exactly at that chamber's vertex.
 The embedding certificates are the finite shadows of the coordinatewise sign
 map: its matrix has all-ones Smith form and the sign vectors separate cones.
+Only the functions that read a fan import `fan`, so the embedding loads no
+fan code.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import intlinalg as la
 from .arrangement import Arrangement, Chamber, is_crystallographic
 from .errors import CertificationError, NotCrystallographicError
-from .fan import Fan, _require_face, fan_from_arrangement
 from .intlinalg import Mat, Vec
+
+if TYPE_CHECKING:
+    from .fan import Fan
 
 
 class HalfLatticePolytope(NamedTuple):
@@ -34,15 +38,15 @@ class PhiCertificate(NamedTuple):
                       comes first, so the top block is the identity
     row_roots         the signed covectors, aligned with the matrix rows
     invariant_factors Smith form of the matrix (all ones)
-    sign_vectors      per fan face, the sign of every positive covector on it;
-                      pairwise distinct
+    sign_vectors      the number of faces of the chamber fan, counted at their
+                      owner chambers; their sign vectors are pairwise distinct
     base_chamber      index of the chamber providing the coordinate basis
     """
 
     matrix: Mat
     row_roots: Mat
     invariant_factors: tuple[int, ...]
-    sign_vectors: tuple[tuple[Mat, tuple[int, ...]], ...]
+    sign_vectors: int
     base_chamber: int = 0
 
 
@@ -54,16 +58,11 @@ def rho(a: Arrangement, k: Chamber) -> Vec:
     return total
 
 
-def _cut_out_by_signs(a: Arrangement, k: Chamber) -> bool:
-    """Is every covector, signed by the chamber, >= 0 on every ray of the chamber?"""
+def _cut_out_mask(a: Arrangement, k: Chamber) -> int | None:
+    """The mask of the covectors positive on the chamber, if every covector
+    signed by the chamber is >= 0 on every ray of the chamber; else None."""
     plus = sum(1 << i for i, s in enumerate(k.sign_vector) if s > 0)
-    return not any(s.neg & plus or s.pos & ~plus for s in map(a.ray_signs, k.rays))
-
-
-def _face_signs(a: Arrangement, gens: Mat) -> tuple[int, ...]:
-    """Per positive covector, its sign on the cone over `gens` (0 when it vanishes)."""
-    pos, neg = a.face_signs(gens)
-    return tuple((pos >> i & 1) - (neg >> i & 1) for i in range(a.n_hyperplanes))
+    return None if any(s.neg & plus or s.pos & ~plus for s in map(a.ray_signs, k.rays)) else plus
 
 
 def build_polytope(a: Arrangement) -> HalfLatticePolytope:
@@ -85,7 +84,7 @@ def build_polytope(a: Arrangement) -> HalfLatticePolytope:
     if {la.vec_neg(v) for v in vertices} != set(vertices):
         raise CertificationError("vertex set is not negation-stable")
     for k in chambers:
-        if not _cut_out_by_signs(a, k):
+        if _cut_out_mask(a, k) is None:
             raise CertificationError(
                 f"a covector signed by chamber {k.index} is negative on one of its rays"
             )
@@ -134,7 +133,10 @@ def sign_vector(f: Fan, sigma, a: Arrangement) -> tuple[int, ...]:
     both strict signs on the cone is a CertificationError naming the first
     such covector.
     """
-    return _face_signs(a, f.cone_vectors(_require_face(f, sigma)))
+    from .fan import _require_face
+
+    pos, neg = a.face_signs(f.cone_vectors(_require_face(f, sigma)))
+    return tuple((pos >> i & 1) - (neg >> i & 1) for i in range(a.n_hyperplanes))
 
 
 def phi_certificate(a: Arrangement) -> PhiCertificate:
@@ -146,12 +148,14 @@ def phi_certificate(a: Arrangement) -> PhiCertificate:
     crystallographic arrangement the wall basis is a Z-basis and the rays are
     its dual basis.  It then verifies that each chamber's full sign pattern
     cuts out exactly the chamber's closed cone (every signed covector is >= 0
-    on its rays, and wall b_p is positive on ray r_q exactly when p = q),
-    then records the sign vector of every face in the fan's face table and
-    checks they are pairwise distinct.  The chamber and face checks read the
-    arrangement's covector table: a face lies in a chamber, on whose rays
-    each covector takes one sign or 0 (the cut-out check), so its sign on the
-    face is the OR of its rays' sign masks (`Arrangement.face_signs`).
+    on its rays, and wall b_p is positive on ray r_q exactly when p = q).  A
+    face F of chamber K is then K cut by the covectors vanishing on F, so it
+    is {x : sign(x) <= s_F}, and distinct faces have distinct sign vectors.
+    Each face is counted at its owner, the one chamber holding it on which
+    every covector vanishing on it is positive (the chamber of
+    y + d*(1, e, e^2, ...) for y inside the face and small e, d, as every
+    stored covector's first nonzero coordinate is positive): one walk per
+    chamber over the subsets of its rays, ANDing their zero masks.
     """
     if not is_crystallographic(a).verdict:
         raise NotCrystallographicError("embedding requires a crystallographic arrangement")
@@ -165,27 +169,23 @@ def phi_certificate(a: Arrangement) -> PhiCertificate:
     if matrix[:a.rank] != la.identity(a.rank):
         raise CertificationError(f"sign-map top block {matrix[:a.rank]} is not the identity")
 
+    faces = 0
     for k in chambers:
-        cols = [a.ray_signs(ray).values for ray in k.rays]
-        if not _cut_out_by_signs(a, k) or any(
-            (sign * col[i] > 0) != (p == q)
+        plus, cols = _cut_out_mask(a, k), [a.ray_signs(ray) for ray in k.rays]
+        if plus is None or any(
+            (sign * col.values[i] > 0) != (p == q)
             for p, (i, sign) in enumerate(k.basis)
             for q, col in enumerate(cols)
         ):
             raise CertificationError(f"chamber {k.index} is not cut out by its sign pattern")
-
-    f = fan_from_arrangement(a)
-    seen: dict[tuple[int, ...], Mat] = {}  # sign vector -> the face having it
-    for face in f.faces:
-        gens = f.cone_vectors(face)
-        sv = _face_signs(a, gens)
-        if sv in seen:
-            raise CertificationError(f"cones {seen[sv]} and {gens} share the sign vector {sv}")
-        seen[sv] = gens
+        meets = [(1 << a.n_hyperplanes) - 1]  # per subset of the rays, the covectors zero on it
+        for col in cols:
+            meets += [m & col.zeros for m in meets]
+        faces += sum(not m & ~plus for m in meets)
     return PhiCertificate(
         matrix=matrix,
         row_roots=row_roots,
         invariant_factors=(1,) * a.rank,
-        sign_vectors=tuple((gens, sv) for sv, gens in seen.items()),
+        sign_vectors=faces,
         base_chamber=base.index,
     )

@@ -20,7 +20,7 @@ checks the order once per cover pair.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+from functools import cache, reduce
 from operator import and_, or_
 from typing import NamedTuple, Sequence
 
@@ -85,13 +85,16 @@ def intersection_poset(a: Arrangement) -> IntersectionPoset:
     one row and one Hermite reduction.  Flats are sorted by dimension and
     basis.
     """
+    @cache  # a basis row's value under every covector, for this call only
+    def values(row: Vec) -> Vec:
+        return tuple(la.vec_dot(c, row) for c in a.positive_covectors)
+
     flats = {0: FlatSubspace(a.rank, la.identity(a.rank))}  # H(X) -> X
     found, covers = [0], []
     for held in found:  # `found` grows as it is read
         flat = flats[held]
-        values = [a.ray_signs(row).values for row in flat.basis]
         traces: dict[Vec, int] = {}
-        for i, column in enumerate(zip(*values)):
+        for i, column in enumerate(zip(*map(values, flat.basis))):
             if not held >> i & 1:
                 trace = la.canonical_sign(la.primitive(column))
                 traces[trace] = traces.get(trace, 0) | 1 << i

@@ -655,6 +655,51 @@ def ref_build_polytope(a):
     )
 
 
+def ref_phi_certificate(a):
+    """The embedding certificate with the fan's face table: one sign vector per
+    face, checked pairwise distinct, kept as the (face rays, signs) rows."""
+    from arrfan import intlinalg as la
+    from arrfan.arrangement import is_crystallographic
+    from arrfan.errors import CertificationError, NotCrystallographicError
+    from arrfan.fan import fan_from_arrangement
+    from arrfan.polytope import PhiCertificate
+
+    if not is_crystallographic(a).verdict:
+        raise NotCrystallographicError("embedding requires a crystallographic arrangement")
+    chambers = a.chambers
+    base = chambers[0]
+    basis_signed = base.basis_covectors(a)
+    signed = {la.vec_scale(sign, cov) for cov in a.positive_covectors for sign in (1, -1)}
+    row_roots = tuple(basis_signed) + tuple(sorted(signed - set(basis_signed)))
+    matrix = tuple(tuple(la.vec_dot(root, ray) for ray in base.rays) for root in row_roots)
+    if matrix[:a.rank] != la.identity(a.rank):
+        raise CertificationError(f"sign-map top block {matrix[:a.rank]} is not the identity")
+    for k in chambers:
+        cols = [a.ray_signs(ray).values for ray in k.rays]
+        if any(s * col[i] < 0 for col in cols for i, s in enumerate(k.sign_vector)) or any(
+            (sign * col[i] > 0) != (p == q)
+            for p, (i, sign) in enumerate(k.basis)
+            for q, col in enumerate(cols)
+        ):
+            raise CertificationError(f"chamber {k.index} is not cut out by its sign pattern")
+    f = fan_from_arrangement(a)
+    seen = {}  # sign vector -> the face having it
+    for face in f.faces:
+        gens = f.cone_vectors(face)
+        pos, neg = a.face_signs(gens)
+        sv = tuple((pos >> i & 1) - (neg >> i & 1) for i in range(a.n_hyperplanes))
+        if sv in seen:
+            raise CertificationError(f"cones {seen[sv]} and {gens} share the sign vector {sv}")
+        seen[sv] = gens
+    return PhiCertificate(
+        matrix=matrix,
+        row_roots=row_roots,
+        invariant_factors=(1,) * a.rank,
+        sign_vectors=tuple((gens, sv) for sv, gens in seen.items()),
+        base_chamber=base.index,
+    )
+
+
 # Reference fan routines: the Fraction inverses and per-facet kernels that
 # arrfan.fan used before it read one scaled integer inverse per cone.  The
 # tests require equal inequality rows, property reports, arrangements and

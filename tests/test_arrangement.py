@@ -18,6 +18,7 @@ from arrfan.arrangement import (
 )
 from arrfan.errors import (
     BadReferenceError,
+    CertificationError,
     InputFormatError,
     LatticeSpanError,
     NotCrystallographicError,
@@ -241,6 +242,43 @@ def test_walk_matches_reference_on_ladder(name):
     assert enumerate_chambers(a) == ref_enumerate_chambers(a)
     assert a.chambers == enumerate_chambers(a)
     assert is_crystallographic(a) == ref_is_crystallographic(a)
+
+
+
+_NOT_CRYSTALLOGRAPHIC = [
+    (2, [(1, 0), (0, 1), (2, 1)]),
+    (2, [(1, 0), (0, 1), (1, 2)]),
+    (2, [(1, 0), (0, 1), (1, 1), (1, 3)]),
+    (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 2)]),
+]
+
+
+@pytest.mark.parametrize("rank, covs", _NOT_CRYSTALLOGRAPHIC)
+@pytest.mark.parametrize("seed", range(3))
+def test_unit_diagonal_finds_the_reference_witness(rank, covs, seed):
+    """Verdict and witness equal the Fraction-inverse reference's, also in other
+    coordinates, where another chamber may be the first to fail."""
+    u = la.identity(rank)
+    rng = random.Random(seed)
+    for _ in range(3 * seed):  # a random unimodular change of coordinates
+        i, j = rng.sample(range(rank), 2)
+        u = tuple(la.vec_add(row, la.vec_scale(rng.choice((-1, 1)), u[j])) if k == i else row
+                  for k, row in enumerate(u))
+    a = make_arrangement(rank, [la.canonical_sign(la.vec_mat(c, u)) for c in covs])
+    report = is_crystallographic(a)
+    assert not report.verdict
+    assert report == ref_is_crystallographic(a)
+
+
+def test_a_failing_diagonal_without_a_fractional_root_is_no_verdict():
+    """A chamber record with a doubled ray has the diagonal entry 2, yet every
+    coordinate beta(2r)/2 is integral: a corrupt record, never (False, None)."""
+    a = catalog("A_3")
+    k = a.chambers[4]
+    rays = (la.vec_scale(2, k.rays[0]),) + k.rays[1:]
+    vars(a)["chambers"] = a.chambers[:4] + (k._replace(rays=rays),) + a.chambers[5:]
+    with pytest.raises(CertificationError, match="chamber 4 has wall-ray diagonal"):
+        is_crystallographic(a)
 
 
 @st.composite

@@ -545,6 +545,9 @@ def _imports_of(tmp_path, *argv):
         (["surface", "graph", "a2.fan.json"], {"fan", "surface"}),
         (["plot", "a2.json"], {"svgplot"}),
         (["parabolic", "a2.json", "--cone", "0"], {"fan", "poset"}),
+        (["embed", "a2.json"], {"polytope"}),
+        (["polytope", "a2.json"], {"fan", "polytope"}),
+        (["decompose", "a2.json"], set()),
     ],
 )
 def test_each_command_imports_only_its_modules(tmp_path, capsys, argv, extra):

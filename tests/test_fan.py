@@ -680,6 +680,37 @@ def test_failing_fans_match_reference_witnesses():
     assert check_properties(lower).failure_witness["cone"] == ((1, -2, -1), (1, 0, -1))
 
 
+def _opposite_cones_subdivided(name, at):
+    """`name`'s chamber fan with maximal cone `at` and its negative star-subdivided:
+    smooth, complete and centrally symmetric, but the new rays cut cones."""
+    f = fan_from_arrangement(catalog(name))
+    cone = f.cone_vectors(f.max_cones[at])
+    f = star_subdivide(f, f.max_cones[at])
+    return star_subdivide(f, _cone_of(f, *map(la.vec_neg, cone)))
+
+
+@pytest.mark.parametrize(
+    "name, at", [("A_3", 0), ("A_3", 7), ("B_3", 0), ("B_3", 20), ("C_3", 31), ("A_4", 50)]
+)
+def test_strong_symmetry_witness_matches_the_scan_per_normal(name, at):
+    """The first normal cutting some cone, by the ray masks, is the per-normal
+    scan's: the lowest normal that cuts any cone, with the first cone it cuts."""
+    f = _opposite_cones_subdivided(name, at)
+    props = check_properties(f)
+    assert props == ref_check_properties(f)
+    assert props.failure_witness["property"] == "strongly_symmetric"
+    h, cone = props.failure_witness["hyperplane"], props.failure_witness["cone"]
+    normals = sorted({la.canonical_sign(n) for n in set().union(*f.normals)})
+
+    def cuts(n, gens):
+        vals = [la.vec_dot(n, g) for g in gens]
+        return min(vals) < 0 < max(vals)
+
+    first = next(n for n in normals if any(cuts(n, f.cone_vectors(c)) for c in f.max_cones))
+    assert h == first
+    assert cone == next(f.cone_vectors(c) for c in f.max_cones if cuts(h, f.cone_vectors(c)))
+
+
 # a pentagram: five rank-2 cones of ~144 degrees winding twice around 0
 PENTAGRAM = {
     "rank": 2,

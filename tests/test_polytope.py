@@ -1,7 +1,13 @@
 import pytest
 
-from arrfan import intlinalg as la
-from arrfan.arrangement import catalog, enumerate_chambers, make_arrangement
+from arrfan import arrangement as arrangement_module, intlinalg as la
+from arrfan.arrangement import (
+    catalog,
+    decompose,
+    enumerate_chambers,
+    is_crystallographic,
+    make_arrangement,
+)
 from arrfan.errors import BadReferenceError, CertificationError, NotCrystallographicError
 from arrfan.fan import Fan, fan_faces, fan_from_arrangement
 from arrfan.polytope import (
@@ -13,7 +19,7 @@ from arrfan.polytope import (
     verify_normal_fan,
 )
 
-from oracles import hull2d_extreme_points, ref_verify_normal_fan
+from oracles import hull2d_extreme_points, ref_phi_certificate, ref_verify_normal_fan
 
 
 def _chamber_by_rays(a, rays):
@@ -176,7 +182,8 @@ def test_phi_face_rows_equal_sign_vectors(name):
     a = catalog(name)
     f = fan_from_arrangement(a)
     expected = [(f.cone_vectors(face), sign_vector(f, face, a)) for face in fan_faces(f)]
-    assert list(phi_certificate(a).sign_vectors) == expected
+    assert list(ref_phi_certificate(a).sign_vectors) == expected
+    assert phi_certificate(a).sign_vectors == len(expected)
 
 
 @pytest.mark.parametrize("name", ["A_2", "B_3", "C_3", "A_4", "D_4", "ngon:8:77", "ngon:10:1000"])
@@ -196,8 +203,8 @@ def test_phi_certificate():
     assert len(cert.matrix) == 6
     assert cert.matrix[0][:2] == (1, 0) and cert.matrix[1][:2] == (0, 1)
     assert cert.invariant_factors == (1, 1)
-    assert len(cert.sign_vectors) == 13
-    assert len({sv for _, sv in cert.sign_vectors}) == 13
+    assert cert.sign_vectors == 13
+    assert len({sv for _, sv in ref_phi_certificate(a2).sign_vectors}) == 13
 
     cb = phi_certificate(catalog("B_2"))
     assert len(cb.matrix) == 8
@@ -211,3 +218,55 @@ def test_phi_certificate():
 
     with pytest.raises(NotCrystallographicError):
         phi_certificate(make_arrangement(2, [(1, 0), (0, 1), (2, 1)]))
+
+
+_FACE_LADDER = ["A_3", "A_4", "A_5", "B_3", "B_4", "D_4", "D_5",
+                "ngon:8:0", "ngon:8:77", "ngon:10:1000", "ngon:10:1429"]
+
+
+@pytest.mark.parametrize("name", _FACE_LADDER)
+def test_embed_counts_each_face_once_at_its_owner(name):
+    """The owner count is the face table's size, and the rest of the certificate
+    is the face-table certificate's."""
+    a = catalog(name)
+    cert = phi_certificate(a)
+    assert cert.sign_vectors == len(fan_from_arrangement(a).faces)
+    if name not in ("A_5", "D_5"):  # the face-table reference is slow there
+        ref = ref_phi_certificate(a)
+        assert cert == ref._replace(sign_vectors=len(ref.sign_vectors))
+
+
+@pytest.mark.parametrize("name, fubini", [("A_3", 75), ("A_4", 541), ("A_5", 4683)])
+def test_embed_face_count_is_a_fubini_number(name, fubini):
+    # the faces of the braid fan of A_r are the ordered set partitions of r + 1 points
+    assert phi_certificate(catalog(name)).sign_vectors == fubini
+
+
+@pytest.mark.parametrize("name, at", [("A_2", 3), ("A_3", 5), ("B_3", 17)])
+def test_a_chamber_with_a_moved_ray_fails_the_cut_out_check(name, at):
+    """Ray 0 moved to r_0 - r_1 keeps the diagonal b_k(r_k) = 1, so the integrality
+    test passes, but wall b_1 is negative on it."""
+    a = catalog(name)
+    k = a.chambers[at]
+    rays = (la.vec_sub(k.rays[0], k.rays[1]),) + k.rays[1:]
+    vars(a)["chambers"] = a.chambers[:at] + (k._replace(rays=rays),) + a.chambers[at + 1:]
+    assert is_crystallographic(a).verdict
+    with pytest.raises(CertificationError, match=f"chamber {at} is not cut out"):
+        phi_certificate(a)
+    with pytest.raises(CertificationError, match=f"chamber {at} is negative"):
+        build_polytope(a)
+
+
+def test_integrality_report_is_computed_once_per_arrangement(monkeypatch):
+    calls = []
+    real = arrangement_module._integrality_report
+    monkeypatch.setattr(arrangement_module, "_integrality_report",
+                        lambda a: calls.append(a) or real(a))
+    a = catalog("B_3")
+    build_polytope(a)
+    phi_certificate(a)
+    decompose(a)
+    assert calls == [a]
+    assert is_crystallographic(a) is is_crystallographic(a)
+    build_polytope(catalog("B_3"))  # an equal record built separately has its own report
+    assert len(calls) == 2
