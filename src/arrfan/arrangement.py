@@ -95,6 +95,16 @@ class Arrangement(_ArrangementFields):
             )
         return pos, neg
 
+    def subset_zeros(self, gens: Mat) -> list[int]:
+        """Per subset of `gens`, at the index whose bit j marks gens[j], the
+        mask of the covectors vanishing on all of it: one walk, one AND per
+        subset.  On a chamber's rays the subsets are the chamber's faces, and
+        each mask is H of the face's span."""
+        meets = [(1 << self.n_hyperplanes) - 1]
+        for s in map(self.ray_signs, gens):
+            meets += [m & s.zeros for m in meets]
+        return meets
+
 
 class Chamber(NamedTuple):
     """A closed chamber: its extreme rays and the dual data on its walls.

@@ -520,8 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"polygon size t, 3 <= t <= {MAX_TRIANGULATION_T}")
     p.add_argument("--out")
 
-    p = add(subs, "plot", cmd_plot)
-    p.add_argument("--format", default="svg", choices=["svg"])
+    add(subs, "plot", cmd_plot)
     return parser
 
 

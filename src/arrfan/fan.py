@@ -10,14 +10,15 @@ Each fan's wall table (`Fan.walls`) lists, per facet of a maximal cone, the
 cones containing it and the position of the ray opposite it.  It serves the
 validation of imported fans, the completeness test, the normal-fan
 certificate and the automorphism search, so none of them loops over pairs of
-cones on a complete fan.  Its face table (`Fan.faces`) maps every face to
-the maximal cones holding it, for the toric-arrangement report.  Its normal
-table (`Fan.normals`) holds each maximal cone's primitive facet normals: the
-walk's wall covectors for a chamber fan, read off the walk once per
-arrangement.  The covering test (`Fan.overlap`) and the property verdict
-(`Fan.properties`) run once per fan.  The automorphism search verifies the
-base cone's orderings and one ordering per further orbit of cones, and gets
-the rest of the group as products of ray permutations.
+cones on a complete fan.  Its normal table (`Fan.normals`) holds each
+maximal cone's primitive facet normals: the walk's wall covectors for a
+chamber fan, read off the walk once per arrangement.  The covering test
+(`Fan.overlap`) and the property verdict (`Fan.properties`) run once per
+fan.  No face table is kept: `fan_faces` lists the faces when asked, and the
+certificates that need faces walk each chamber's ray subsets.  The
+automorphism search verifies the base cone's orderings and one ordering per
+further orbit of cones, and gets the rest of the group as products of ray
+permutations.
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ class Fan(_FanFields):
     """Rank, sorted primitive rays and sorted maximal cones as ray index tuples.
 
     The fields are a read-only NamedTuple; the instance dict holds the
-    cached wall, face, normal, covering and property tables.
+    cached wall, normal, covering and property tables.
     """
 
     def cone_vectors(self, cone: Sequence[int]) -> Mat:
@@ -70,20 +71,6 @@ class Fan(_FanFields):
             for j in range(len(cone)):
                 table.setdefault(cone[:j] + cone[j + 1:], []).append((ci, j))
         return {facet: tuple(entries) for facet, entries in table.items()}
-
-    @cached_property
-    def faces(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """Face -> the indices of the maximal cones holding it, computed once.
-
-        Faces are the subsets of the simplicial maximal cones, as sorted
-        ray-index tuples in (dimension, indices) order, the origin () first.
-        """
-        star: dict[tuple[int, ...], list[int]] = {(): []}
-        for ci, cone in enumerate(self.max_cones):
-            for k in range(len(cone) + 1):
-                for face in itertools.combinations(cone, k):
-                    star.setdefault(face, []).append(ci)
-        return {face: tuple(star[face]) for face in sorted(star, key=lambda c: (len(c), c))}
 
     @cached_property
     def normals(self) -> tuple[Mat, ...]:
@@ -312,8 +299,11 @@ def fan_to_json(f: Fan) -> dict:
 
 
 def fan_faces(f: Fan) -> tuple[tuple[int, ...], ...]:
-    """All faces as sorted index tuples, the origin () included: `Fan.faces`' keys."""
-    return tuple(f.faces)
+    """All faces, the subsets of the simplicial maximal cones, as sorted ray-index
+    tuples in (dimension, indices) order, the origin () first."""
+    faces = {face for cone in f.max_cones for k in range(len(cone) + 1)
+             for face in itertools.combinations(cone, k)}
+    return tuple(sorted(faces | {()}, key=lambda c: (len(c), c)))
 
 
 def _seeded_fan(rank: int, cones: Sequence[tuple[Mat, Mat]]) -> Fan:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import intlinalg as la
-from .arrangement import Arrangement, Chamber, is_crystallographic
+from .arrangement import Arrangement, Chamber, is_crystallographic, positive_roots
 from .errors import CertificationError, NotCrystallographicError
 from .intlinalg import Mat, Vec
 
@@ -52,10 +52,7 @@ class PhiCertificate(NamedTuple):
 
 def rho(a: Arrangement, k: Chamber) -> Vec:
     """The doubled vertex of a chamber: the sum of its positive covectors."""
-    total = (0,) * a.rank
-    for i, cov in enumerate(a.positive_covectors):
-        total = la.vec_add(total, la.vec_scale(k.sign_vector[i], cov))
-    return total
+    return tuple(map(sum, zip(*positive_roots(a, k))))
 
 
 def _cut_out_mask(a: Arrangement, k: Chamber) -> int | None:
@@ -155,7 +152,7 @@ def phi_certificate(a: Arrangement) -> PhiCertificate:
     every covector vanishing on it is positive (the chamber of
     y + d*(1, e, e^2, ...) for y inside the face and small e, d, as every
     stored covector's first nonzero coordinate is positive): one walk per
-    chamber over the subsets of its rays, ANDing their zero masks.
+    chamber over the subsets of its rays (`Arrangement.subset_zeros`).
     """
     if not is_crystallographic(a).verdict:
         raise NotCrystallographicError("embedding requires a crystallographic arrangement")
@@ -178,10 +175,7 @@ def phi_certificate(a: Arrangement) -> PhiCertificate:
             for q, col in enumerate(cols)
         ):
             raise CertificationError(f"chamber {k.index} is not cut out by its sign pattern")
-        meets = [(1 << a.n_hyperplanes) - 1]  # per subset of the rays, the covectors zero on it
-        for col in cols:
-            meets += [m & col.zeros for m in meets]
-        faces += sum(not m & ~plus for m in meets)
+        faces += sum(not m & ~plus for m in a.subset_zeros(k.rays))
     return PhiCertificate(
         matrix=matrix,
         row_roots=row_roots,

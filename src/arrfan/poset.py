@@ -11,17 +11,18 @@ is built from X's basis with a kernel of one row and one Hermite reduction.
 Only the functions that read fans import `fan`, so `intersection_poset`
 loads no fan code.
 The toric-arrangement report verifies, purely on cones, the statements that
-make the family of flat subfans an embedded copy of the poset.  It reads the
-fan's face table with one sign fold per face, whose cut test is the whole of
-the slice check, and finds the meet of two flats as the span of the top face
-their subfans share, which the complete fan's faces in the meet reach, and
-checks the order once per cover pair.
+make the family of flat subfans an embedded copy of the poset.  It walks
+each chamber's ray subsets once, grouping faces by the mask of the flat they
+span; one sign fold per chamber is the whole of the slice check, the face
+spans equalling the flat masks gives the intersections and dimensions, and
+the order is checked once per cover pair.
 """
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from functools import cache, reduce
-from operator import and_, or_
+from operator import and_
 from typing import NamedTuple, Sequence
 
 from . import intlinalg as la
@@ -171,88 +172,90 @@ def toric_arrangement_report(a: Arrangement) -> ToricArrangementReport:
     face by E's vanishing covectors lands on a face and reproduces S(E);
     (c) E <= G exactly when S(E) <= S(G); (d) faces with equal span have
     identical star fans, all projected through one quotient basis of that
-    span; and the top dimension of S(E) equals dim E.  All read the face
-    table (`Fan.faces`) and one sign fold per face (`Arrangement.face_signs`),
-    whose covectors of neither sign are H(span): a face lies in E when H(E)
-    is in its H(span), so S(E) is a face bitmask.
+    span; and the top dimension of S(E) equals dim E.  The faces are the
+    subsets of the chambers' rays, read in one walk per chamber
+    (`Arrangement.subset_zeros`) that gives each face H(span), the covectors
+    vanishing on it: a face lies in E when H(E) is in its H(span).
 
-    (b) is the fold's cut test: faces are the subsets of simplicial cones, so
-    a face sliced to its rays in E is a face in E, and each face in E is its
-    own slice, unless a covector cuts a face's interior.  (a) checks each
-    flat to be the kernel of its own H(E), then reads S(E) n S(G), the faces
-    in E n G, which cover it as the fan is complete: their top face spans
-    E n G, so they must be the subfan of that span's flat.  (c) reads the
-    order off the covers: E <= G exactly when a chain of covers leads from E
-    up to G, as the flats are graded by dimension.  (=>) is then one subset
-    test per cover pair, since inclusion of subfans is transitive.  (<=)
-    needs no test of its own: the top face of S(E) has dimension dim E, by
-    the dimension check, and lies in E, so it spans E; when it lies in S(G),
-    E is inside G.  Failures raise CertificationError.
+    (b) is `face_signs` on each chamber's rays: a face's sign masks are ORs
+    over a subset of them, so no covector cuts a face, a face sliced to its
+    rays in E is a face in E, and each face in E is its own slice.  A face
+    of chamber K takes K's signs off H(span), and faces are told apart by
+    their sign vectors, so H(span) and K's positive mask outside it name the
+    face.  It is counted once, at its owner, the chamber on which all of
+    H(span) is positive (`phi_certificate`); |S(E)| sums the counts over the
+    spans holding H(E).
+
+    (a) and the dimensions: each flat is the kernel of its H(E), the face
+    spans are exactly the flats, and every face has its span's dimension.
+    A face spans the kernel of its H(span), being its chamber cut by H(span).
+    E n G, the kernel of H(E) with H(G), is cut out by hyperplanes, so the
+    complete fan's faces in it cover it and one spans it: the poset is
+    intersection-closed, and a face lies in E and G exactly when it lies in
+    E n G.  S(E) lies in E and holds a face spanning E, of dimension dim E.
+
+    (c) E <= G exactly when a chain of covers leads from E up to G, as the
+    flats are graded.  S(E) holds the face spanning E, so S(E) <= S(G)
+    exactly when H(G) is in H(E): (=>) is one subset test per cover pair,
+    and (<=) puts that face, hence E, inside G.  (d) projects each face's
+    links, the other rays of its chambers, through its span's quotient
+    basis.  Failures raise CertificationError.
     """
-    from .fan import fan_from_arrangement, quotient_data
+    from .fan import quotient_data
 
     if not is_crystallographic(a).verdict:
         raise NotCrystallographicError("report requires a crystallographic arrangement")
-    r, f, poset = a.rank, fan_from_arrangement(a), intersection_poset(a)
+    r, poset = a.rank, intersection_poset(a)
     held = [_held(a, flat.basis) for flat in poset.flats]
     flat_at = {h: k for k, h in enumerate(held)}
-    faces, everything = list(f.faces), (1 << a.n_hyperplanes) - 1
-    # (b) is the fold's cut test: no covector takes both signs on a face
-    folds = (a.face_signs(f.cone_vectors(face)) for face in faces)
-    spans = [everything & ~(pos | neg) for pos, neg in folds]  # per face, H(span)
-    by_span: dict[int, list[int]] = {}  # H(span) -> the indices of its faces
-    for k, span in enumerate(spans):
-        by_span.setdefault(span, []).append(k)
-    masks = [(span, sum(1 << k for k in ks)) for span, ks in by_span.items()]
-    members = [reduce(or_, (m for s, m in masks if not h & ~s), 0) for h in held]
+    owned: dict[int, int] = {}  # H(span) -> its faces, each counted at its owner
+    # H(span) -> face -> per chamber holding it, (its rays, the face as a bitmask over them)
+    links: dict[int, dict[int, list]] = defaultdict(lambda: defaultdict(list))
+    for k in a.chambers:
+        pos, _ = a.face_signs(k.rays)  # (b): no covector takes both signs on a face
+        for face, h in enumerate(a.subset_zeros(k.rays)):
+            if not h & ~pos:
+                owned[h] = owned.get(h, 0) + 1
+            links[h][pos & ~h].append((k.rays, face))
 
-    # (a) intersections of flats match intersections of subfans
+    # (a) and the dimensions: the face spans are the flats, of their dimensions
     for flat, h in zip(poset.flats, held):
         if flat_from_constraints(r, _covectors(a, h)) != flat:
             raise CertificationError(f"flat {flat.basis} is not cut out by its hyperplanes")
-    for i, e in enumerate(poset.flats):
-        for j in range(i, len(held)):
-            common = members[i] & members[j]  # holds the origin, so it has a top face
-            cap = flat_at.get(spans[common.bit_length() - 1])
-            if cap is None:
-                raise CertificationError("poset is not intersection-closed")
-            if members[cap] != common:
-                raise CertificationError(
-                    f"subfan of intersection differs from intersection of subfans "
-                    f"({e.basis} vs {poset.flats[j].basis})"
-                )
+    if links.keys() != flat_at.keys():
+        raise CertificationError("the spans of the fan's faces are not the poset's flats")
+    for h, stars in links.items():  # every face, at every chamber holding it
+        dim = poset.flats[flat_at[h]].dim
+        for rays, face in itertools.chain.from_iterable(stars.values()):
+            if face.bit_count() != dim:
+                gens = tuple(ray for j, ray in enumerate(rays) if face >> j & 1)
+                raise CertificationError(f"face {gens} does not span a flat of its dimension")
 
-    # (d) equal spans give identical star fans, all in one quotient basis per span;
-    # the faces of one span share its dimension, as each face's rays are independent
-    for span, ks in by_span.items():
-        group, at = [faces[k] for k in ks], flat_at.get(span)
-        flat = None if at is None else poset.flats[at]
-        if flat is None or flat.dim != len(group[0]):
-            raise CertificationError(f"face {group[0]} does not span a flat of its dimension")
+    # (d) equal spans give identical star fans, all in one quotient basis per span; a
+    # link ray in the span would give a larger face of that span, so no image is 0
+    outside = [[j for j in range(r) if not face >> j & 1] for face in range(1 << r)]
+    for h, stars in links.items():
+        flat = poset.flats[flat_at[h]]
         kappa, _, _ = quotient_data(flat.basis, r)
-        links = [[set(f.max_cones[c]).difference(face) for c in f.faces[face]] for face in group]
-        image = {i: la.primitive(kappa(f.rays[i])) for i in set().union(*itertools.chain(*links))}
-        stars = {frozenset(frozenset(map(image.get, link)) for link in cs) for cs in links}
-        if len(stars) != 1:
+        bits: dict[Vec, int] = {}  # one bit per distinct image: a link's images are an OR
+        image = cache(lambda ray: bits.setdefault(la.primitive(kappa(ray)), 1 << len(bits)))
+        projected = {
+            frozenset(sum(map(image, map(rays.__getitem__, outside[face])))
+                      for rays, face in incidences)
+            for incidences in stars.values()
+        }
+        if len(projected) != 1:
             raise CertificationError(
-                f"faces spanning {flat.basis} have {len(stars)} distinct star fans"
+                f"faces spanning {flat.basis} have {len(projected)} distinct star fans"
             )
 
-    for flat, m in zip(poset.flats, members):
-        top = len(faces[m.bit_length() - 1])  # faces run by dimension; S(E) holds the origin
-        if top != flat.dim:
-            raise CertificationError(
-                f"subfan of flat {flat.basis} has top dimension {top}, not {flat.dim}"
-            )
-
-    # (c) order isomorphism onto the image, after the dimension check that gives
-    # (<=): (=>) is one subset test per cover pair
-    if any(members[low] & ~members[high] for low, high in poset.cover_pairs):
+    # (c) order isomorphism onto the image: one subset test per cover pair
+    if any(held[high] & ~held[low] for low, high in poset.cover_pairs):
         raise CertificationError("subfan inclusion does not mirror flat order")
     return ToricArrangementReport(
         flat_count=len(poset.flats),
         subfan_dims=tuple(flat.dim for flat in poset.flats),
-        subfan_sizes=tuple(m.bit_count() for m in members),
+        subfan_sizes=tuple(sum(n for h, n in owned.items() if not e & ~h) for e in held),
         checks=("slice-vs-containment", "pairwise-intersections", "order-isomorphism",
                 "stars-depend-on-span", "dimensions"),
     )

@@ -656,12 +656,12 @@ def ref_build_polytope(a):
 
 
 def ref_phi_certificate(a):
-    """The embedding certificate with the fan's face table: one sign vector per
+    """The embedding certificate over the fan's faces: one sign vector per
     face, checked pairwise distinct, kept as the (face rays, signs) rows."""
     from arrfan import intlinalg as la
     from arrfan.arrangement import is_crystallographic
     from arrfan.errors import CertificationError, NotCrystallographicError
-    from arrfan.fan import fan_from_arrangement
+    from arrfan.fan import fan_faces, fan_from_arrangement
     from arrfan.polytope import PhiCertificate
 
     if not is_crystallographic(a).verdict:
@@ -684,7 +684,7 @@ def ref_phi_certificate(a):
             raise CertificationError(f"chamber {k.index} is not cut out by its sign pattern")
     f = fan_from_arrangement(a)
     seen = {}  # sign vector -> the face having it
-    for face in f.faces:
+    for face in fan_faces(f):
         gens = f.cone_vectors(face)
         pos, neg = a.face_signs(gens)
         sv = tuple((pos >> i & 1) - (neg >> i & 1) for i in range(a.n_hyperplanes))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from arrfan import intlinalg as la, poset
-from arrfan.arrangement import catalog, is_crystallographic, make_arrangement
+from arrfan.arrangement import Arrangement, catalog, is_crystallographic, make_arrangement
 from arrfan.errors import (
     BadReferenceError,
     CertificationError,
@@ -331,6 +331,50 @@ def test_toric_report_makes_one_elimination_per_flat(monkeypatch):
     monkeypatch.setattr(la, "kernel_basis", kernel_basis)
     toric_arrangement_report(a)
     assert len(calls) == (len(flats) - 1) + len(flats)
+
+
+def test_toric_report_makes_one_subset_walk_per_chamber(monkeypatch):
+    # every face is read off the walk over its chambers' ray subsets; no other
+    # face enumeration runs
+    calls = []
+
+    def subset_zeros(self, gens, walk=Arrangement.subset_zeros):
+        calls.append(gens)
+        return walk(self, gens)
+
+    a = catalog("D_4")
+    monkeypatch.setattr(Arrangement, "subset_zeros", subset_zeros)
+    toric_arrangement_report(a)
+    assert calls == [k.rays for k in a.chambers]
+
+
+@pytest.mark.parametrize("name, at", [("A_3", 0), ("B_3", 5)])
+def test_toric_report_rejects_a_chamber_cut_by_a_covector(name, at):
+    # ray 0 moved to r_0 - r_1: wall b_1 is then negative on it and positive on
+    # r_1, so it takes both signs on the chamber's rays, and (b) fails
+    a = catalog(name)
+    assert is_crystallographic(a).verdict  # cached before the record is corrupted
+    k = a.chambers[at]
+    rays = (la.vec_sub(k.rays[0], k.rays[1]),) + k.rays[1:]
+    vars(a)["chambers"] = a.chambers[:at] + (k._replace(rays=rays),) + a.chambers[at + 1:]
+    with pytest.raises(CertificationError, match="takes both signs"):
+        toric_arrangement_report(a)
+    with pytest.raises(CertificationError):
+        ref_toric_arrangement_report(a)
+
+
+@pytest.mark.parametrize("name, at", [("A_2", 0), ("A_3", 0), ("B_3", 5)])
+def test_toric_report_rejects_a_face_of_the_wrong_dimension(name, at):
+    # ray 1 replaced by 2 r_0 passes (b), and every face still spans a flat,
+    # but the face {r_0, 2 r_0} spans a line; checked before any link is projected
+    a = catalog(name)
+    assert is_crystallographic(a).verdict  # cached before the record is corrupted
+    k = a.chambers[at]
+    rays = (k.rays[0], la.vec_scale(2, k.rays[0])) + k.rays[2:]
+    vars(a)["chambers"] = a.chambers[:at] + (k._replace(rays=rays),) + a.chambers[at + 1:]
+    for report in (toric_arrangement_report, ref_toric_arrangement_report):
+        with pytest.raises(CertificationError, match="does not span a flat of its dimension"):
+            report(a)
 
 
 BELL = {2: 5, 3: 15, 4: 52, 5: 203, 6: 877}           # set partitions of r + 1
