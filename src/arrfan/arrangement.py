@@ -190,59 +190,45 @@ def arrangement_to_json(a: Arrangement) -> dict:
     }
 
 
-def _roots_type_a(r: int) -> list[Vec]:
-    return [
-        tuple(1 if i <= k <= j else 0 for k in range(r))
-        for i in range(r)
-        for j in range(i, r)
-    ]
+def _cartan_matrix(letter: str, r: int) -> list[list[int]]:
+    """The Cartan matrix c[i][j] = <alpha_j, alpha_i^vee> of A_r, B_r, C_r or D_r.
+
+    The Dynkin diagram is the path 0 - 1 - ... - (r-1).  The last simple root
+    is short in B_r and long in C_r; in D_r the last node hangs off node r-3
+    instead of r-2, and D_2 has no edge.
+    """
+    c = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(r)] for i in range(r)]
+    if letter == "B":
+        c[r - 1][r - 2] = -2
+    elif letter == "C":
+        c[r - 2][r - 1] = -2
+    elif letter == "D":
+        c[r - 1][r - 2] = c[r - 2][r - 1] = 0
+        if r > 2:
+            c[r - 1][r - 3] = c[r - 3][r - 1] = -1
+    return c
 
 
-def _roots_type_b(r: int) -> list[Vec]:
-    roots = []
-    for i in range(r):
-        for j in range(i + 1, r):  # e_i - e_j
-            roots.append(tuple(1 if i <= k < j else 0 for k in range(r)))
-        roots.append(tuple(1 if k >= i else 0 for k in range(r)))  # e_i
-        for j in range(i + 1, r):  # e_i + e_j
-            roots.append(tuple(2 if k >= j else (1 if k >= i else 0) for k in range(r)))
-    return roots
+def _root_closure(cartan: list[list[int]]) -> list[Vec]:
+    """The positive roots of a Cartan matrix, in simple-root coordinates.
 
-
-def _roots_type_c(r: int) -> list[Vec]:
-    roots = []
-    for i in range(r):
-        for j in range(i + 1, r):  # e_i - e_j
-            roots.append(tuple(1 if i <= k < j else 0 for k in range(r)))
-        # 2 e_i
-        roots.append(tuple(1 if k == r - 1 else (2 if k >= i else 0) for k in range(r)))
-        for j in range(i + 1, r):  # e_i + e_j
-            roots.append(
-                tuple(
-                    1 if k == r - 1 else (2 if k >= j else (1 if k >= i else 0))
-                    for k in range(r)
-                )
-            )
-    return roots
-
-
-def _roots_type_d(r: int) -> list[Vec]:
-    roots = []
-    for i in range(r):
-        for j in range(i + 1, r):  # e_i - e_j
-            roots.append(tuple(1 if i <= k < j else 0 for k in range(r)))
-    for i in range(r - 1):  # e_i + e_r
-        roots.append(
-            tuple(1 if (i <= k <= r - 3 or k == r - 1) else 0 for k in range(r))
-        )
-    for i in range(r):
-        for j in range(i + 1, r - 1):  # e_i + e_j, j < r
-            roots.append(
-                tuple(
-                    2 if j <= k <= r - 3 else (1 if (i <= k or k == r - 1) else 0)
-                    for k in range(r)
-                )
-            )
+    Starting from the simple roots, every image s_i(b) = b - <b, alpha_i^vee> alpha_i
+    that stays positive is kept; only b[i] changes, so that is img[i] >= 0.
+    This reaches every positive root (Humphreys, *Introduction to Lie Algebras
+    and Representation Theory*, 10.2): a positive non-simple beta has some
+    <beta, alpha_i^vee> > 0, as 0 < (beta, beta) = sum_i beta[i] (beta, alpha_i)
+    with every beta[i] >= 0.  Then s_i beta is a positive root of lower height,
+    so by induction on the height it is kept, and beta = s_i(s_i beta) with it.
+    """
+    r = len(cartan)
+    roots = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    seen = set(roots)
+    for b in roots:  # the list grows as it is read
+        for i, row in enumerate(cartan):
+            img = b[:i] + (b[i] - la.vec_dot(row, b),) + b[i + 1:]
+            if img[i] >= 0 and img not in seen:
+                seen.add(img)
+                roots.append(img)
     return roots
 
 
@@ -259,7 +245,8 @@ def catalog(name: str) -> Arrangement:
     """Built-in arrangements: A_r/B_r/C_r/D_r (2 <= r <= 8) and ngon:t:index.
 
     The classical families are given by their positive roots in simple-root
-    coordinates.  ngon:t:index enumerates the rank-2 family: triangulation
+    coordinates, the reflection closure of the simple roots under the family's
+    Cartan matrix.  ngon:t:index enumerates the rank-2 family: triangulation
     `index` of the convex t-gon (3 <= t <= MAX_TRIANGULATION_T) ->
     self-intersection weights -> rank-2 fan of the doubled weight sequence ->
     its wall covectors.
@@ -269,13 +256,7 @@ def catalog(name: str) -> Arrangement:
         letter, r = m.group(1), int(m.group(2))
         if not 2 <= r <= 8:
             raise BadReferenceError(f"rank {r} out of range for catalog family {letter}")
-        builders = {
-            "A": _roots_type_a,
-            "B": _roots_type_b,
-            "C": _roots_type_c,
-            "D": _roots_type_d,
-        }
-        return make_arrangement(r, builders[letter](r))
+        return make_arrangement(r, _root_closure(_cartan_matrix(letter, r)))
     m = _NGON_RE.match(name)
     if m:
         t, index = int(m.group(1)), int(m.group(2))

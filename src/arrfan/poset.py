@@ -67,6 +67,13 @@ def _held(a: Arrangement, basis: Mat) -> int:
     return reduce(and_, (a.ray_signs(row).zeros for row in basis), everything)
 
 
+def _bits(m: int):
+    """The indices of the set bits of m, lowest first."""
+    while m:
+        yield (m & -m).bit_length() - 1
+        m &= m - 1
+
+
 def _covectors(a: Arrangement, held: int) -> Mat:
     return tuple(cov for i, cov in enumerate(a.positive_covectors) if held >> i & 1)
 
@@ -184,7 +191,7 @@ def toric_arrangement_report(a: Arrangement) -> ToricArrangementReport:
     their sign vectors, so H(span) and K's positive mask outside it name the
     face.  It is counted once, at its owner, the chamber on which all of
     H(span) is positive (`phi_certificate`); |S(E)| sums the counts over the
-    spans holding H(E).
+    flats inside E, found along the cover pairs.
 
     (a) and the dimensions: each flat is the kernel of its H(E), the face
     spans are exactly the flats, and every face has its span's dimension.
@@ -252,10 +259,17 @@ def toric_arrangement_report(a: Arrangement) -> ToricArrangementReport:
     # (c) order isomorphism onto the image: one subset test per cover pair
     if any(held[high] & ~held[low] for low, high in poset.cover_pairs):
         raise CertificationError("subfan inclusion does not mirror flat order")
+    # |S(E)| sums the owner counts of the flats inside E, ORed up the cover pairs:
+    # they are sorted by the lower flat, and the flats by dimension, so each down-set
+    # is whole before it is read
+    below = [1 << k for k in range(len(held))]
+    for low, high in poset.cover_pairs:
+        below[high] |= below[low]
+    owners = [owned.get(h, 0) for h in held]
     return ToricArrangementReport(
         flat_count=len(poset.flats),
         subfan_dims=tuple(flat.dim for flat in poset.flats),
-        subfan_sizes=tuple(sum(n for h, n in owned.items() if not e & ~h) for e in held),
+        subfan_sizes=tuple(sum(owners[k] for k in _bits(m)) for m in below),
         checks=("slice-vs-containment", "pairwise-intersections", "order-isomorphism",
                 "stars-depend-on-span", "dimensions"),
     )

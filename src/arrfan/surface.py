@@ -84,23 +84,16 @@ def circular_graph(f: Fan) -> CircularGraph:
         raise ValueError("circular graphs require rank 2")
     f.require("complete", "smooth")
     rays = _rotate_to_lex_min(ccw_sorted(f.rays))
-    return _graph_from_ccw_rays(rays)
-
-
-def _graph_from_ccw_rays(rays: Mat) -> CircularGraph:
+    # consecutive rays have det 1 (smooth), so n_{j-1} + n_{j+1} is collinear with the
+    # primitive n_j, and a_j = det(n_{j+1}, n_{j-1}); the constructor checks the recurrence
     s = len(rays)
-    weights = []
-    for j in range(s):
-        prev, cur, nxt = rays[j - 1], rays[j], rays[(j + 1) % s]
-        total = la.vec_add(prev, nxt)
-        k = 0 if cur[0] != 0 else 1
-        if total[k] % cur[k] != 0:
-            raise CertificationError(f"ray sum {total} is not a multiple of {cur}")
-        a = -(total[k] // cur[k])
-        if la.vec_add(total, la.vec_scale(a, cur)) != (0, 0):
-            raise CertificationError(f"ray sum {total} is not collinear with {cur}")
-        weights.append(a)
-    return CircularGraph(weights=tuple(weights), rays=rays)
+    return CircularGraph(tuple(_det2(rays[(j + 1) % s], rays[j - 1]) for j in range(s)), rays)
+
+
+def _wheel(ccw_rays: Mat) -> Fan:
+    """The rank-2 fan whose cones are the cyclically consecutive CCW-ordered rays."""
+    cones = [[u, w] for u, w in zip(ccw_rays, ccw_rays[1:] + ccw_rays[:1])]
+    return make_fan(2, cones, check_faces=False)
 
 
 def weights_to_fan(weights) -> Fan:
@@ -127,8 +120,7 @@ def weights_to_fan(weights) -> Fan:
         raise OrientationError(f"weights {w} revisit a ray")
     if _rotate_to_lex_min(ccw_sorted(tuple(rays))) != _rotate_to_lex_min(tuple(rays)):
         raise OrientationError(f"weights {w} wind around more than once")
-    cones = [[rays[j], rays[(j + 1) % s]] for j in range(s)]
-    return make_fan(2, cones, check_faces=False)
+    return _wheel(rays)
 
 
 def verify_weight_identity(weights, mode: str) -> bool:
@@ -206,10 +198,7 @@ def symmetrize(f: Fan) -> Fan:
         raise ValueError("symmetrize requires rank 2")
     f.require("complete", "smooth")
     rays = set(f.rays) | {la.vec_neg(v) for v in f.rays}
-    ordered = ccw_sorted(tuple(rays))
-    s = len(ordered)
-    cones = [[ordered[j], ordered[(j + 1) % s]] for j in range(s)]
-    return make_fan(2, cones, check_faces=False)
+    return _wheel(ccw_sorted(tuple(rays)))
 
 
 def _hilbert_middle_rays(u: Vec, w: Vec) -> list[Vec]:
@@ -249,8 +238,7 @@ def desingularize(f: Fan) -> Fan:
         u, w = ordered[j], ordered[(j + 1) % s]
         out.append(u)
         out.extend(_hilbert_middle_rays(u, w))
-    cones = [[out[j], out[(j + 1) % len(out)]] for j in range(len(out))]
-    result = make_fan(2, cones, check_faces=False)
+    result = _wheel(out)
     rprops = result.properties
     if not rprops.smooth:
         raise CertificationError("desingularization left a singular cone")

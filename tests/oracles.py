@@ -1082,3 +1082,38 @@ def ref_hilbert_middle_rays(u, w):
             middles.append(p)
     middles.sort(key=functools.cmp_to_key(lambda p, q: -det2(p, q)))
     return middles
+
+
+def ref_catalog_roots(letter: str, r: int) -> list[tuple[int, ...]]:
+    """Positive roots of A_r, B_r, C_r or D_r in simple-root coordinates, from the
+    closed forms in the orthonormal basis e_1..e_r (Bourbaki, plates I-IV)."""
+    roots = []
+    for i in range(r):
+        for j in range(i + 1, r):  # e_i - e_j
+            roots.append(tuple(1 if i <= k < j else 0 for k in range(r)))
+    if letter == "A":  # also e_i - e_{r+1}
+        roots += [tuple(1 if k >= i else 0 for k in range(r)) for i in range(r)]
+    elif letter == "B":
+        for i in range(r):
+            roots.append(tuple(1 if k >= i else 0 for k in range(r)))  # e_i
+            for j in range(i + 1, r):  # e_i + e_j
+                roots.append(tuple(2 if k >= j else (1 if k >= i else 0) for k in range(r)))
+    elif letter == "C":
+        for i in range(r):
+            # 2 e_i
+            roots.append(tuple(1 if k == r - 1 else (2 if k >= i else 0) for k in range(r)))
+            for j in range(i + 1, r):  # e_i + e_j
+                roots.append(tuple(
+                    1 if k == r - 1 else (2 if k >= j else (1 if k >= i else 0))
+                    for k in range(r)
+                ))
+    elif letter == "D":
+        for i in range(r - 1):  # e_i + e_r
+            roots.append(tuple(1 if (i <= k <= r - 3 or k == r - 1) else 0 for k in range(r)))
+        for i in range(r):
+            for j in range(i + 1, r - 1):  # e_i + e_j, j < r
+                roots.append(tuple(
+                    2 if j <= k <= r - 3 else (1 if (i <= k or k == r - 1) else 0)
+                    for k in range(r)
+                ))
+    return roots

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -30,6 +31,7 @@ from oracles import (
     gauss_solve,
     ref_enumerate_chambers,
     ref_is_crystallographic,
+    ref_catalog_roots,
     ref_mat_inverse_fraction,
 )
 
@@ -76,6 +78,30 @@ def test_catalog_families():
         catalog("A_9")
     with pytest.raises(BadReferenceError):
         catalog("ngon:4:2")
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+@pytest.mark.parametrize("letter", "ABCD")
+def test_catalog_roots_match_the_closed_forms(letter, r):
+    assert catalog(f"{letter}_{r}") == make_arrangement(r, ref_catalog_roots(letter, r))
+
+
+_EXPONENTS = {  # the exponents m_1, ..., m_r of type X_r
+    "A": lambda r: list(range(1, r + 1)),
+    "B": lambda r: list(range(1, 2 * r, 2)),
+    "C": lambda r: list(range(1, 2 * r, 2)),
+    "D": lambda r: list(range(1, 2 * r - 2, 2)) + [r - 1],
+}
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+@pytest.mark.parametrize("letter", "ABCD")
+def test_catalog_root_heights_follow_the_exponents(letter, r):
+    # Kostant: the number of positive roots of height k is the number of exponents >= k
+    heights = Counter(sum(root) for root in catalog(f"{letter}_{r}").positive_covectors)
+    exponents = _EXPONENTS[letter](r)
+    assert heights == Counter({k: sum(m >= k for m in exponents)
+                               for k in range(1, max(exponents) + 1)})
 
 
 def test_catalog_ngon():
