@@ -13,11 +13,18 @@ loads and compiles only those: `catalog` and `verify` need `arrangement` and
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
 from pathlib import Path
+
+try:  # hashlib would load OpenSSL's libcrypto, some 4 MB of resident set per command
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import (
     ArrfanError,
@@ -57,7 +64,7 @@ def _emit(args, data: bytes, verdicts: dict, out=None, witnesses=None) -> None:
         outputs = {"out": args.out}
     report = {
         "command": args.report,
-        "input_digest": "sha256:" + hashlib.sha256(data).hexdigest(),
+        "input_digest": "sha256:" + sha256(data).hexdigest(),
         "verdicts": verdicts,
         "witnesses": witnesses or {},
         "outputs": outputs,
@@ -80,11 +87,14 @@ def _parse_vector(text: str) -> tuple[int, ...]:
 
 
 def _parse_rows(text: str) -> tuple[tuple[int, ...], ...]:
-    try:
+    try:  # JSON integers only: no float, string or bool (json makes no other int subclass)
         rows = json.loads(text)
-        return tuple(tuple(int(x) for x in row) for row in rows)
-    except (json.JSONDecodeError, TypeError, ValueError, RecursionError) as e:
-        raise InputFormatError(f"bad row list {text!r}") from e
+        ints = type(rows) is list and all(type(r) is list for r in rows)
+        if ints and all(type(x) is int for r in rows for x in r):
+            return tuple(map(tuple, rows))
+    except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
+        pass
+    raise InputFormatError(f"bad row list {text!r}")
 
 
 def _load_any(data: bytes):
@@ -102,9 +112,7 @@ def _load_any(data: bytes):
         return _fan_from_json(obj)
     if "weights" in obj:
         w = obj["weights"]
-        if not isinstance(w, list) or any(
-            not isinstance(x, int) or isinstance(x, bool) for x in w
-        ):
+        if type(w) is not list or any(type(x) is not int for x in w):
             raise InputFormatError("'weights' must be a list of integers")
         from .surface import weights_to_fan
 

@@ -89,6 +89,21 @@ def test_malformed_arguments_are_parse_errors(tmp_path, capsys):
         assert run(capsys, "restrict", path, "--subspace", rows) == (2, "")
 
 
+@pytest.mark.parametrize(
+    "rows", ["[[1.5,0,0]]", '[["1",0,0]]', "[[true,0,0]]", "[[Infinity,0,0]]", "{}", "[0,0,1]"]
+)
+def test_subspace_entries_must_be_json_integers(tmp_path, capsys, rows):
+    # a float, a string, a bool and a float too large for int() are no JSON integers;
+    # an object and a flat vector are no list of rows
+    a3, fan = str(tmp_path / "a3.json"), str(tmp_path / "a3.fan.json")
+    assert run(capsys, "catalog", "A_3", "--out", a3)[0] == 0
+    assert run(capsys, "fan", a3, "--out", fan)[0] == 0
+    assert main(["restrict", fan, "--subspace", rows]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad row list" in captured.err and "Traceback" not in captured.err
+
+
 def test_absurd_rank_is_a_lattice_span_verdict(tmp_path, capsys):
     # fewer covectors than the rank cannot span Z^r: exit 10 before the
     # rank-length all-ones Smith form is ever built
@@ -521,14 +536,19 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]), file=sys.stderr)
 """
 
 
-def _imports_of(tmp_path, *argv):
-    """The modules a CLI command loads, in a fresh interpreter."""
+def _fresh(tmp_path, script, *argv):
+    """Run `python -c script argv...` in tmp_path with this checkout's arrfan."""
     src = str(Path(arrfan.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _RUN_AS_MAIN, *argv],
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
     )
+
+
+def _imports_of(tmp_path, *argv):
+    """The modules a CLI command loads, in a fresh interpreter."""
+    proc = _fresh(tmp_path, _RUN_AS_MAIN, *argv)
     code, loaded = json.loads(proc.stderr.splitlines()[-1])
     assert code == 0, proc.stderr
     return set(loaded)
@@ -560,6 +580,28 @@ def test_each_command_imports_only_its_modules(tmp_path, capsys, argv, extra):
         f"arrfan.{m}" for m in extra
     }
     assert not loaded & {"dataclasses", "inspect"}
+    # the report's digest comes from the builtin SHA-256: hashlib would load OpenSSL
+    assert not loaded & {"hashlib", "_hashlib"}
     # only plotting computes with fractions; a witness of non-integrality would too
     if argv[0] != "plot":
         assert "fractions" not in loaded
+
+
+# `python -m arrfan.cli argv...` in an interpreter built without the builtin
+# SHA-256 module; prints whether hashlib was loaded
+_WITHOUT_BUILTIN_SHA256 = """
+import runpy, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+try:
+    runpy.run_module("arrfan.cli", run_name="__main__", alter_sys=True)
+finally:
+    print("hashlib" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_digest_falls_back_to_hashlib(tmp_path):
+    obj, expected = _PINNED_WITNESSES[0]
+    write(tmp_path, "neg.json", obj)
+    proc = _fresh(tmp_path, _WITHOUT_BUILTIN_SHA256, "verify", "neg.json")
+    assert (proc.returncode, proc.stdout) == (10, expected + "\n")
+    assert proc.stderr.splitlines()[-1] == "True"
