@@ -160,9 +160,9 @@ def make_arrangement(rank: int, covectors: Sequence[Sequence[int]]) -> Arrangeme
 
 
 def _parse_json(data: bytes | str):
-    try:
+    try:  # ValueError: bad syntax, bad UTF-8, or an integer past int()'s digit limit
         return json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:
         raise InputFormatError(f"invalid JSON: {e}") from e
 
 
@@ -237,8 +237,10 @@ def _root_closure(cartan: list[list[int]]) -> list[Vec]:
 # (t = 12: 16,796).
 MAX_TRIANGULATION_T = 12
 
-_CATALOG_RE = re.compile(r"^([ABCD])_(\d+)$")
-_NGON_RE = re.compile(r"^ngon:(\d+):(\d+)$")
+# matched whole, with at most nine ASCII digits per number: \d and int() also read
+# the digits of other scripts, and int() refuses more than 4,300 digits
+_CATALOG_RE = re.compile(r"([ABCD])_([0-9]{1,9})")
+_NGON_RE = re.compile(r"ngon:([0-9]{1,9}):([0-9]{1,9})")
 
 
 def catalog(name: str) -> Arrangement:
@@ -251,13 +253,13 @@ def catalog(name: str) -> Arrangement:
     self-intersection weights -> rank-2 fan of the doubled weight sequence ->
     its wall covectors.
     """
-    m = _CATALOG_RE.match(name)
+    m = _CATALOG_RE.fullmatch(name)
     if m:
         letter, r = m.group(1), int(m.group(2))
         if not 2 <= r <= 8:
             raise BadReferenceError(f"rank {r} out of range for catalog family {letter}")
         return make_arrangement(r, _root_closure(_cartan_matrix(letter, r)))
-    m = _NGON_RE.match(name)
+    m = _NGON_RE.fullmatch(name)
     if m:
         t, index = int(m.group(1)), int(m.group(2))
         if not 3 <= t <= MAX_TRIANGULATION_T:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -79,9 +80,20 @@ def _read(path: str) -> bytes:
         raise InputFormatError(f"cannot read {path}: {e}") from e
 
 
+_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
+def _ascii_int(text: str) -> int:
+    """An optional sign and the digits 0-9, spaces around them allowed: int()
+    alone also reads underscores and the digits of other scripts."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_vector(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(map(_ascii_int, text.split(",")))
     except ValueError as e:
         raise InputFormatError(f"bad vector {text!r}") from e
 
@@ -463,7 +475,7 @@ def _polygon_size(text: str) -> int:
     from .arrangement import MAX_TRIANGULATION_T
 
     try:
-        t = int(text)
+        t = _ascii_int(text)
     except ValueError:
         t = 0
     if not 3 <= t <= MAX_TRIANGULATION_T:

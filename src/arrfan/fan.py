@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, reduce
-from operator import or_
+from operator import mul, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from . import intlinalg as la
@@ -432,10 +432,10 @@ def quotient_data(gens: Mat, rank: int):
     induces the quotient covector (alpha(lift_j))_j).
     """
     w, v, d = la.complete_to_basis(gens, rank)
-    cols = tuple(tuple(v[i][j] for j in range(d, rank)) for i in range(rank))
+    cols = [tuple(row[j] for row in v) for j in range(d, rank)]  # v's last rank - d columns
 
     def kappa(x: Vec) -> Vec:
-        return la.vec_mat(x, cols)
+        return tuple(sum(map(mul, x, col)) for col in cols)
 
     return kappa, w[d:], d
 

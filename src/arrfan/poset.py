@@ -11,16 +11,13 @@ is built from X's basis with a kernel of one row and one Hermite reduction.
 Only the functions that read fans import `fan`, so `intersection_poset`
 loads no fan code.
 The toric-arrangement report verifies, purely on cones, the statements that
-make the family of flat subfans an embedded copy of the poset.  It walks
-each chamber's ray subsets once, grouping faces by the mask of the flat they
-span; one sign fold per chamber is the whole of the slice check, the face
-spans equalling the flat masks gives the intersections and dimensions, and
-the order is checked once per cover pair.
+make the family of flat subfans an embedded copy of the poset, in one pass
+over the chambers that keeps a count per face and a link per flat and sign
+pattern, but no chamber-face incidence.
 """
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict
+from collections import Counter
 from functools import cache, reduce
 from operator import and_
 from typing import NamedTuple, Sequence
@@ -163,11 +160,8 @@ def parabolic_arrangement(a: Arrangement, delta: Sequence[int]) -> Arrangement:
             raise CertificationError(f"covector {cov} projects to a non-primitive {img}")
         projected.add(la.canonical_sign(img))
     result = make_arrangement(a.rank - d, sorted(projected))
-    star_side = roots_from_fan(star_fan(f, dl))
-    if result != star_side:
-        raise CertificationError(
-            "projected covectors disagree with the star fan's wall covectors"
-        )
+    if result != roots_from_fan(star_fan(f, dl)):
+        raise CertificationError("projected covectors disagree with the star fan's wall covectors")
     return result
 
 
@@ -179,97 +173,102 @@ def toric_arrangement_report(a: Arrangement) -> ToricArrangementReport:
     face by E's vanishing covectors lands on a face and reproduces S(E);
     (c) E <= G exactly when S(E) <= S(G); (d) faces with equal span have
     identical star fans, all projected through one quotient basis of that
-    span; and the top dimension of S(E) equals dim E.  The faces are the
-    subsets of the chambers' rays, read in one walk per chamber
-    (`Arrangement.subset_zeros`) that gives each face H(span), the covectors
-    vanishing on it: a face lies in E when H(E) is in its H(span).
+    span; and the top dimension of S(E) equals dim E.  One pass over the
+    chambers walks each one's ray subsets, its faces, for their H(span), the
+    covectors vanishing on them (`Arrangement.subset_zeros`): a face lies in
+    E when H(E) is in its H(span).
 
     (b) is `face_signs` on each chamber's rays: a face's sign masks are ORs
     over a subset of them, so no covector cuts a face, a face sliced to its
     rays in E is a face in E, and each face in E is its own slice.  A face
     of chamber K takes K's signs off H(span), and faces are told apart by
-    their sign vectors, so H(span) and K's positive mask outside it name the
-    face.  It is counted once, at its owner, the chamber on which all of
-    H(span) is positive (`phi_certificate`); |S(E)| sums the counts over the
-    flats inside E, found along the cover pairs.
+    their signs, so H(span) and K's positive mask off it name the face:
+    |S(E)| counts the names over the flats inside E, along the cover pairs.
 
-    (a) and the dimensions: each flat is the kernel of its H(E), the face
-    spans are exactly the flats, and every face has its span's dimension.
-    A face spans the kernel of its H(span), being its chamber cut by H(span).
-    E n G, the kernel of H(E) with H(G), is cut out by hyperplanes, so the
-    complete fan's faces in it cover it and one spans it: the poset is
-    intersection-closed, and a face lies in E and G exactly when it lies in
-    E n G.  S(E) lies in E and holds a face spanning E, of dimension dim E.
+    (a) and the dimensions: each flat is the kernel of its H(E) and spanned
+    by a face, and each face spans a flat of its dimension: the kernel of its
+    H(span), being its chamber cut by H(span).  E n G, the kernel of H(E)
+    with H(G), is cut out by hyperplanes, so the complete fan's faces in it
+    cover it and one spans it: the poset is intersection-closed, and a face
+    lies in E and G exactly when it lies in E n G.  S(E) lies in E and holds
+    a face spanning E, of dimension dim E.
 
     (c) E <= G exactly when a chain of covers leads from E up to G, as the
     flats are graded.  S(E) holds the face spanning E, so S(E) <= S(G)
     exactly when H(G) is in H(E): (=>) is one subset test per cover pair,
-    and (<=) puts that face, hence E, inside G.  (d) projects each face's
-    links, the other rays of its chambers, through its span's quotient
-    basis.  Failures raise CertificationError.
+    and (<=) puts that face, hence E, inside G.
+
+    (d) is localization (Orlik-Terao, 1992).  Modulo the span X of a face F
+    of K, K is the chamber of A_X, the arrangement H(X), with K's signs on
+    H(X), its pattern: F's link, K's other rays projected through X's one
+    quotient basis, is a function of the pattern and, as H(X) factors
+    through the quotient, gives it back.  The chambers holding F agree off
+    H(X), so their patterns are distinct.  Checked: (i) links of one span
+    and pattern are identical, and (ii) each face of span X lies in as many
+    chambers as X has patterns.  So a face's star fan is the links of all of
+    X's patterns.  Conversely, if faces of span X share one star fan, each
+    has all of X's patterns, and K's link is that of each face's one chamber
+    with K's pattern: (i) and (ii) are exactly (d), no chamber listed twice.
+    A link ray in X would leave a larger face of span X, so a chamber's face
+    dimensions are checked before its links are projected.  Failures raise
+    CertificationError.
     """
     from .fan import quotient_data
 
     if not is_crystallographic(a).verdict:
         raise NotCrystallographicError("report requires a crystallographic arrangement")
-    r, poset = a.rank, intersection_poset(a)
+    r, n, poset = a.rank, a.n_hyperplanes, intersection_poset(a)
     held = [_held(a, flat.basis) for flat in poset.flats]
-    flat_at = {h: k for k, h in enumerate(held)}
-    owned: dict[int, int] = {}  # H(span) -> its faces, each counted at its owner
-    # H(span) -> face -> per chamber holding it, (its rays, the face as a bitmask over them)
-    links: dict[int, dict[int, list]] = defaultdict(lambda: defaultdict(list))
+    flat_of = dict(zip(held, poset.flats))
+    dim_of = {h: flat.dim for h, flat in flat_of.items()}
+    face_dims = [face.bit_count() for face in range(1 << r)]  # per ray subset
+    faces = Counter()  # H(span) << n | K's positive mask off H(span), a face -> chambers
+    stars: dict[int, int] = {}  # H(span) << n | K's positive mask on it, a pattern -> link
+    rays, number = [], {}  # every chamber ray, numbered on first sight
+
+    @cache  # per flat, on its first link: a ray's number -> one bit per distinct image
+    def image(h: int):
+        kappa, _, _ = quotient_data(flat_of[h].basis, r)
+        bits: dict[Vec, int] = {}
+        return cache(lambda i: bits.setdefault(la.primitive(kappa(rays[i])), 1 << len(bits)))
+
     for k in a.chambers:
         pos, _ = a.face_signs(k.rays)  # (b): no covector takes both signs on a face
-        for face, h in enumerate(a.subset_zeros(k.rays)):
-            if not h & ~pos:
-                owned[h] = owned.get(h, 0) + 1
-            links[h][pos & ~h].append((k.rays, face))
+        zeros = a.subset_zeros(k.rays)
+        if list(map(dim_of.get, zeros)) != face_dims:
+            face = next(f for f, h in enumerate(zeros) if dim_of.get(h) != face_dims[f])
+            gens = tuple(ray for j, ray in enumerate(k.rays) if face >> j & 1)
+            raise CertificationError(f"face {gens} does not span a flat of its dimension")
+        faces.update([h << n | pos & ~h for h in zeros])
+        links = [()]  # per face, in `subset_zeros` order, its link's ray numbers
+        for ray in k.rays:
+            if number.setdefault(ray, len(rays)) == len(rays):
+                rays.append(ray)
+            links = [link + (number[ray],) for link in links] + links
+        links = list(map(sum, map(map, map(image, zeros), links)))
+        patterns = [h << n | pos & h for h in zeros]
+        if list(map(stars.setdefault, patterns, links)) != links:  # (i)
+            h = next(p >> n for p, link in zip(patterns, links) if stars[p] != link)
+            raise CertificationError(f"faces spanning {flat_of[h].basis} have distinct star fans")
 
-    # (a) and the dimensions: the face spans are the flats, of their dimensions
+    # (a) each flat is cut out by its hyperplanes and spanned by a face; (ii)
+    spanned, patterned = Counter(f >> n for f in faces), Counter(p >> n for p in stars)
     for flat, h in zip(poset.flats, held):
-        if flat_from_constraints(r, _covectors(a, h)) != flat:
-            raise CertificationError(f"flat {flat.basis} is not cut out by its hyperplanes")
-    if links.keys() != flat_at.keys():
-        raise CertificationError("the spans of the fan's faces are not the poset's flats")
-    for h, stars in links.items():  # every face, at every chamber holding it
-        dim = poset.flats[flat_at[h]].dim
-        for rays, face in itertools.chain.from_iterable(stars.values()):
-            if face.bit_count() != dim:
-                gens = tuple(ray for j, ray in enumerate(rays) if face >> j & 1)
-                raise CertificationError(f"face {gens} does not span a flat of its dimension")
+        if h not in spanned or flat_from_constraints(r, _covectors(a, h)) != flat:
+            raise CertificationError(f"flat {flat.basis} is not cut out by H or is no face's span")
+    if any(chambers != patterned[f >> n] for f, chambers in faces.items()):
+        raise CertificationError("a face lies in other than one chamber per pattern of its span")
 
-    # (d) equal spans give identical star fans, all in one quotient basis per span; a
-    # link ray in the span would give a larger face of that span, so no image is 0
-    outside = [[j for j in range(r) if not face >> j & 1] for face in range(1 << r)]
-    for h, stars in links.items():
-        flat = poset.flats[flat_at[h]]
-        kappa, _, _ = quotient_data(flat.basis, r)
-        bits: dict[Vec, int] = {}  # one bit per distinct image: a link's images are an OR
-        image = cache(lambda ray: bits.setdefault(la.primitive(kappa(ray)), 1 << len(bits)))
-        projected = {
-            frozenset(sum(map(image, map(rays.__getitem__, outside[face])))
-                      for rays, face in incidences)
-            for incidences in stars.values()
-        }
-        if len(projected) != 1:
-            raise CertificationError(
-                f"faces spanning {flat.basis} have {len(projected)} distinct star fans"
-            )
-
-    # (c) order isomorphism onto the image: one subset test per cover pair
-    if any(held[high] & ~held[low] for low, high in poset.cover_pairs):
+    if any(held[high] & ~held[low] for low, high in poset.cover_pairs):  # (c)
         raise CertificationError("subfan inclusion does not mirror flat order")
-    # |S(E)| sums the owner counts of the flats inside E, ORed up the cover pairs:
-    # they are sorted by the lower flat, and the flats by dimension, so each down-set
-    # is whole before it is read
+    # the flats inside each, ORed up the cover pairs, sorted so each is whole when read
     below = [1 << k for k in range(len(held))]
     for low, high in poset.cover_pairs:
         below[high] |= below[low]
-    owners = [owned.get(h, 0) for h in held]
     return ToricArrangementReport(
         flat_count=len(poset.flats),
         subfan_dims=tuple(flat.dim for flat in poset.flats),
-        subfan_sizes=tuple(sum(owners[k] for k in _bits(m)) for m in below),
+        subfan_sizes=tuple(sum(spanned[held[k]] for k in _bits(m)) for m in below),
         checks=("slice-vs-containment", "pairwise-intersections", "order-isomorphism",
                 "stars-depend-on-span", "dimensions"),
     )

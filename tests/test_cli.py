@@ -73,13 +73,26 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, a2_file):
     assert code == 2
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int() digit limit")
+def test_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError for an integer of more than 4,300 digits
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"rank": 2, "positive_covectors": [[' + "1" * 5000 + ", 1]]}")
+    for command in ("verify", "roots", "plot"):
+        assert main([command, str(huge)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "invalid JSON" in captured.err
+
+
 def test_malformed_arguments_are_parse_errors(tmp_path, capsys):
     # a zero or wrong-length hyperplane and a subspace row of the wrong width
     # are input errors (2), not verdicts on the arrangement or the fan (10)
     a3, fan = str(tmp_path / "a3.json"), str(tmp_path / "a3.fan.json")
     assert run(capsys, "catalog", "A_3", "--out", a3)[0] == 0
     assert run(capsys, "fan", a3, "--out", fan)[0] == 0
-    for hyperplane in ("0,0,0", "1,0"):
+    # int() alone would read "1_0,٣" as (10, 3)
+    for hyperplane in ("0,0,0", "1,0", "1_0,٣,1", "1,0,１"):
         assert run(capsys, "insert", a3, "--hyperplane", hyperplane) == (2, "")
     singular = write(tmp_path, "singular.json", {
         "rank": 2, "rays": [[-1, -2], [-1, 2], [1, 0]], "max_cones": [[0, 1], [1, 2], [0, 2]],
@@ -191,6 +204,10 @@ def test_star_and_bad_cone(tmp_path, capsys, a2_file):
     assert json.loads(out)["verdicts"]["rank"] == 1
     code, _ = run(capsys, "star", fan_path, "--cone", "0,5")
     assert code == 3
+    # an optional sign and ASCII digits, spaces around them allowed
+    assert run(capsys, "star", fan_path, "--cone", " +0 ") == (0, out)
+    for cone in ("٠", "0,１", "0_0", "0.0"):
+        assert run(capsys, "star", fan_path, "--cone", cone)[0] == 2
 
 
 def test_surface_commands(tmp_path, capsys, a2_file):
@@ -352,7 +369,7 @@ def test_catalog_sporadic_dir(tmp_path, capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("count", ["2", "13", "x"])
+@pytest.mark.parametrize("count", ["2", "13", "x", "٥", "５", "1_0", "1" * 5000])
 def test_triangulation_count_is_bounded_at_parse_time(capsys, count):
     with pytest.raises(SystemExit) as e:
         main(["surface", "triangulations", "--count", count])
@@ -363,6 +380,10 @@ def test_triangulation_count_is_bounded_at_parse_time(capsys, count):
 def test_catalog_ngon_outside_bound_is_a_bad_reference(capsys):
     code, _ = run(capsys, "catalog", "ngon:13:0")
     assert code == 3
+    # names take ASCII digits only, and a number past int()'s digit limit is no name
+    huge = "1" * 5000
+    for name in ("A_٣", "B_３", "ngon:٨:0", "ngon:8:0\n", "A_" + huge, "ngon:8:" + huge):
+        assert run(capsys, "catalog", name) == (3, "")
     code, _ = run(capsys, "catalog", "ngon:12:0")
     assert code == 0
 

@@ -377,6 +377,27 @@ def test_toric_report_rejects_a_face_of_the_wrong_dimension(name, at):
             report(a)
 
 
+@pytest.mark.parametrize("name, at", [("A_3", 0), ("B_3", 7)])
+def test_toric_report_rejects_a_repeated_chamber_record(name, at):
+    # one record listed twice: every face of it lies in one chamber more than
+    # its span has sign patterns, so (ii) fails; the set-based reference
+    # reads the chambers as a set and accepts, so only the report is held to it
+    a = catalog(name)
+    assert is_crystallographic(a).verdict  # cached before the record is repeated
+    vars(a)["chambers"] = a.chambers + (a.chambers[at],)
+    with pytest.raises(CertificationError, match="one chamber per pattern"):
+        toric_arrangement_report(a)
+
+
+@pytest.mark.parametrize("name, at", [("A_3", 0), ("B_3", 7), ("A_4", 50)])
+def test_toric_report_rejects_a_dropped_chamber_record(name, at):
+    # one record left out: its faces of lower dimension miss one chamber each
+    a = catalog(name)
+    assert is_crystallographic(a).verdict  # cached before the record is dropped
+    vars(a)["chambers"] = a.chambers[:at] + a.chambers[at + 1:]
+    _both_reject(a)
+
+
 BELL = {2: 5, 3: 15, 4: 52, 5: 203, 6: 877}           # set partitions of r + 1
 FUBINI = {2: 13, 3: 75, 4: 541, 5: 4683, 6: 47293}     # ordered set partitions of r + 1
 
