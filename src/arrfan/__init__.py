@@ -48,25 +48,29 @@ _EXPORTS = {
         "OrientationError",
         "UnsupportedRankError",
     ),
+    "doubledesc": ("extreme_rays",),
     "fan": (
-        "BlowupCertificate",
-        "BlowupEntry",
         "Fan",
         "PropertyReport",
         "check_properties",
-        "fan_automorphisms",
         "fan_faces",
         "fan_from_arrangement",
         "fan_to_json",
-        "insert_hyperplane",
         "load_fan",
         "make_fan",
-        "restrict_fan",
         "roots_from_fan",
+    ),
+    "fanmaps": (
+        "BlowupCertificate",
+        "BlowupEntry",
+        "fan_automorphisms",
+        "insert_hyperplane",
+        "restrict_fan",
         "star_fan",
         "star_subdivide",
     ),
-    "intlinalg": ("det", "extreme_rays", "hnf", "snf"),
+    "intlinalg": ("det",),
+    "normalform": ("hnf", "snf"),
     "polytope": (
         "HalfLatticePolytope",
         "PhiCertificate",

@@ -8,7 +8,6 @@ verdict refers to a well-defined lattice.
 """
 from __future__ import annotations
 
-import json
 import re
 from collections import deque
 from functools import cache, cached_property, reduce
@@ -25,8 +24,10 @@ from .errors import (
     LatticeSpanError,
     NotCrystallographicError,
     NotSimplicialError,
+    _parse_json,
 )
 from .intlinalg import Mat, Vec
+from .normalform import hermite_basis
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -154,16 +155,9 @@ def make_arrangement(rank: int, covectors: Sequence[Sequence[int]]) -> Arrangeme
             raise InputFormatError(f"parallel covector pair at {v}")
         seen.add(v)
     # the row lattice is Z^r exactly when its Hermite basis is the identity
-    if len(canon) < rank or la.hermite_basis(canon) != la.identity(rank):
+    if len(canon) < rank or hermite_basis(canon) != la.identity(rank):
         raise LatticeSpanError("covectors do not generate the full integer lattice")
     return Arrangement(rank=rank, positive_covectors=tuple(sorted(canon)))
-
-
-def _parse_json(data: bytes | str):
-    try:  # ValueError: bad syntax, bad UTF-8, or an integer past int()'s digit limit
-        return json.loads(data)
-    except (ValueError, RecursionError) as e:
-        raise InputFormatError(f"invalid JSON: {e}") from e
 
 
 def load_arrangement(data: bytes | str) -> Arrangement:
@@ -232,11 +226,6 @@ def _root_closure(cartan: list[list[int]]) -> list[Vec]:
     return roots
 
 
-# The largest polygon the CLI and the catalog accept: surface.triangulations()
-# lists all Catalan(t-2) of them in memory, ~4.3 times more per step
-# (t = 12: 16,796).
-MAX_TRIANGULATION_T = 12
-
 # matched whole, with at most nine ASCII digits per number: \d and int() also read
 # the digits of other scripts, and int() refuses more than 4,300 digits
 _CATALOG_RE = re.compile(r"([ABCD])_([0-9]{1,9})")
@@ -249,7 +238,7 @@ def catalog(name: str) -> Arrangement:
     The classical families are given by their positive roots in simple-root
     coordinates, the reflection closure of the simple roots under the family's
     Cartan matrix.  ngon:t:index enumerates the rank-2 family: triangulation
-    `index` of the convex t-gon (3 <= t <= MAX_TRIANGULATION_T) ->
+    `index` of the convex t-gon (3 <= t <= surface.MAX_TRIANGULATION_T) ->
     self-intersection weights -> rank-2 fan of the doubled weight sequence ->
     its wall covectors.
     """
@@ -261,10 +250,11 @@ def catalog(name: str) -> Arrangement:
         return make_arrangement(r, _root_closure(_cartan_matrix(letter, r)))
     m = _NGON_RE.fullmatch(name)
     if m:
-        t, index = int(m.group(1)), int(m.group(2))
-        if not 3 <= t <= MAX_TRIANGULATION_T:
-            raise BadReferenceError(f"ngon requires 3 <= t <= {MAX_TRIANGULATION_T}")
         from . import surface
+
+        t, index = int(m.group(1)), int(m.group(2))
+        if not 3 <= t <= surface.MAX_TRIANGULATION_T:
+            raise BadReferenceError(f"ngon requires 3 <= t <= {surface.MAX_TRIANGULATION_T}")
         from .fan import roots_from_fan
 
         tris = surface.triangulations(t)
@@ -334,8 +324,10 @@ def enumerate_chambers(a: Arrangement) -> tuple[Chamber, ...]:
         new_rays = tuple(sorted(new_walls))
         return m, new_rays, [new_walls[x] for x in new_rays]
 
+    from .doubledesc import extreme_rays
+
     seed = _seed_sign_vector(a)
-    rays = la.extreme_rays([la.vec_scale(x, c) for x, c in zip(seed, covs)])
+    rays = extreme_rays([la.vec_scale(x, c) for x, c in zip(seed, covs)])
     if len(rays) != r:
         raise NotSimplicialError(
             f"chamber with sign vector {seed} has {len(rays)} extreme rays (rank {r})"

@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the JSON reader that raises
+InputFormatError on malformed input."""
+import json
 
 
 class ArrfanError(Exception):
@@ -7,6 +9,13 @@ class ArrfanError(Exception):
 
 class InputFormatError(ArrfanError):
     """Malformed input: bad JSON, non-integer entries, zero/non-primitive/parallel vectors."""
+
+
+def _parse_json(data: bytes | str):
+    try:  # ValueError: bad syntax, bad UTF-8, or an integer past int()'s digit limit
+        return json.loads(data)
+    except (ValueError, RecursionError) as e:
+        raise InputFormatError(f"invalid JSON: {e}") from e
 
 
 class LatticeSpanError(ArrfanError):

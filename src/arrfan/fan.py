@@ -1,5 +1,5 @@
 """Simplicial rational fans: construction from arrangements and back,
-property checks, star/restriction fans, subdivisions, automorphisms.
+validation of imported fans, and the property checks.
 
 Fans are stored by their maximal cones over a sorted primitive ray list; all
 faces are generator subsets since every cone here is simplicial.  Non-simplicial
@@ -15,32 +15,36 @@ maximal cone's primitive facet normals: the walk's wall covectors for a
 chamber fan, read off the walk once per arrangement.  The covering test
 (`Fan.overlap`) and the property verdict (`Fan.properties`) run once per
 fan.  No face table is kept: `fan_faces` lists the faces when asked, and the
-certificates that need faces walk each chamber's ray subsets.  The
-automorphism search verifies the base cone's orderings and one ordering per
-further orbit of cones, and gets the rest of the group as products of ray
-permutations.
+certificates that need faces walk each chamber's ray subsets.
+
+The maps between fans (star, restriction, subdivisions, automorphisms) are
+in `fanmaps`.  This module imports `arrangement` only inside the functions
+that build or return an arrangement, so `star`, `restrict`, `autos`, `plot`
+and the surface commands never compile it.
 """
 from __future__ import annotations
 
 import itertools
 from functools import cached_property, reduce
-from operator import mul, or_
-from typing import Iterable, NamedTuple, Sequence
+from operator import or_
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import intlinalg as la
-from .arrangement import Arrangement, _parse_json, is_crystallographic, make_arrangement
 from .errors import (
     BadReferenceError,
     CertificationError,
     InputFormatError,
     MalformedFanError,
     NotCompleteError,
-    NotCrystallographicError,
     NotSimplicialError,
     NotSmoothError,
     NotStronglySymmetricError,
+    _parse_json,
 )
 from .intlinalg import Mat, Vec
+
+if TYPE_CHECKING:
+    from .arrangement import Arrangement
 
 
 class _FanFields(NamedTuple):
@@ -151,36 +155,48 @@ class PropertyReport(NamedTuple):
     failure_witness: object = None
 
 
-class BlowupEntry(NamedTuple):
-    cone: Mat        # generators of the subdivided maximal cone
-    ray_a: Vec       # the two generators spanning the split 2-face
-    ray_b: Vec
-    new_ray: Vec     # equals ray_a + ray_b
-
-
-class BlowupCertificate(NamedTuple):
-    entries: tuple[BlowupEntry, ...]
-
-
 def _cone_h_rep(gens: Mat, rank: int) -> list[Vec]:
     """Inequality rows cutting out a simplicial cone (span equalities as +/- pairs).
 
     The dual rays of the generators read off each generator's coefficient on
     their span; the kernel rows pin that span down.
     """
+    from .normalform import kernel_basis
+
     rows = list(la.dual_rays(gens)) if gens else []
     if len(gens) < rank:
-        for eq in la.kernel_basis(gens) if gens else la.identity(rank):
+        for eq in kernel_basis(gens) if gens else la.identity(rank):
             rows += [eq, la.vec_neg(eq)]
     return rows
 
 
 def _pairwise_overlap(f: Fan) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """The first pair of cones not meeting in a common face, by one double
-    description per pair."""
+    """The first pair of cones not meeting in a common face.
+
+    A pair needs no double description when a facet normal h of one cone is
+    <= 0 on every ray of the other and vanishes only on rays the two share.
+    As h >= 0 on the first cone, h = 0 on the intersection, which therefore
+    lies in the cone over the second cone's rays where h vanishes: the cone
+    over shared rays, a common face.  Every other pair gets one double
+    description of the two cones' inequalities.
+    """
+    from .doubledesc import extreme_rays
+
+    masks = [sum(1 << i for i in c) for c in f.max_cones]
+    signs = {}  # per normal, the rays where it is positive and where it vanishes
+    for h in set().union(*f.normals):
+        vals = [la.vec_dot(h, v) for v in f.rays]
+        signs[h] = (sum(1 << i for i, x in enumerate(vals) if x > 0),
+                    sum(1 << i for i, x in enumerate(vals) if x == 0))
+    # per cone and normal, the rays it is positive on or vanishes on outside the
+    # cone: the normal settles the pair with any cone that has none of them
+    blocks = [[pos | zero & ~m for pos, zero in map(signs.get, hs)]
+              for m, hs in zip(masks, f.normals)]
     h_reps = {c: _cone_h_rep(f.cone_vectors(c), f.rank) for c in f.max_cones}
-    for a, b in itertools.combinations(f.max_cones, 2):
-        inter = la.extreme_rays(h_reps[a] + h_reps[b])
+    for (i, a), (j, b) in itertools.combinations(enumerate(f.max_cones), 2):
+        if any(not x & masks[j] for x in blocks[i]) or any(not x & masks[i] for x in blocks[j]):
+            continue
+        inter = extreme_rays(h_reps[a] + h_reps[b])
         common = set(f.cone_vectors(a)) & set(f.cone_vectors(b))
         if not set(inter) <= common or len(inter) != len(set(a) & set(b)):
             return a, b
@@ -205,8 +221,9 @@ def make_fan(
     facets each lie in exactly two cones is checked through the wall table:
     opposite sides at every facet and one cone over a generic point, which is
     O(C·r) facet work over the fan's inverse table.  Any other input (an
-    incomplete fan, lower-dimensional cones) gets one double description per
-    cone pair.  Internal constructors whose cones tile by construction pass
+    incomplete fan, lower-dimensional cones) is checked pairwise: one double
+    description per cone pair that no facet normal of either cone separates.
+    Internal constructors whose cones tile by construction pass
     check_faces=False.
     """
     cone_vecs = [tuple(tuple(v) for v in cone) for cone in cones]
@@ -361,7 +378,9 @@ def check_properties(f: Fan) -> PropertyReport:
         if len(cone) == f.rank:
             unimodular = all(la.vec_dot(h, g) == 1 for h, g in zip(hs, gens))
         else:
-            unimodular = la.snf(gens) == (1,) * len(cone)
+            from .normalform import snf
+
+            unimodular = snf(gens) == (1,) * len(cone)
         if not unimodular:
             smooth = False
             witness = {"property": "smooth", "cone": gens}
@@ -420,24 +439,9 @@ def roots_from_fan(f: Fan) -> Arrangement:
     """
     if f.rank < 1:
         raise ValueError("roots_from_fan requires rank >= 1")
+    from .arrangement import make_arrangement
+
     return make_arrangement(f.rank, f.require("smooth", "strongly_symmetric").hyperplanes)
-
-
-def quotient_data(gens: Mat, rank: int):
-    """Deterministic quotient of Z^rank by the saturation of the generator span.
-
-    Returns (kappa, lifts, d): kappa maps x to its coordinates in the quotient
-    lattice, and lifts are the rank - d completing basis vectors whose classes
-    are the quotient's standard basis (so an annihilating covector alpha
-    induces the quotient covector (alpha(lift_j))_j).
-    """
-    w, v, d = la.complete_to_basis(gens, rank)
-    cols = [tuple(row[j] for row in v) for j in range(d, rank)]  # v's last rank - d columns
-
-    def kappa(x: Vec) -> Vec:
-        return tuple(sum(map(mul, x, col)) for col in cols)
-
-    return kappa, w[d:], d
 
 
 def _require_face(f: Fan, delta: Sequence[int]) -> tuple[int, ...]:
@@ -447,222 +451,3 @@ def _require_face(f: Fan, delta: Sequence[int]) -> tuple[int, ...]:
     if dl and not any(set(dl) <= set(c) for c in f.max_cones):
         raise BadReferenceError(f"cone {dl} is not a face of the fan")
     return dl
-
-
-def star_fan(f: Fan, delta: Sequence[int]) -> Fan:
-    """The fan of cones containing delta, in the quotient lattice N/(N n <delta>).
-
-    The quotient basis comes from a deterministic unimodular completion of the
-    generators, so repeated runs produce identical coordinates.  delta = ()
-    returns the fan itself.
-    """
-    dl = _require_face(f, delta)
-    if not dl:
-        return f
-    gens = f.cone_vectors(dl)
-    kappa, _, d = quotient_data(gens, f.rank)
-    new_rank = f.rank - d
-    cones = []
-    for cone in f.max_cones:
-        if set(dl) <= set(cone):
-            imgs = [
-                la.primitive(kappa(f.rays[i])) for i in cone if i not in dl
-            ]
-            cones.append(imgs)
-    return make_fan(new_rank, cones, check_faces=False)
-
-
-def restrict_fan(f: Fan, subspace_rows: Sequence[Sequence[int]]) -> Fan:
-    """The cones of f lying inside a cone-spanned subspace, in its own lattice.
-
-    `subspace_rows` must span the span of some cone of f; f must be smooth and
-    strongly symmetric.  A ray lies in the subspace when the rows' kernel
-    vanishes on it.  As the cones are simplicial, the subspace (of dimension
-    d) is spanned by a cone exactly when some maximal cone has d rays inside,
-    and those d-ray faces are the restricted cones.  As f is smooth, the rays
-    of one face F are a basis of the subspace's lattice, and F's facet
-    normals give a ray's coordinates on F; U^-1 of the Hermite form H = U*F
-    maps them to the canonical basis H.  A restricted cone's facet normals
-    are those of a maximal cone holding it, read on H.  The result is
-    certified smooth and strongly symmetric, hence complete, of rank d.
-    """
-    rows = [tuple(r) for r in subspace_rows]
-    if any(len(r) != f.rank for r in rows):
-        raise InputFormatError("row width does not match ambient dimension")
-    f.require("smooth", "strongly_symmetric")
-    kernel = la.kernel_basis(rows) if rows else la.identity(f.rank)
-    d = f.rank - len(kernel)
-    if d == f.rank:
-        return f
-    if d == 0:
-        return Fan(rank=0, rays=(), max_cones=((),))
-    inside = [not any(la.vec_dot(h, v) for h in kernel) for v in f.rays]
-    faces = {}  # restricted cone -> its rays' opposite normals in a maximal cone holding it
-    for cone, hs in zip(f.max_cones, f.normals):
-        face = tuple(i for i in cone if inside[i])
-        if len(face) == d:
-            faces[face] = [h for i, h in zip(cone, hs) if inside[i]]
-    if not faces:
-        raise BadReferenceError("subspace is not spanned by a cone of the fan")
-    base = min(faces)
-    basis, u = la.hnf(f.cone_vectors(base))
-    to_basis = la.hnf(u)[1]  # U^-1: the Hermite form of a unimodular U is I
-    cones = []
-    for face, hs in faces.items():  # each ray's coordinates on H, with its normal read on H
-        pairs = sorted((la.vec_mat([la.vec_dot(g, f.rays[i]) for g in faces[base]], to_basis),
-                        tuple(la.vec_dot(b, h) for b in basis)) for i, h in zip(face, hs))
-        cones.append(tuple(zip(*pairs)))
-    result = _seeded_fan(d, cones)
-    if not (result.properties.smooth and result.properties.strongly_symmetric):
-        raise CertificationError("restriction fan lost smoothness or symmetry")
-    return result
-
-
-def star_subdivide(f: Fan, cone: Sequence[int]) -> Fan:
-    """Star subdivision of one maximal cone at the sum of its generators."""
-    target = tuple(sorted(set(cone)))
-    if target not in f.max_cones:
-        raise BadReferenceError(f"{tuple(cone)} is not a maximal cone")
-    gens = f.cone_vectors(target)
-    center = la.primitive(tuple(sum(col) for col in zip(*gens)))
-    cones: list[list[Vec]] = []
-    for c in f.max_cones:
-        if c == target:
-            for skip in range(len(gens)):
-                cones.append([g for i, g in enumerate(gens) if i != skip] + [center])
-        else:
-            cones.append(list(f.cone_vectors(c)))
-    return make_fan(f.rank, cones, check_faces=False)
-
-
-def insert_hyperplane(a: Arrangement, h: Sequence[int]) -> tuple[Fan, BlowupCertificate]:
-    """Add one hyperplane and certify the subdivision as 2-face splits.
-
-    Both the input and the enlarged arrangement must be crystallographic.
-    Every chamber met by the new hyperplane's interior is split into two
-    cones along it: the chambers of the enlarged arrangement whose sign
-    vectors extend its sign vector by +1 and by -1 at the new covector's
-    position.  The certificate records, per split cone in fan order, the
-    2-face (ray_a, ray_b) that was subdivided and checks that the unique new
-    ray is exactly ray_a + ray_b.  Every other chamber must reappear with its
-    rays under its one extension.
-    """
-    if not any(h):
-        raise InputFormatError("zero hyperplane")
-    hv = la.canonical_sign(la.primitive(tuple(h)))
-    if hv in a.positive_covectors:
-        raise BadReferenceError(f"hyperplane {tuple(h)} already in the arrangement")
-    a2 = make_arrangement(a.rank, a.positive_covectors + (hv,))
-    if not is_crystallographic(a).verdict:
-        raise NotCrystallographicError("base arrangement is not crystallographic")
-    if not is_crystallographic(a2).verdict:
-        raise NotCrystallographicError("enlarged arrangement is not crystallographic")
-    f2 = fan_from_arrangement(a2)
-    at = a2.positive_covectors.index(hv)
-    rays2 = {k.sign_vector: k.rays for k in a2.chambers}
-    entries = []
-    for k in sorted(a.chambers, key=lambda k: k.rays):  # the chamber fan's cone order
-        gens, s = k.rays, k.sign_vector
-        vals = [la.vec_dot(hv, g) for g in gens]
-        sides = (s[:at] + (1,) + s[at:], s[:at] + (-1,) + s[at:])
-        pieces = [rays2[e] for e in sides if e in rays2]
-        if any(x > 0 for x in vals) and any(x < 0 for x in vals):
-            if len(pieces) != 2:
-                raise CertificationError(
-                    f"cone {gens} split into {len(pieces)} pieces, expected 2"
-                )
-            p0, p1 = (set(p) for p in pieces)
-            new_rays = (p0 | p1) - set(gens)
-            only0 = (p0 - p1) & set(gens)
-            only1 = (p1 - p0) & set(gens)
-            if len(new_rays) != 1 or len(only0) != 1 or len(only1) != 1:
-                raise CertificationError(f"unexpected subdivision pattern in cone {gens}")
-            new_ray = next(iter(new_rays))
-            ray_a, ray_b = sorted([next(iter(only0)), next(iter(only1))])
-            if new_ray != la.vec_add(ray_a, ray_b):
-                raise CertificationError(
-                    f"new ray {new_ray} is not the generator sum {ray_a} + {ray_b}"
-                )
-            entries.append(
-                BlowupEntry(cone=gens, ray_a=ray_a, ray_b=ray_b, new_ray=new_ray)
-            )
-        elif pieces != [gens]:
-            raise CertificationError(f"untouched cone {gens} vanished")
-    if len(f2.max_cones) != len(a.chambers) + len(entries):
-        raise CertificationError("subdivision produced unexpected cone count")
-    return f2, BlowupCertificate(tuple(entries))
-
-
-def fan_automorphisms(f: Fan) -> tuple[Mat, ...]:
-    """All unimodular matrices mapping the ray set and the cone set to themselves.
-
-    Vectors transform as rows: v -> v*G.  A linear map is fixed by where it
-    sends one full-rank cone's ordered generators, so the group acts freely
-    on (maximal cone, ordering) flags.  A candidate sending base cone 0 to
-    (K, ordering) must send the ray across base wall j to the ray across K's
-    wall at the image of generator j; these r rays, read off the wall table,
-    reject almost every candidate before the determinant and the map of every
-    ray and cone verify the rest.  All r! orderings of the base cone are
-    verified, which gives its whole stabiliser S.  Each later cone outside the
-    orbit of the base cone under the group found so far has its orderings
-    tried until one passes, which becomes a generator; when none passes, no
-    automorphism reaches that cone.  Every automorphism g is then s*t_K with
-    s in S and t_K the found element sending the base cone to K = g(base),
-    so the products s*t_K, held as ray permutations, are the whole group.
-    Requires a complete fan.
-    """
-    if f.rank == 0:
-        return ((),)
-    f.require("complete")
-    across = [[0] * f.rank for _ in f.max_cones]  # ray across each wall of each cone
-    for (a, j), (b, k) in f.walls.values():
-        across[a][j] = f.max_cones[b][k]
-        across[b][k] = f.max_cones[a][j]
-    base = f.max_cones[0]
-    binv, d = la.scaled_inverse(f.cone_vectors(base))  # base * binv = d * I
-    base_across = [f.rays[i] for i in across[0]]
-    ray_index = {v: i for i, v in enumerate(f.rays)}
-    cone_index = {c: i for i, c in enumerate(f.max_cones)}
-
-    def matrix(images: Sequence[int]) -> Mat | None:
-        g = la.mat_mul(binv, [f.rays[i] for i in images])
-        if any(x % d for row in g for x in row):
-            return None
-        return tuple(tuple(x // d for x in row) for row in g)
-
-    def verified(ci: int, perm: Sequence[int]) -> tuple[int, ...] | None:
-        """Ray permutation of base generator j -> generator perm[j] of ci, if an automorphism."""
-        gi = matrix([f.max_cones[ci][p] for p in perm])
-        if (
-            gi is None
-            or any(la.vec_mat(v, gi) != f.rays[across[ci][p]] for v, p in zip(base_across, perm))
-            or abs(la.det(gi)) != 1
-        ):
-            return None
-        perm_map = tuple(ray_index.get(la.vec_mat(v, gi)) for v in f.rays)
-        if None in perm_map:
-            return None
-        cones_kept = all(tuple(sorted(perm_map[i] for i in c)) in cone_index for c in f.max_cones)
-        return perm_map if cones_kept else None
-
-    orderings = list(itertools.permutations(range(f.rank)))
-    stabiliser = [p for p in (verified(0, perm) for perm in orderings) if p is not None]
-    gens = list(stabiliser)
-    orbit = {0: tuple(range(len(f.rays)))}  # orbit cone -> a found element sending base to it
-    for ci in range(1, len(f.max_cones)):
-        if ci in orbit:
-            continue
-        g = next((p for p in (verified(ci, perm) for perm in orderings) if p is not None), None)
-        if g is None:
-            continue
-        gens.append(g)
-        queue = list(orbit)
-        for k in queue:
-            for h in gens:
-                image = cone_index[tuple(sorted(h[i] for i in f.max_cones[k]))]
-                if image not in orbit:
-                    orbit[image] = tuple(h[i] for i in orbit[k])
-                    queue.append(image)
-    return tuple(sorted(
-        matrix([t[s[i]] for i in base]) for s in stabiliser for t in orbit.values()
-    ))

@@ -22,7 +22,7 @@ from functools import cache, reduce
 from operator import and_
 from typing import NamedTuple, Sequence
 
-from . import intlinalg as la
+from . import intlinalg as la, normalform as nf
 from .arrangement import Arrangement, is_crystallographic, make_arrangement
 from .errors import BadReferenceError, CertificationError, NotCrystallographicError
 from .intlinalg import Mat, Vec
@@ -48,13 +48,13 @@ class ToricArrangementReport(NamedTuple):
 def flat_from_constraints(rank: int, covectors: Sequence[Vec]) -> FlatSubspace:
     """The flat annihilated by the given covectors, one elimination; with none,
     the kernel of the zero row, all of Z^rank."""
-    basis = la.kernel_basis([tuple(c) for c in covectors] or [(0,) * rank])
+    basis = nf.kernel_basis([tuple(c) for c in covectors] or [(0,) * rank])
     return FlatSubspace(dim=len(basis), basis=basis)
 
 
 def flat_from_generators(rank: int, vectors: Sequence[Vec]) -> FlatSubspace:
     """The flat spanned by the given lattice vectors (saturated)."""
-    basis = la.saturation_basis([tuple(v) for v in vectors], rank)
+    basis = nf.saturation_basis([tuple(v) for v in vectors], rank)
     return FlatSubspace(dim=len(basis), basis=basis)
 
 
@@ -105,7 +105,7 @@ def intersection_poset(a: Arrangement) -> IntersectionPoset:
                 traces[trace] = traces.get(trace, 0) | 1 << i
         for trace, g in traces.items():
             if held | g not in flats:
-                basis = la.hermite_basis(la.mat_mul(la.kernel_basis([trace]), flat.basis))
+                basis = nf.hermite_basis(la.mat_mul(nf.kernel_basis([trace]), flat.basis))
                 flats[held | g] = FlatSubspace(len(basis), basis)
                 found.append(held | g)
             covers.append((held | g, held))
@@ -130,7 +130,8 @@ def restricted_arrangement(a: Arrangement, e: FlatSubspace) -> Arrangement:
         raise BadReferenceError("restriction to the zero flat has rank 0")
     if e.dim == a.rank:
         return a
-    from .fan import fan_from_arrangement, restrict_fan, roots_from_fan
+    from .fan import fan_from_arrangement, roots_from_fan
+    from .fanmaps import restrict_fan
 
     return roots_from_fan(restrict_fan(fan_from_arrangement(a), e.basis))
 
@@ -143,7 +144,8 @@ def parabolic_arrangement(a: Arrangement, delta: Sequence[int]) -> Arrangement:
     covectors of the star fan at delta (the two descriptions of the same
     arrangement), using the same deterministic quotient basis.
     """
-    from .fan import _require_face, fan_from_arrangement, quotient_data, roots_from_fan, star_fan
+    from .fan import _require_face, fan_from_arrangement, roots_from_fan
+    from .fanmaps import quotient_data, star_fan
 
     f = fan_from_arrangement(a)
     dl = _require_face(f, delta)
@@ -213,7 +215,7 @@ def toric_arrangement_report(a: Arrangement) -> ToricArrangementReport:
     dimensions are checked before its links are projected.  Failures raise
     CertificationError.
     """
-    from .fan import quotient_data
+    from .fanmaps import quotient_data
 
     if not is_crystallographic(a).verdict:
         raise NotCrystallographicError("report requires a crystallographic arrangement")

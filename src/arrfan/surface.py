@@ -11,12 +11,18 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import intlinalg as la
 from .errors import CertificationError, DoesNotCloseError, OrientationError
-from .fan import Fan, make_fan
 from .intlinalg import Mat, Vec
+
+if TYPE_CHECKING:  # the fan module is loaded by the functions that build a fan
+    from .fan import Fan
+
+# The largest polygon the CLI and the catalog accept: triangulations() lists
+# all Catalan(t-2) of them in memory, ~4.3 times more per step (t = 12: 16,796).
+MAX_TRIANGULATION_T = 12
 
 
 class _CircularGraphFields(NamedTuple):
@@ -92,6 +98,8 @@ def circular_graph(f: Fan) -> CircularGraph:
 
 def _wheel(ccw_rays: Mat) -> Fan:
     """The rank-2 fan whose cones are the cyclically consecutive CCW-ordered rays."""
+    from .fan import make_fan
+
     cones = [[u, w] for u, w in zip(ccw_rays, ccw_rays[1:] + ccw_rays[:1])]
     return make_fan(2, cones, check_faces=False)
 

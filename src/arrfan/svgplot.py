@@ -9,10 +9,10 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import intlinalg as la
-from .arrangement import Arrangement
 from .intlinalg import Vec
 
-if TYPE_CHECKING:  # an annotation only: arrangement plots do not load the fan module
+if TYPE_CHECKING:  # annotations only: each plot loads the module of its input alone
+    from .arrangement import Arrangement
     from .fan import Fan
 
 _SIZE = 600

@@ -17,13 +17,10 @@ from arrfan.fan import (
     check_properties,
     fan_faces,
     fan_from_arrangement,
-    insert_hyperplane,
     make_fan,
-    restrict_fan,
     roots_from_fan,
-    star_fan,
-    star_subdivide,
 )
+from arrfan.fanmaps import insert_hyperplane, restrict_fan, star_fan, star_subdivide
 from arrfan.polytope import build_polytope, phi_certificate, verify_normal_fan
 from arrfan.poset import intersection_poset, parabolic_arrangement
 from arrfan.surface import (

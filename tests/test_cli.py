@@ -2,6 +2,7 @@ import argparse
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import arrfan
+from arrfan import cli
 from arrfan.cli import build_parser, main
+from arrfan.commands import canonical_json
 from arrfan.errors import ArrfanError
 
 
@@ -465,7 +468,7 @@ def test_report_line_of_every_command(tmp_path, capsys, a2_file, argv, name, wri
     code, out = run(capsys, *argv)
     assert code == 0
     report = json.loads(out)
-    assert out == arrfan.cli.canonical_json(report) + "\n"
+    assert out == canonical_json(report) + "\n"
     assert report["command"] == name
     assert report["outputs"] == ({"out": str(out_path)} if writes else {})
     assert out_path.exists() == writes
@@ -486,6 +489,87 @@ def test_catalog_and_plot_print_the_document_without_out(tmp_path, capsys, a2_fi
     else:
         assert out.startswith("<?xml") and out.rstrip().endswith("</svg>")
         assert '"command"' not in out
+
+
+@pytest.mark.parametrize("target", ["missing-dir/x.json", "."])
+@pytest.mark.parametrize(
+    "argv", [["fan", "{arr}"], ["catalog", "A_2"], ["plot", "{fan}"], ["surface", "graph", "{fan}"]]
+)
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, a2_file, argv, target):
+    """A --out path in a missing directory, or a directory, exits 2 with no report."""
+    fan_path = str(tmp_path / "a2.fan.json")
+    assert run(capsys, "fan", a2_file, "--out", fan_path)[0] == 0
+    out = str(tmp_path / target)
+    code = main([*(a.format(arr=a2_file, fan=fan_path) for a in argv), "--out", out])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+
+
+def _outcome_of_main(capsys, argv):
+    """Exit code, stdout and stderr (without the timing line) of main(argv)."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, re.sub(r"# elapsed_ms=[0-9.]+\n", "", captured.err)
+
+
+def _variants(argv):
+    """Command lines around one valid argv: help, missing and bad arguments."""
+    words = argv[:2] if argv[0] == "surface" else argv[:1]
+    rest = argv[len(words):]
+    yield argv
+    yield [*words, "-h"]
+    yield words
+    yield [*words, *("missing.json" if a.endswith(".json") else a for a in rest)]
+    yield [*argv, "--bogus"]
+    yield [*argv, "extra"]
+    for option in ("--count", "--cone", "--subspace"):
+        if option in argv:
+            yield [*words, *("x" if a == argv[argv.index(option) + 1] else a for a in rest)]
+
+
+def test_main_builds_only_the_named_command():
+    for argv, name, _ in _LEAF_COMMANDS:
+        assert _leaf_reports(build_parser(argv[:2])) == {name}
+    for words in (["-h"], ["nope"], ["surface"], ["surface", "nope"]):
+        assert _leaf_reports(build_parser(words)) == _leaf_reports(build_parser())
+
+
+@pytest.mark.parametrize("argv,name,writes", _LEAF_COMMANDS, ids=[c[1] for c in _LEAF_COMMANDS])
+def test_one_command_parser_matches_the_full_parser(
+    monkeypatch, tmp_path, capsys, a2_file, argv, name, writes
+):
+    """Help, usage and error texts, outputs and exit codes are those of the
+    whole grammar, and a valid command line builds the one command's parser."""
+    fan_path = str(tmp_path / "a2.fan.json")
+    assert run(capsys, "fan", a2_file, "--out", fan_path)[0] == 0
+    argv = [a.format(arr=a2_file, fan=fan_path) for a in argv]
+    monkeypatch.chdir(tmp_path)
+    built = []
+    leaf_parser = cli.build_parser
+    for i, variant in enumerate(_variants(argv)):
+        built.clear()
+        monkeypatch.setattr(cli, "build_parser", lambda w=(): built.append(list(w)) or leaf_parser(w))
+        leaf = _outcome_of_main(capsys, variant)
+        if i == 0:
+            assert leaf[0] == 0 and built == [argv[:2]]
+        monkeypatch.setattr(cli, "build_parser", lambda w=(): leaf_parser())
+        assert leaf == _outcome_of_main(capsys, variant), variant
+
+
+@pytest.mark.parametrize("argv", [["-h"], [], ["nope"], ["surface"], ["surface", "-h"],
+                                  ["surface", "nope"], ["--out", "x", "fan"]])
+def test_top_level_errors_and_help_use_the_full_parser(monkeypatch, capsys, argv):
+    leaf = _outcome_of_main(capsys, argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda w=(): full())
+    assert leaf == _outcome_of_main(capsys, argv)
+    # the usage lists every command of the group
+    group = "{graph,from-weights," if argv[:1] == ["surface"] else "{verify,catalog,fan,"
+    assert group in leaf[1] + leaf[2]
 
 
 # the exit-code table of the README, by error class
@@ -541,7 +625,7 @@ def test_a_type_error_is_not_a_verdict(monkeypatch, capsys, a2_file):
     assert capsys.readouterr().out == ""
 
 
-_BASE = {"arrfan", "arrfan.errors", "arrfan.intlinalg", "arrfan.arrangement"}
+_BASE = {"arrfan", "arrfan.errors", "arrfan.intlinalg", "arrfan.commands"}
 
 
 # `python -m arrfan.cli argv...`, then the modules it loaded beyond the
@@ -575,22 +659,47 @@ def _imports_of(tmp_path, *argv):
     return set(loaded)
 
 
-@pytest.mark.parametrize(
-    "argv,extra",
-    [
-        (["catalog", "A_2"], set()),
-        (["verify", "a2.json"], set()),
-        (["fan", "a2.json"], {"fan"}),
-        (["poset", "a2.json"], {"poset"}),
-        (["roots", "a2.fan.json"], {"fan"}),
-        (["surface", "graph", "a2.fan.json"], {"fan", "surface"}),
-        (["plot", "a2.json"], {"svgplot"}),
-        (["parabolic", "a2.json", "--cone", "0"], {"fan", "poset"}),
-        (["embed", "a2.json"], {"polytope"}),
-        (["polytope", "a2.json"], {"fan", "polytope"}),
-        (["decompose", "a2.json"], set()),
-    ],
-)
+# the arrangement side: the walk needs the Hermite basis and, from a seed
+# chamber, the double description; a catalog name and the poset run no walk
+_ARR = {"commands.arrangements", "arrangement", "normalform"}
+_WALK = _ARR | {"doubledesc"}
+# the fan-file side: no command but `roots` loads `arrangement`
+_FANS = {"commands.fans", "fan"}
+_SURFACES = {"commands.surfaces", "fan", "surface"}
+
+
+_IMPORT_CASES = [
+    (["catalog", "A_2"], _ARR),
+    (["verify", "a2.json"], _WALK),
+    (["fan", "a2.json"], _WALK | {"fan"}),
+    (["poset", "a2.json"], _ARR | {"poset"}),
+    (["roots", "a2.fan.json"], _FANS | {"arrangement", "normalform"}),
+    (["surface", "graph", "a2.fan.json"], _SURFACES),
+    (["plot", "a2.json"], {"commands.fans", "arrangement", "normalform", "svgplot"}),
+    (["parabolic", "a2.json", "--cone", "0"], _WALK | {"fan", "fanmaps", "poset"}),
+    (["embed", "a2.json"], _WALK | {"polytope"}),
+    (["polytope", "a2.json"], _WALK | {"fan", "polytope"}),
+    (["decompose", "a2.json"], _WALK),
+    (["insert", "a2.json", "--hyperplane", "1,2"], _WALK | {"fan", "fanmaps"}),
+    (["star", "a2.fan.json", "--cone", "0"], _FANS | {"fanmaps", "normalform"}),
+    (["restrict", "a2.fan.json", "--subspace", "[[1,0]]"], _FANS | {"fanmaps", "normalform"}),
+    (["autos", "a2.fan.json"], _FANS | {"fanmaps"}),
+    (["plot", "a2.fan.json"], _FANS | {"surface", "svgplot"}),
+    (["surface", "from-weights", "a2.fan.json"], {"commands.surfaces", "fan"}),
+    (["surface", "symmetrize", "a2.fan.json"], _SURFACES),
+    (["surface", "desingularize", "a2.fan.json"], _SURFACES),
+    (["surface", "divisor", "a2.fan.json"], _SURFACES),
+    (["surface", "picard", "a2.fan.json"], _SURFACES),
+    (["surface", "triangulations", "--count", "6"], {"commands.surfaces", "surface"}),
+]
+
+
+def test_import_cases_cover_every_command():
+    cases = {".".join(argv[:2]) if argv[0] == "surface" else argv[0] for argv, _ in _IMPORT_CASES}
+    assert cases == _leaf_reports(build_parser())
+
+
+@pytest.mark.parametrize("argv,extra", _IMPORT_CASES)
 def test_each_command_imports_only_its_modules(tmp_path, capsys, argv, extra):
     # a subprocess, since pytest itself has imported inspect and every module
     run(capsys, "catalog", "A_2", "--out", str(tmp_path / "a2.json"))
@@ -600,6 +709,8 @@ def test_each_command_imports_only_its_modules(tmp_path, capsys, argv, extra):
     assert {m for m in loaded if m.split(".")[0] == "arrfan"} == _BASE | {
         f"arrfan.{m}" for m in extra
     }
+    if "a2.fan.json" in argv and argv[0] != "roots":
+        assert "arrfan.arrangement" not in loaded
     assert not loaded & {"dataclasses", "inspect"}
     # the report's digest comes from the builtin SHA-256: hashlib would load OpenSSL
     assert not loaded & {"hashlib", "_hashlib"}

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from arrfan import fan as fan_module, intlinalg as la
+from arrfan import doubledesc as dd, fan as fan_module, intlinalg as la, normalform as nf
 from arrfan.arrangement import catalog, make_arrangement
 from arrfan.errors import (
     BadReferenceError,
@@ -20,16 +20,19 @@ from arrfan.errors import (
 from arrfan.fan import (
     Fan,
     _cone_h_rep,
+    _pairwise_overlap,
     check_properties,
-    fan_automorphisms,
     fan_faces,
     fan_from_arrangement,
     fan_to_json,
-    insert_hyperplane,
     load_fan,
     make_fan,
-    restrict_fan,
     roots_from_fan,
+)
+from arrfan.fanmaps import (
+    fan_automorphisms,
+    insert_hyperplane,
+    restrict_fan,
     star_fan,
     star_subdivide,
 )
@@ -43,6 +46,7 @@ from oracles import (
     ref_fan_from_arrangement,
     ref_insert_hyperplane,
     ref_overlapping_pair,
+    ref_pairwise_overlap,
     ref_restrict_fan,
     ref_roots_from_fan,
 )
@@ -229,7 +233,7 @@ def test_restrict_fan():
     a3 = catalog("A_3")
     f3 = fan_from_arrangement(a3)
     for cov in a3.positive_covectors:
-        e = la.kernel_basis([cov])
+        e = nf.kernel_basis([cov])
         sub = restrict_fan(f3, e)
         props = check_properties(sub)
         assert sub.rank == 2
@@ -416,10 +420,11 @@ def _assert_matches_reference(f, autos=True):
 
 
 def _count_calls(monkeypatch, name):
-    """The argument tuples of every call of the intlinalg function `name`."""
+    """The argument tuples of every call of the linear-algebra function `name`."""
+    module = next(m for m in (la, nf, dd) if hasattr(m, name))
     calls = []
-    fn = getattr(la, name)
-    monkeypatch.setattr(la, name, lambda *args: calls.append(args) or fn(*args))
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
     return calls
 
 
@@ -528,6 +533,53 @@ def test_face_check_matches_reference_on_random_cones(data):
     assert (checked is MalformedFanError) == (ref_overlapping_pair(f) is not None)
     if checked is not MalformedFanError:
         assert checked == f
+
+
+def _without_cone(name, i):
+    f = fan_from_arrangement(catalog(name))
+    return [f.cone_vectors(c) for k, c in enumerate(f.max_cones) if k != i]
+
+
+# fans that are not pseudomanifolds, so that the pairwise check decides them:
+# (rank, cones) as in the malformed-fan tests above and the benchmark's inputs
+_PAIRWISE_CASES = {
+    "A_3 less a cone": (3, _without_cone("A_3", 0)),
+    "B_3 less a cone": (3, _without_cone("B_3", 7)),
+    "overlapping quadrant": (2, [[(0, 1), (1, 0)], [(1, 0), (1, 1)]]),
+    "square and a chord": (2, [[(1, 0), (0, 1)], [(0, 1), (-1, 0)], [(-1, 0), (0, -1)],
+                               [(0, -1), (1, 0)], [(1, 1), (-1, 0)]]),
+    "two rays": (2, [[(1, 0)], [(0, 1)]]),
+    "two quarter planes": (3, [[(1, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 0, 1)]]),
+    "crossing quarter planes": (3, [[(1, 0, 0), (0, 1, 0)], [(1, 1, 0), (1, -1, 0)]]),
+    "quadrant and a ray": (2, [[(1, 0), (0, 1)], [(-1, -1)]]),
+    "ray inside a quadrant": (2, [[(1, 0), (0, 1)], [(1, 2)]]),
+    "one-sided": (3, [[(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 0, 0), (0, 1, 0), (-1, 0, 1)]]),
+}
+
+
+@pytest.mark.parametrize("case", _PAIRWISE_CASES)
+def test_pairwise_check_matches_one_double_description_per_pair(case, monkeypatch):
+    rank, cones = _PAIRWISE_CASES[case]
+    f = make_fan(rank, cones, check_faces=False)
+    assert f.overlap == ()
+    calls = _count_calls(monkeypatch, "extreme_rays")
+    pair = _pairwise_overlap(f)
+    n, described = len(f.max_cones), len(calls)
+    assert pair == ref_pairwise_overlap(f)
+    if case == "A_3 less a cone":  # 176 of the 253 pairs need no double description
+        assert described == n * (n - 1) // 2 - 176
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_cone_lists())
+def test_pairwise_check_matches_reference_on_random_cones(data):
+    rank, cones = data
+    try:
+        f = make_fan(rank, cones, check_faces=False)
+    except (InputFormatError, NotSimplicialError):
+        assume(False)
+    assume(f.overlap == ())
+    assert _pairwise_overlap(f) == ref_pairwise_overlap(f)
 
 
 def singular_fan():

@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from arrfan import intlinalg as la, poset
+from arrfan import intlinalg as la, normalform as nf, poset
 from arrfan.arrangement import Arrangement, catalog, is_crystallographic, make_arrangement
 from arrfan.errors import (
     BadReferenceError,
@@ -12,7 +12,8 @@ from arrfan.errors import (
     NotCrystallographicError,
     NotSimplicialError,
 )
-from arrfan.fan import fan_faces, fan_from_arrangement, quotient_data, roots_from_fan, star_fan
+from arrfan.fan import fan_faces, fan_from_arrangement, roots_from_fan
+from arrfan.fanmaps import quotient_data, star_fan
 from arrfan.poset import (
     FlatSubspace,
     flat_from_constraints,
@@ -113,7 +114,7 @@ def test_poset_makes_one_elimination_per_flat(monkeypatch):
 
     calls = []
 
-    def kernel_basis(rows, kernel=la.kernel_basis):
+    def kernel_basis(rows, kernel=nf.kernel_basis):
         calls.append(rows)
         return kernel(rows)
 
@@ -121,7 +122,7 @@ def test_poset_makes_one_elimination_per_flat(monkeypatch):
         raise AssertionError("intersection_poset reads H(X) off its own construction")
 
     a = catalog("D_4")
-    monkeypatch.setattr(la, "kernel_basis", kernel_basis)
+    monkeypatch.setattr(nf, "kernel_basis", kernel_basis)
     monkeypatch.setattr(arrfan.poset, "_held", held)
     p = intersection_poset(a)
     assert len(calls) == len(p.flats) - 1
@@ -167,7 +168,7 @@ def test_flat_algebra():
     # flat bases are saturated: all-ones Smith form
     for flat in intersection_poset(catalog("B_3")).flats:
         if flat.dim:
-            assert la.snf(flat.basis) == (1,) * flat.dim
+            assert nf.snf(flat.basis) == (1,) * flat.dim
 
 
 def test_restricted_arrangement():
@@ -258,7 +259,7 @@ def test_parabolic_equals_star_side_everywhere():
 def test_restriction_and_parabolic_closure_over_catalog():
     # every flat gives a crystallographic restriction, every proper cone a
     # crystallographic parabolic, across the low-rank catalog
-    from arrfan.fan import restrict_fan
+    from arrfan.fanmaps import restrict_fan
     from arrfan.fan import check_properties
 
     names = ["A_2", "B_2", "C_2", "D_2", "A_3", "B_3", "C_3", "D_3"]
@@ -322,13 +323,13 @@ def test_toric_report_makes_one_elimination_per_flat(monkeypatch):
     # kernel of its hyperplanes, and no meet of two flats is eliminated
     calls = []
 
-    def kernel_basis(rows, kernel=la.kernel_basis):
+    def kernel_basis(rows, kernel=nf.kernel_basis):
         calls.append(rows)
         return kernel(rows)
 
     a = catalog("D_4")
     flats = intersection_poset(a).flats
-    monkeypatch.setattr(la, "kernel_basis", kernel_basis)
+    monkeypatch.setattr(nf, "kernel_basis", kernel_basis)
     toric_arrangement_report(a)
     assert len(calls) == (len(flats) - 1) + len(flats)
 
@@ -505,9 +506,9 @@ def test_toric_report_rejects_stars_in_different_bases(monkeypatch, name):
 
         return project, lifts, d
 
-    import arrfan.fan
+    import arrfan.fanmaps
 
-    monkeypatch.setattr(arrfan.fan, "quotient_data", sheared)
+    monkeypatch.setattr(arrfan.fanmaps, "quotient_data", sheared)
     _both_reject(catalog(name))
 
 
