@@ -48,7 +48,6 @@ _EXPORTS = {
         "OrientationError",
         "UnsupportedRankError",
     ),
-    "doubledesc": ("extreme_rays",),
     "fan": (
         "Fan",
         "PropertyReport",
@@ -69,8 +68,7 @@ _EXPORTS = {
         "star_fan",
         "star_subdivide",
     ),
-    "intlinalg": ("det",),
-    "normalform": ("hnf", "snf"),
+    "intlinalg": ("det", "extreme_rays", "hnf", "snf"),
     "polytope": (
         "HalfLatticePolytope",
         "PhiCertificate",

@@ -27,7 +27,6 @@ from .errors import (
     _parse_json,
 )
 from .intlinalg import Mat, Vec
-from .normalform import hermite_basis
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -155,7 +154,7 @@ def make_arrangement(rank: int, covectors: Sequence[Sequence[int]]) -> Arrangeme
             raise InputFormatError(f"parallel covector pair at {v}")
         seen.add(v)
     # the row lattice is Z^r exactly when its Hermite basis is the identity
-    if len(canon) < rank or hermite_basis(canon) != la.identity(rank):
+    if len(canon) < rank or la.hermite_basis(canon) != la.identity(rank):
         raise LatticeSpanError("covectors do not generate the full integer lattice")
     return Arrangement(rank=rank, positive_covectors=tuple(sorted(canon)))
 
@@ -324,10 +323,8 @@ def enumerate_chambers(a: Arrangement) -> tuple[Chamber, ...]:
         new_rays = tuple(sorted(new_walls))
         return m, new_rays, [new_walls[x] for x in new_rays]
 
-    from .doubledesc import extreme_rays
-
     seed = _seed_sign_vector(a)
-    rays = extreme_rays([la.vec_scale(x, c) for x, c in zip(seed, covs)])
+    rays = la.extreme_rays([la.vec_scale(x, c) for x, c in zip(seed, covs)])
     if len(rays) != r:
         raise NotSimplicialError(
             f"chamber with sign vector {seed} has {len(rays)} extreme rays (rank {r})"

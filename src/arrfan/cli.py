@@ -15,19 +15,16 @@ whole grammar.  The command's body is `cmd_<name>` in a family module of
 library modules it uses when it runs.  Besides `arrfan`, `errors`,
 `intlinalg`, `arrfan.commands` and the family module, each command loads:
 
-- `catalog`: `arrangement` and `normalform` (the Hermite basis);
-- `verify`, `decompose`: those and `doubledesc` (the seed chamber of the
-  walk); `fan`: and `fan`; `polytope`: and `fan`, `polytope`; `embed`: and
-  `polytope`; `insert`: and `fan`, `fanmaps`;
-- `poset`: `arrangement`, `normalform`, `poset`; `parabolic`: and
-  `doubledesc`, `fan`, `fanmaps`;
-- `roots`: `fan`, `arrangement`, `normalform`;
-- `star`, `restrict`: `fan`, `fanmaps`, `normalform`; `autos`: `fan`,
-  `fanmaps`;
+- `catalog`, `verify`, `decompose`: `arrangement`; `fan`: and `fan`;
+  `polytope`: and `fan`, `polytope`; `embed`: and `polytope`; `insert`: and
+  `fan`, `fanmaps`;
+- `poset`: `arrangement`, `poset`; `parabolic`: and `fan`, `fanmaps`;
+- `roots`: `fan`, `arrangement`;
+- `star`, `restrict`, `autos`: `fan`, `fanmaps`;
 - `surface triangulations`: `surface`; the other surface commands: `fan`,
   and `surface` unless they only read a fan file back (`from-weights`);
 - `plot` of a fan: `fan`, `surface`, `svgplot`; of an arrangement:
-  `arrangement`, `normalform`, `svgplot`.
+  `arrangement`, `svgplot`.
 """
 from __future__ import annotations
 

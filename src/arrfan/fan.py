@@ -161,11 +161,9 @@ def _cone_h_rep(gens: Mat, rank: int) -> list[Vec]:
     The dual rays of the generators read off each generator's coefficient on
     their span; the kernel rows pin that span down.
     """
-    from .normalform import kernel_basis
-
     rows = list(la.dual_rays(gens)) if gens else []
     if len(gens) < rank:
-        for eq in kernel_basis(gens) if gens else la.identity(rank):
+        for eq in la.kernel_basis(gens) if gens else la.identity(rank):
             rows += [eq, la.vec_neg(eq)]
     return rows
 
@@ -180,8 +178,6 @@ def _pairwise_overlap(f: Fan) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     over shared rays, a common face.  Every other pair gets one double
     description of the two cones' inequalities.
     """
-    from .doubledesc import extreme_rays
-
     masks = [sum(1 << i for i in c) for c in f.max_cones]
     signs = {}  # per normal, the rays where it is positive and where it vanishes
     for h in set().union(*f.normals):
@@ -196,7 +192,7 @@ def _pairwise_overlap(f: Fan) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     for (i, a), (j, b) in itertools.combinations(enumerate(f.max_cones), 2):
         if any(not x & masks[j] for x in blocks[i]) or any(not x & masks[i] for x in blocks[j]):
             continue
-        inter = extreme_rays(h_reps[a] + h_reps[b])
+        inter = la.extreme_rays(h_reps[a] + h_reps[b])
         common = set(f.cone_vectors(a)) & set(f.cone_vectors(b))
         if not set(inter) <= common or len(inter) != len(set(a) & set(b)):
             return a, b
@@ -378,9 +374,7 @@ def check_properties(f: Fan) -> PropertyReport:
         if len(cone) == f.rank:
             unimodular = all(la.vec_dot(h, g) == 1 for h, g in zip(hs, gens))
         else:
-            from .normalform import snf
-
-            unimodular = snf(gens) == (1,) * len(cone)
+            unimodular = la.snf(gens) == (1,) * len(cone)
         if not unimodular:
             smooth = False
             witness = {"property": "smooth", "cone": gens}

@@ -45,9 +45,7 @@ def quotient_data(gens: Mat, rank: int):
     are the quotient's standard basis (so an annihilating covector alpha
     induces the quotient covector (alpha(lift_j))_j).
     """
-    from .normalform import complete_to_basis
-
-    w, v, d = complete_to_basis(gens, rank)
+    w, v, d = la.complete_to_basis(gens, rank)
     cols = [tuple(row[j] for row in v) for j in range(d, rank)]  # v's last rank - d columns
 
     def kappa(x: Vec) -> Vec:
@@ -93,13 +91,11 @@ def restrict_fan(f: Fan, subspace_rows: Sequence[Sequence[int]]) -> Fan:
     are those of a maximal cone holding it, read on H.  The result is
     certified smooth and strongly symmetric, hence complete, of rank d.
     """
-    from .normalform import hnf, kernel_basis
-
     rows = [tuple(r) for r in subspace_rows]
     if any(len(r) != f.rank for r in rows):
         raise InputFormatError("row width does not match ambient dimension")
     f.require("smooth", "strongly_symmetric")
-    kernel = kernel_basis(rows) if rows else la.identity(f.rank)
+    kernel = la.kernel_basis(rows) if rows else la.identity(f.rank)
     d = f.rank - len(kernel)
     if d == f.rank:
         return f
@@ -114,8 +110,8 @@ def restrict_fan(f: Fan, subspace_rows: Sequence[Sequence[int]]) -> Fan:
     if not faces:
         raise BadReferenceError("subspace is not spanned by a cone of the fan")
     base = min(faces)
-    basis, u = hnf(f.cone_vectors(base))
-    to_basis = hnf(u)[1]  # U^-1: the Hermite form of a unimodular U is I
+    basis, u = la.hnf(f.cone_vectors(base))
+    to_basis = la.hnf(u)[1]  # U^-1: the Hermite form of a unimodular U is I
     cones = []
     for face, hs in faces.items():  # each ray's coordinates on H, with its normal read on H
         pairs = sorted((la.vec_mat([la.vec_dot(g, f.rays[i]) for g in faces[base]], to_basis),

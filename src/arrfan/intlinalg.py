@@ -1,19 +1,22 @@
-"""Exact integer linear algebra: the core every command loads.
+"""Exact integer linear algebra.
 
 Everything runs on Python's arbitrary-precision integers; no floating point
 or fraction enters any computation, so every returned value is exact.  Rank
 and determinant read one fraction-free (Bareiss) elimination; one integer
 inverse on top of it, `scaled_inverse` (m*D = d*I), serves inverses, linear
 solves and a simplicial cone's dual rays (facet normals, inequality rows).
-Matrices are sequences of equal-length rows and are returned as tuples of
-tuples.  The Hermite and Smith forms are in `normalform` and the double
-description in `doubledesc`.
+Hermite forms come from one loop, which carries the transform only for
+`hnf`: `hermite_basis`, and with it the second step of `kernel_basis` and
+`saturation_basis`, reduces without building it.  Matrices are sequences of
+equal-length rows and are returned as tuples of tuples.
 """
 from __future__ import annotations
 
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
+
+from .errors import NonPointedError
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -142,6 +145,154 @@ def rank(m: Sequence[Sequence[int]]) -> int:
     return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
+def _row_sub(h: list[list[int]], u: list[list[int]] | None, i: int, j: int, q: int) -> None:
+    h[i] = [x - q * y for x, y in zip(h[i], h[j])]
+    if u is not None:
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+
+def _hermite(h: list[list[int]], u: list[list[int]] | None) -> None:
+    """Reduce h in place to row-style Hermite normal form, applying every row
+    operation to u as well unless u is None."""
+    nrows = len(h)
+    ncols = len(h[0]) if nrows else 0
+    piv = 0
+    for c in range(ncols):
+        if piv >= nrows:
+            break
+        while True:
+            nz = [i for i in range(piv, nrows) if h[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: (abs(h[i][c]), i))
+            if i0 != piv:
+                h[piv], h[i0] = h[i0], h[piv]
+                if u is not None:
+                    u[piv], u[i0] = u[i0], u[piv]
+            done = True
+            for i in range(piv + 1, nrows):
+                if h[i][c] != 0:
+                    q = h[i][c] // h[piv][c]
+                    _row_sub(h, u, i, piv, q)
+                    if h[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if piv < nrows and h[piv][c] != 0:
+            if h[piv][c] < 0:
+                h[piv] = [-x for x in h[piv]]
+                if u is not None:
+                    u[piv] = [-x for x in u[piv]]
+            for i in range(piv):
+                q = h[i][c] // h[piv][c]
+                if q:
+                    _row_sub(h, u, i, piv, q)
+            piv += 1
+
+
+def hnf(m: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
+    """Row-style Hermite normal form.
+
+    Returns (H, U) with H = U*m, U unimodular, pivots positive, entries above
+    each pivot reduced into [0, pivot), and zero rows at the bottom.  H is the
+    canonical representative of the row lattice of m, so two matrices with
+    equal row lattices (and equal row counts) produce identical H.
+    """
+    h = _rows(m)
+    u = [list(r) for r in identity(len(h))]
+    _hermite(h, u)
+    return freeze(h), freeze(u)
+
+
+def hermite_basis(m: Sequence[Sequence[int]]) -> Mat:
+    """The nonzero rows of `hnf(m)`'s H: the canonical basis of the row
+    lattice of m, reduced without building the transform."""
+    h = _rows(m)
+    _hermite(h, None)
+    return tuple(tuple(r) for r in h if any(r))
+
+
+def snf_with_transforms(m: Sequence[Sequence[int]]) -> tuple[Mat, Mat, Mat]:
+    """Smith normal form with transforms: returns (S, U, V) with S = U*m*V."""
+    a = _rows(m)
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    u = [list(r) for r in identity(nrows)]
+    v = [list(r) for r in identity(ncols)]
+
+    def col_sub(j: int, k: int, q: int) -> None:
+        for row in a:
+            row[j] -= q * row[k]
+        for row in v:
+            row[j] -= q * row[k]
+
+    def col_swap(j: int, k: int) -> None:
+        for row in a:
+            row[j], row[k] = row[k], row[j]
+        for row in v:
+            row[j], row[k] = row[k], row[j]
+
+    t = 0
+    while t < min(nrows, ncols):
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best[0]):
+                    best = (abs(a[i][j]), i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != t:
+            a[t], a[bi] = a[bi], a[t]
+            u[t], u[bi] = u[bi], u[t]
+        if bj != t:
+            col_swap(t, bj)
+        while True:
+            # clear column t below the pivot
+            for i in range(t + 1, nrows):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    _row_sub(a, u, i, t, q)
+            stuck = next((i for i in range(t + 1, nrows) if a[i][t]), None)
+            if stuck is not None:
+                a[t], a[stuck] = a[stuck], a[t]
+                u[t], u[stuck] = u[stuck], u[t]
+                continue
+            # clear row t to the right of the pivot
+            for j in range(t + 1, ncols):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    col_sub(j, t, q)
+            stuck = next((j for j in range(t + 1, ncols) if a[t][j]), None)
+            if stuck is not None:
+                col_swap(t, stuck)
+                continue
+            # pivot must divide every remaining entry
+            bad = None
+            for i in range(t + 1, nrows):
+                for j in range(t + 1, ncols):
+                    if a[i][j] % a[t][t] != 0:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            _row_sub(a, u, t, bad, -1)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return freeze(a), freeze(u), freeze(v)
+
+
+def snf(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ..., each positive (zero factors dropped)."""
+    s, _, _ = snf_with_transforms(m)
+    diag = [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
+    return tuple(d for d in diag if d != 0)
+
+
 def scaled_inverse(m: Sequence[Sequence[int]]) -> tuple[Mat, int]:
     """(D, d) with m*D = d*I and d > 0, for a matrix m with independent rows.
 
@@ -170,3 +321,118 @@ def dual_rays(m: Sequence[Sequence[int]]) -> Mat:
     """
     inv, _ = scaled_inverse(m)
     return tuple(primitive(col) for col in transpose(inv))
+
+
+def mat_inverse_unimodular(m: Sequence[Sequence[int]]) -> Mat:
+    """Integer inverse of a unimodular matrix."""
+    inv, d = scaled_inverse(m)
+    if d != 1 or len(inv) != len(m):
+        raise ValueError("matrix is not unimodular")
+    return inv
+
+
+def kernel_basis(m: Sequence[Sequence[int]]) -> Mat:
+    """Canonical basis of the integer kernel {x : row.x = 0 for every row}.
+
+    The kernel of an integer matrix is a saturated sublattice; the returned
+    rows are its Hermite-canonical basis (possibly empty).
+    """
+    rows = _rows(m)
+    if not rows:
+        raise ValueError("kernel of an empty matrix is ambiguous")
+    h, u = hnf(transpose(rows))
+    return hermite_basis([u[i] for i in range(len(h)) if not any(h[i])])
+
+
+def complete_to_basis(rows: Sequence[Sequence[int]], ambient: int) -> tuple[Mat, Mat, int]:
+    """Extend (the saturation of) a row lattice to a basis of Z^ambient.
+
+    Returns (W, V, k): W is an ambient x ambient unimodular matrix whose first
+    k rows form a basis of the saturation of the row lattice of `rows`, and
+    V = W^-1 expresses coordinates: for any x, x*V are the coordinates of x in
+    the basis W.  With no rows, W = V = identity and k = 0.
+    """
+    rows = _rows(rows)
+    if not rows:
+        return identity(ambient), identity(ambient), 0
+    if len(rows[0]) != ambient:
+        raise ValueError("row width does not match ambient dimension")
+    s, _, v = snf_with_transforms(rows)
+    k = sum(1 for i in range(min(len(s), ambient)) if s[i][i] != 0)
+    w = mat_inverse_unimodular(v)
+    return w, freeze(v), k
+
+
+def saturation_basis(rows: Sequence[Sequence[int]], ambient: int) -> Mat:
+    """Hermite-canonical basis of the saturation of a row lattice."""
+    w, _, k = complete_to_basis(rows, ambient)
+    return hermite_basis(w[:k])
+
+
+def _dedup(vectors: Iterable[Vec]) -> list[Vec]:
+    return list(dict.fromkeys(vectors))
+
+
+def extreme_rays(inequalities: Sequence[Sequence[int]]) -> Mat:
+    """Extreme rays of the pointed cone {x : row.x >= 0 for every row}.
+
+    Returns the unique minimal set of primitive integer generators, sorted
+    lexicographically.  Raises NonPointedError when the cone contains a line
+    (the rows do not have full column rank).
+
+    Incremental double description: seed with a simplicial cone cut out by
+    the first full-rank subset of rows, then add the remaining rows one at a
+    time, combining adjacent positive/negative ray pairs.
+    """
+    rows = [tuple(int(x) for x in r) for r in inequalities]
+    rows = [r for r in rows if any(x != 0 for x in r)]
+    if not rows:
+        raise NonPointedError("cone contains a line (no effective constraints)")
+    r = len(rows[0])
+    if any(len(row) != r for row in rows):
+        raise ValueError("ragged inequality matrix")
+    if rank(rows) < r:
+        raise NonPointedError("cone contains a line")
+
+    base: list[Vec] = []
+    rest: list[Vec] = []
+    for row in rows:
+        if len(base) < r and rank(base + [row]) > len(base):
+            base.append(row)
+        else:
+            rest.append(row)
+    rays = list(dual_rays(base))
+    processed: list[Vec] = list(base)
+
+    for h in rest:
+        vals = {ray: vec_dot(h, ray) for ray in rays}
+        pos = [ray for ray in rays if vals[ray] > 0]
+        neg = [ray for ray in rays if vals[ray] < 0]
+        zero = [ray for ray in rays if vals[ray] == 0]
+        if not neg:
+            processed.append(h)
+            continue
+        new = pos + zero
+        if pos:
+            tight = {
+                ray: frozenset(i for i, row in enumerate(processed) if vec_dot(row, ray) == 0)
+                for ray in rays
+            }
+            for u in pos:
+                for w in neg:
+                    common = tight[u] & tight[w]
+                    adjacent = all(
+                        not (common <= tight[v]) for v in rays if v != u and v != w
+                    )
+                    if adjacent:
+                        comb = tuple(vals[u] * w[i] - vals[w] * u[i] for i in range(r))
+                        new.append(primitive(comb))
+        rays = _dedup(new)
+        processed.append(h)
+
+    out = []
+    for ray in _dedup(rays):
+        tight_rows = [row for row in rows if vec_dot(row, ray) == 0]
+        if (rank(tight_rows) if tight_rows else 0) == r - 1:
+            out.append(ray)
+    return tuple(sorted(out))

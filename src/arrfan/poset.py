@@ -22,7 +22,7 @@ from functools import cache, reduce
 from operator import and_
 from typing import NamedTuple, Sequence
 
-from . import intlinalg as la, normalform as nf
+from . import intlinalg as la
 from .arrangement import Arrangement, is_crystallographic, make_arrangement
 from .errors import BadReferenceError, CertificationError, NotCrystallographicError
 from .intlinalg import Mat, Vec
@@ -48,13 +48,13 @@ class ToricArrangementReport(NamedTuple):
 def flat_from_constraints(rank: int, covectors: Sequence[Vec]) -> FlatSubspace:
     """The flat annihilated by the given covectors, one elimination; with none,
     the kernel of the zero row, all of Z^rank."""
-    basis = nf.kernel_basis([tuple(c) for c in covectors] or [(0,) * rank])
+    basis = la.kernel_basis([tuple(c) for c in covectors] or [(0,) * rank])
     return FlatSubspace(dim=len(basis), basis=basis)
 
 
 def flat_from_generators(rank: int, vectors: Sequence[Vec]) -> FlatSubspace:
     """The flat spanned by the given lattice vectors (saturated)."""
-    basis = nf.saturation_basis([tuple(v) for v in vectors], rank)
+    basis = la.saturation_basis([tuple(v) for v in vectors], rank)
     return FlatSubspace(dim=len(basis), basis=basis)
 
 
@@ -105,7 +105,7 @@ def intersection_poset(a: Arrangement) -> IntersectionPoset:
                 traces[trace] = traces.get(trace, 0) | 1 << i
         for trace, g in traces.items():
             if held | g not in flats:
-                basis = nf.hermite_basis(la.mat_mul(nf.kernel_basis([trace]), flat.basis))
+                basis = la.hermite_basis(la.mat_mul(la.kernel_basis([trace]), flat.basis))
                 flats[held | g] = FlatSubspace(len(basis), basis)
                 found.append(held | g)
             covers.append((held | g, held))

@@ -354,7 +354,7 @@ def ref_particular_solution(a: Sequence[Sequence[int]], b: Sequence[int]):
 
 def ref_enumerate_chambers(a):
     """All chambers, by wall-crossing search with one double description per chamber."""
-    from arrfan import doubledesc as dd, intlinalg as la
+    from arrfan import intlinalg as la
     from arrfan.arrangement import Chamber, _seed_sign_vector
     from arrfan.errors import CertificationError, NotSimplicialError
 
@@ -368,7 +368,7 @@ def ref_enumerate_chambers(a):
     while queue:
         s = queue.popleft()
         rows = [la.vec_scale(s[i], covs[i]) for i in range(n)]
-        rays = dd.extreme_rays(rows)
+        rays = la.extreme_rays(rows)
         if len(rays) != r:
             raise NotSimplicialError(
                 f"chamber with sign vector {s} has {len(rays)} extreme rays (rank {r})"
@@ -432,7 +432,7 @@ def ref_flat_leq(e, f) -> bool:
 
 
 def ref_flat_intersection(rank: int, e, f):
-    from arrfan import normalform as nf
+    from arrfan import intlinalg as la
     from arrfan.poset import FlatSubspace, flat_from_constraints
 
     constraints = []
@@ -441,13 +441,13 @@ def ref_flat_intersection(rank: int, e, f):
             continue
         if g.dim == 0:
             return FlatSubspace(dim=0, basis=())
-        constraints.extend(nf.kernel_basis(g.basis))
+        constraints.extend(la.kernel_basis(g.basis))
     return flat_from_constraints(rank, constraints)
 
 
 def ref_intersection_poset(a):
     """Closure by single-hyperplane refinement; a cover has no flat strictly between."""
-    from arrfan import intlinalg as la, normalform as nf
+    from arrfan import intlinalg as la
     from arrfan.poset import IntersectionPoset, flat_from_constraints
 
     r = a.rank
@@ -457,7 +457,7 @@ def ref_intersection_poset(a):
             return la.identity(r)
         if e.dim == r:
             return ()
-        return nf.kernel_basis(e.basis)
+        return la.kernel_basis(e.basis)
 
     top = flat_from_constraints(r, ())
     flats = {top.basis: top}
@@ -721,7 +721,7 @@ def _ref_fraction_row_to_primitive(row):
 
 def ref_cone_h_rep(gens, rank):
     """Inequality rows of a simplicial cone from a Fraction inverse or right inverse."""
-    from arrfan import intlinalg as la, normalform as nf
+    from arrfan import intlinalg as la
 
     d = len(gens)
     rows = []
@@ -732,7 +732,7 @@ def ref_cone_h_rep(gens, rank):
     for j in range(d):
         col = ref_particular_solution(gens, tuple(int(i == j) for i in range(d)))
         rows.append(_ref_fraction_row_to_primitive(col))
-    for eq in nf.kernel_basis(gens) if d else la.identity(rank):
+    for eq in la.kernel_basis(gens) if d else la.identity(rank):
         rows.append(tuple(eq))
         rows.append(la.vec_neg(eq))
     return rows
@@ -740,11 +740,11 @@ def ref_cone_h_rep(gens, rank):
 
 def ref_overlapping_pair(f):
     """The first pair of cones that do not meet in a common face, or None."""
-    from arrfan import doubledesc as dd
+    from arrfan import intlinalg as la
 
     for c1, c2 in itertools.combinations(f.max_cones, 2):
         g1, g2 = f.cone_vectors(c1), f.cone_vectors(c2)
-        inter = dd.extreme_rays(ref_cone_h_rep(g1, f.rank) + ref_cone_h_rep(g2, f.rank))
+        inter = la.extreme_rays(ref_cone_h_rep(g1, f.rank) + ref_cone_h_rep(g2, f.rank))
         common = set(g1) & set(g2)
         if not (all(ray in common for ray in inter)
                 and len(inter) == len(set(c1) & set(c2))):
@@ -752,32 +752,17 @@ def ref_overlapping_pair(f):
     return None
 
 
-def ref_pairwise_overlap(f):
-    """The library's pairwise check with one double description per cone pair,
-    before pairs were settled by a separating facet normal."""
-    from arrfan import doubledesc as dd
-    from arrfan.fan import _cone_h_rep
-
-    h_reps = {c: _cone_h_rep(f.cone_vectors(c), f.rank) for c in f.max_cones}
-    for a, b in itertools.combinations(f.max_cones, 2):
-        inter = dd.extreme_rays(h_reps[a] + h_reps[b])
-        common = set(f.cone_vectors(a)) & set(f.cone_vectors(b))
-        if not set(inter) <= common or len(inter) != len(set(a) & set(b)):
-            return a, b
-    return None
-
-
 def ref_facet_normal(f, facet):
-    from arrfan import intlinalg as la, normalform as nf
+    from arrfan import intlinalg as la
 
-    ker = nf.kernel_basis(f.cone_vectors(facet))
+    ker = la.kernel_basis(f.cone_vectors(facet))
     assert len(ker) == 1, f"facet {facet} does not span a hyperplane"
     return la.canonical_sign(la.primitive(ker[0]))
 
 
 def ref_check_properties(f):
     """Property report with one integer kernel per (cone, facet) pair."""
-    from arrfan import intlinalg as la, normalform as nf
+    from arrfan import intlinalg as la
     from arrfan.fan import PropertyReport
 
     if f.rank == 0:
@@ -785,7 +770,7 @@ def ref_check_properties(f):
     smooth = True
     witness = None
     for cone in f.max_cones:
-        if nf.snf(f.cone_vectors(cone)) != (1,) * len(cone):
+        if la.snf(f.cone_vectors(cone)) != (1,) * len(cone):
             smooth = False
             witness = {"property": "smooth", "cone": f.cone_vectors(cone)}
             break
@@ -1007,7 +992,7 @@ def ref_fan_from_arrangement(a):
 
 def ref_restrict_fan(f, subspace_rows):
     """Search the face lattice for a spanning cone, solving each ray once per face."""
-    from arrfan import normalform as nf
+    from arrfan import intlinalg as la
     from arrfan.errors import (
         BadReferenceError,
         CertificationError,
@@ -1022,7 +1007,7 @@ def ref_restrict_fan(f, subspace_rows):
     if not props.strongly_symmetric:
         raise NotStronglySymmetricError("restriction requires a strongly symmetric fan")
     rows = [tuple(r) for r in subspace_rows]
-    basis = nf.saturation_basis(rows, f.rank) if rows else ()
+    basis = la.saturation_basis(rows, f.rank) if rows else ()
     d = len(basis)
     if d == f.rank:
         return f

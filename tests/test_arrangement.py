@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arrfan import doubledesc as dd, intlinalg as la
+from arrfan import intlinalg as la
 from arrfan.arrangement import (
     arrangement_to_json,
     catalog,
@@ -245,7 +245,7 @@ def test_non_simplicial_chamber_found_by_the_walk():
     # x, y > 0 > z, x + y + z > 0 behind one of its walls has four rays
     a = make_arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
     seed_rows = [la.vec_scale(s, c) for s, c in zip((1, 1, 1, 1), a.positive_covectors)]
-    assert len(dd.extreme_rays(seed_rows)) == 3
+    assert len(la.extreme_rays(seed_rows)) == 3
     with pytest.raises(NotSimplicialError):
         enumerate_chambers(a)
     with pytest.raises(NotSimplicialError):

@@ -659,10 +659,7 @@ def _imports_of(tmp_path, *argv):
     return set(loaded)
 
 
-# the arrangement side: the walk needs the Hermite basis and, from a seed
-# chamber, the double description; a catalog name and the poset run no walk
-_ARR = {"commands.arrangements", "arrangement", "normalform"}
-_WALK = _ARR | {"doubledesc"}
+_ARR = {"commands.arrangements", "arrangement"}
 # the fan-file side: no command but `roots` loads `arrangement`
 _FANS = {"commands.fans", "fan"}
 _SURFACES = {"commands.surfaces", "fan", "surface"}
@@ -670,19 +667,19 @@ _SURFACES = {"commands.surfaces", "fan", "surface"}
 
 _IMPORT_CASES = [
     (["catalog", "A_2"], _ARR),
-    (["verify", "a2.json"], _WALK),
-    (["fan", "a2.json"], _WALK | {"fan"}),
+    (["verify", "a2.json"], _ARR),
+    (["fan", "a2.json"], _ARR | {"fan"}),
     (["poset", "a2.json"], _ARR | {"poset"}),
-    (["roots", "a2.fan.json"], _FANS | {"arrangement", "normalform"}),
+    (["roots", "a2.fan.json"], _FANS | {"arrangement"}),
     (["surface", "graph", "a2.fan.json"], _SURFACES),
-    (["plot", "a2.json"], {"commands.fans", "arrangement", "normalform", "svgplot"}),
-    (["parabolic", "a2.json", "--cone", "0"], _WALK | {"fan", "fanmaps", "poset"}),
-    (["embed", "a2.json"], _WALK | {"polytope"}),
-    (["polytope", "a2.json"], _WALK | {"fan", "polytope"}),
-    (["decompose", "a2.json"], _WALK),
-    (["insert", "a2.json", "--hyperplane", "1,2"], _WALK | {"fan", "fanmaps"}),
-    (["star", "a2.fan.json", "--cone", "0"], _FANS | {"fanmaps", "normalform"}),
-    (["restrict", "a2.fan.json", "--subspace", "[[1,0]]"], _FANS | {"fanmaps", "normalform"}),
+    (["plot", "a2.json"], {"commands.fans", "arrangement", "svgplot"}),
+    (["parabolic", "a2.json", "--cone", "0"], _ARR | {"fan", "fanmaps", "poset"}),
+    (["embed", "a2.json"], _ARR | {"polytope"}),
+    (["polytope", "a2.json"], _ARR | {"fan", "polytope"}),
+    (["decompose", "a2.json"], _ARR),
+    (["insert", "a2.json", "--hyperplane", "1,2"], _ARR | {"fan", "fanmaps"}),
+    (["star", "a2.fan.json", "--cone", "0"], _FANS | {"fanmaps"}),
+    (["restrict", "a2.fan.json", "--subspace", "[[1,0]]"], _FANS | {"fanmaps"}),
     (["autos", "a2.fan.json"], _FANS | {"fanmaps"}),
     (["plot", "a2.fan.json"], _FANS | {"surface", "svgplot"}),
     (["surface", "from-weights", "a2.fan.json"], {"commands.surfaces", "fan"}),

@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from arrfan import intlinalg as la, normalform as nf, poset
+from arrfan import intlinalg as la, poset
 from arrfan.arrangement import Arrangement, catalog, is_crystallographic, make_arrangement
 from arrfan.errors import (
     BadReferenceError,
@@ -114,7 +114,7 @@ def test_poset_makes_one_elimination_per_flat(monkeypatch):
 
     calls = []
 
-    def kernel_basis(rows, kernel=nf.kernel_basis):
+    def kernel_basis(rows, kernel=la.kernel_basis):
         calls.append(rows)
         return kernel(rows)
 
@@ -122,7 +122,7 @@ def test_poset_makes_one_elimination_per_flat(monkeypatch):
         raise AssertionError("intersection_poset reads H(X) off its own construction")
 
     a = catalog("D_4")
-    monkeypatch.setattr(nf, "kernel_basis", kernel_basis)
+    monkeypatch.setattr(la, "kernel_basis", kernel_basis)
     monkeypatch.setattr(arrfan.poset, "_held", held)
     p = intersection_poset(a)
     assert len(calls) == len(p.flats) - 1
@@ -168,7 +168,7 @@ def test_flat_algebra():
     # flat bases are saturated: all-ones Smith form
     for flat in intersection_poset(catalog("B_3")).flats:
         if flat.dim:
-            assert nf.snf(flat.basis) == (1,) * flat.dim
+            assert la.snf(flat.basis) == (1,) * flat.dim
 
 
 def test_restricted_arrangement():
@@ -323,13 +323,13 @@ def test_toric_report_makes_one_elimination_per_flat(monkeypatch):
     # kernel of its hyperplanes, and no meet of two flats is eliminated
     calls = []
 
-    def kernel_basis(rows, kernel=nf.kernel_basis):
+    def kernel_basis(rows, kernel=la.kernel_basis):
         calls.append(rows)
         return kernel(rows)
 
     a = catalog("D_4")
     flats = intersection_poset(a).flats
-    monkeypatch.setattr(nf, "kernel_basis", kernel_basis)
+    monkeypatch.setattr(la, "kernel_basis", kernel_basis)
     toric_arrangement_report(a)
     assert len(calls) == (len(flats) - 1) + len(flats)
 
