@@ -32,9 +32,9 @@ import argparse
 import sys
 import time
 from importlib import import_module
-from pathlib import Path
 from typing import Sequence
 
+from .commands import _ascii_int, _read
 from .errors import (
     ArrfanError,
     BadReferenceError,
@@ -55,15 +55,7 @@ _EXIT_CODES = {
 }
 
 
-def _read(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as e:
-        raise InputFormatError(f"cannot read {path}: {e}") from e
-
-
 def _polygon_size(text: str) -> int:
-    from .commands import _ascii_int
     from .surface import MAX_TRIANGULATION_T
 
     try:
@@ -168,6 +160,9 @@ def main(argv=None) -> int:
     except (ArrfanError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         code = _EXIT_CODES.get(type(e), 10)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        code = 130
     finally:
         elapsed = (time.monotonic() - start) * 1000.0
         print(f"# elapsed_ms={elapsed:.1f}", file=sys.stderr)

@@ -31,6 +31,14 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _read(path) -> bytes:
+    """The bytes of an input file; a file that cannot be read is an input error."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as e:
+        raise InputFormatError(f"cannot read {path}: {e}") from e
+
+
 def _emit(args, data: bytes, verdicts: dict, out=None, witnesses=None) -> None:
     """Write `out` to --out, if both are given, and print the report line.
 

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from ..errors import BadReferenceError, CertificationError, NotSimplicialError
-from . import _emit, _parse_vector, canonical_json
+from . import _emit, _parse_vector, _read, canonical_json
 
 
 def cmd_verify(args, data: bytes) -> int:
@@ -44,7 +44,7 @@ def cmd_catalog(args, data: None):
         path = args.sporadic_dir and Path(args.sporadic_dir) / f"{name}.json"
         if not (path and path.exists()):
             raise
-        a = load_arrangement(path.read_bytes())
+        a = load_arrangement(_read(path))
     text = canonical_json(arrangement_to_json(a)) + "\n"
     if args.out is None:
         sys.stdout.write(text)

@@ -155,13 +155,14 @@ class PropertyReport(NamedTuple):
     failure_witness: object = None
 
 
-def _cone_h_rep(gens: Mat, rank: int) -> list[Vec]:
+def _cone_h_rep(gens: Mat, normals: Mat, rank: int) -> list[Vec]:
     """Inequality rows cutting out a simplicial cone (span equalities as +/- pairs).
 
-    The dual rays of the generators read off each generator's coefficient on
-    their span; the kernel rows pin that span down.
+    `normals`, the dual rays of the generators (the cone's row of
+    `Fan.normals`), read off each generator's coefficient on their span; the
+    kernel rows pin that span down.
     """
-    rows = list(la.dual_rays(gens)) if gens else []
+    rows = list(normals)
     if len(gens) < rank:
         for eq in la.kernel_basis(gens) if gens else la.identity(rank):
             rows += [eq, la.vec_neg(eq)]
@@ -176,7 +177,8 @@ def _pairwise_overlap(f: Fan) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     As h >= 0 on the first cone, h = 0 on the intersection, which therefore
     lies in the cone over the second cone's rays where h vanishes: the cone
     over shared rays, a common face.  Every other pair gets one double
-    description of the two cones' inequalities.
+    description of the two cones' inequalities, read off their rows of
+    `Fan.normals` with no further inverse.
     """
     masks = [sum(1 << i for i in c) for c in f.max_cones]
     signs = {}  # per normal, the rays where it is positive and where it vanishes
@@ -188,7 +190,8 @@ def _pairwise_overlap(f: Fan) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     # cone: the normal settles the pair with any cone that has none of them
     blocks = [[pos | zero & ~m for pos, zero in map(signs.get, hs)]
               for m, hs in zip(masks, f.normals)]
-    h_reps = {c: _cone_h_rep(f.cone_vectors(c), f.rank) for c in f.max_cones}
+    h_reps = {c: _cone_h_rep(f.cone_vectors(c), hs, f.rank)
+              for c, hs in zip(f.max_cones, f.normals)}
     for (i, a), (j, b) in itertools.combinations(enumerate(f.max_cones), 2):
         if any(not x & masks[j] for x in blocks[i]) or any(not x & masks[i] for x in blocks[j]):
             continue

@@ -5,7 +5,9 @@ or fraction enters any computation, so every returned value is exact.  Rank
 and determinant read one fraction-free (Bareiss) elimination; one integer
 inverse on top of it, `scaled_inverse` (m*D = d*I), serves inverses, linear
 solves and a simplicial cone's dual rays (facet normals, inequality rows).
-Hermite forms come from one loop, which carries the transform only for
+The double description, `extreme_rays`, reads its rank test and starting
+rows off one elimination of the transposed rows, seeds with their dual rays
+and keeps each ray's zero set as a bitmask.  Hermite forms come from one loop, which carries the transform only for
 `hnf`: `hermite_basis`, and with it the second step of `kernel_basis` and
 `saturation_basis`, reduces without building it.  Matrices are sequences of
 equal-length rows and are returned as tuples of tuples.
@@ -369,10 +371,6 @@ def saturation_basis(rows: Sequence[Sequence[int]], ambient: int) -> Mat:
     return hermite_basis(w[:k])
 
 
-def _dedup(vectors: Iterable[Vec]) -> list[Vec]:
-    return list(dict.fromkeys(vectors))
-
-
 def extreme_rays(inequalities: Sequence[Sequence[int]]) -> Mat:
     """Extreme rays of the pointed cone {x : row.x >= 0 for every row}.
 
@@ -380,9 +378,20 @@ def extreme_rays(inequalities: Sequence[Sequence[int]]) -> Mat:
     lexicographically.  Raises NonPointedError when the cone contains a line
     (the rows do not have full column rank).
 
-    Incremental double description: seed with a simplicial cone cut out by
-    the first full-rank subset of rows, then add the remaining rows one at a
-    time, combining adjacent positive/negative ray pairs.
+    Incremental double description (Fukuda and Prodon, 1996).  One
+    elimination of the transposed rows gives their rank and the first
+    independent rows, whose dual rays generate the starting simplicial cone;
+    the other rows are then added one at a time.  Each ray keeps its zero
+    set, a bitmask of the rows added so far that vanish on it.  A ray
+    positive on the new row and one negative on it are combined, into the
+    point of their segment on the row's hyperplane, when they are adjacent:
+    no third ray vanishes on every row both vanish on (which takes at least
+    r - 2 such rows).  That test is exact while every kept ray is extreme,
+    and each step keeps them so: the rays kept are extreme in the smaller
+    cone, and a combination spans the meet of the hyperplane with the 2-face
+    of its pair, a different face for every pair.  Its zero set is the
+    pair's common one plus the new row.  So no ray is repeated and none
+    needs a final rank test.
     """
     rows = [tuple(int(x) for x in r) for r in inequalities]
     rows = [r for r in rows if any(x != 0 for x in r)]
@@ -391,48 +400,31 @@ def extreme_rays(inequalities: Sequence[Sequence[int]]) -> Mat:
     r = len(rows[0])
     if any(len(row) != r for row in rows):
         raise ValueError("ragged inequality matrix")
-    if rank(rows) < r:
+    pivots, _, _ = _eliminate([list(col) for col in zip(*rows)], len(rows))
+    if len(pivots) < r:
         raise NonPointedError("cone contains a line")
-
-    base: list[Vec] = []
-    rest: list[Vec] = []
-    for row in rows:
-        if len(base) < r and rank(base + [row]) > len(base):
-            base.append(row)
-        else:
-            rest.append(row)
-    rays = list(dual_rays(base))
-    processed: list[Vec] = list(base)
-
-    for h in rest:
-        vals = {ray: vec_dot(h, ray) for ray in rays}
-        pos = [ray for ray in rays if vals[ray] > 0]
-        neg = [ray for ray in rays if vals[ray] < 0]
-        zero = [ray for ray in rays if vals[ray] == 0]
-        if not neg:
-            processed.append(h)
-            continue
-        new = pos + zero
-        if pos:
-            tight = {
-                ray: frozenset(i for i, row in enumerate(processed) if vec_dot(row, ray) == 0)
-                for ray in rays
-            }
-            for u in pos:
-                for w in neg:
-                    common = tight[u] & tight[w]
-                    adjacent = all(
-                        not (common <= tight[v]) for v in rays if v != u and v != w
-                    )
-                    if adjacent:
-                        comb = tuple(vals[u] * w[i] - vals[w] * u[i] for i in range(r))
-                        new.append(primitive(comb))
-        rays = _dedup(new)
-        processed.append(h)
-
-    out = []
-    for ray in _dedup(rays):
-        tight_rows = [row for row in rows if vec_dot(row, ray) == 0]
-        if (rank(tight_rows) if tight_rows else 0) == r - 1:
-            out.append(ray)
-    return tuple(sorted(out))
+    # base row j is bit j: each dual ray vanishes on every base row but its own
+    full = (1 << r) - 1
+    rays = [(ray, full ^ (1 << j)) for j, ray in enumerate(dual_rays([rows[i] for i in pivots]))]
+    rest = [row for i, row in enumerate(rows) if i not in pivots]
+    for k, h in enumerate(rest, r):
+        bit, kept, pos, neg = 1 << k, [], [], []
+        for ray, zeros in rays:
+            v = vec_dot(h, ray)
+            if v > 0:
+                pos.append((ray, zeros, v))
+            elif v < 0:
+                neg.append((ray, zeros, v))
+            else:
+                zeros |= bit
+            if v >= 0:
+                kept.append((ray, zeros))
+        for u, zu, a in pos:
+            for w, zw, b in neg:
+                common = zu & zw
+                if common.bit_count() >= r - 2 and not any(
+                    common & zeros == common for v, zeros in rays if v is not u and v is not w
+                ):
+                    kept.append((primitive([a * y - b * x for x, y in zip(u, w)]), common | bit))
+        rays = kept
+    return tuple(sorted(ray for ray, _ in rays))

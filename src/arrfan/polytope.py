@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import intlinalg as la
-from .arrangement import Arrangement, Chamber, is_crystallographic, positive_roots
+from .arrangement import Arrangement, Chamber, is_crystallographic
 from .errors import CertificationError, NotCrystallographicError
 from .intlinalg import Mat, Vec
 
@@ -51,8 +51,9 @@ class PhiCertificate(NamedTuple):
 
 
 def rho(a: Arrangement, k: Chamber) -> Vec:
-    """The doubled vertex of a chamber: the sum of its positive covectors."""
-    return tuple(map(sum, zip(*positive_roots(a, k))))
+    """The doubled vertex of a chamber: the sum of its positive covectors,
+    each covector signed by the chamber's sign vector."""
+    return la.vec_mat(k.sign_vector, a.positive_covectors)
 
 
 def _cut_out_mask(a: Arrangement, k: Chamber) -> int | None:

@@ -719,6 +719,70 @@ def _ref_fraction_row_to_primitive(row):
     return tuple(v // g for v in ints)
 
 
+def ref_extreme_rays(inequalities):
+    """The double description `intlinalg.extreme_rays` ran before it kept zero
+    sets: one rank per candidate base row, each ray's tight rows rebuilt
+    from scratch at every step, and a final rank filter per ray."""
+    from arrfan.errors import NonPointedError
+    from arrfan.intlinalg import dual_rays, primitive, rank, vec_dot
+
+    def _dedup(vectors):
+        return list(dict.fromkeys(vectors))
+
+    rows = [tuple(int(x) for x in r) for r in inequalities]
+    rows = [r for r in rows if any(x != 0 for x in r)]
+    if not rows:
+        raise NonPointedError("cone contains a line (no effective constraints)")
+    r = len(rows[0])
+    if any(len(row) != r for row in rows):
+        raise ValueError("ragged inequality matrix")
+    if rank(rows) < r:
+        raise NonPointedError("cone contains a line")
+
+    base = []
+    rest = []
+    for row in rows:
+        if len(base) < r and rank(base + [row]) > len(base):
+            base.append(row)
+        else:
+            rest.append(row)
+    rays = list(dual_rays(base))
+    processed = list(base)
+
+    for h in rest:
+        vals = {ray: vec_dot(h, ray) for ray in rays}
+        pos = [ray for ray in rays if vals[ray] > 0]
+        neg = [ray for ray in rays if vals[ray] < 0]
+        zero = [ray for ray in rays if vals[ray] == 0]
+        if not neg:
+            processed.append(h)
+            continue
+        new = pos + zero
+        if pos:
+            tight = {
+                ray: frozenset(i for i, row in enumerate(processed) if vec_dot(row, ray) == 0)
+                for ray in rays
+            }
+            for u in pos:
+                for w in neg:
+                    common = tight[u] & tight[w]
+                    adjacent = all(
+                        not (common <= tight[v]) for v in rays if v != u and v != w
+                    )
+                    if adjacent:
+                        comb = tuple(vals[u] * w[i] - vals[w] * u[i] for i in range(r))
+                        new.append(primitive(comb))
+        rays = _dedup(new)
+        processed.append(h)
+
+    out = []
+    for ray in _dedup(rays):
+        tight_rows = [row for row in rows if vec_dot(row, ray) == 0]
+        if (rank(tight_rows) if tight_rows else 0) == r - 1:
+            out.append(ray)
+    return tuple(sorted(out))
+
+
 def ref_cone_h_rep(gens, rank):
     """Inequality rows of a simplicial cone from a Fraction inverse or right inverse."""
     from arrfan import intlinalg as la

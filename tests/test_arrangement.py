@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from arrfan import intlinalg as la
 from arrfan.arrangement import (
+    _seed_sign_vector,
     arrangement_to_json,
     catalog,
     decompose,
@@ -32,6 +33,7 @@ from oracles import (
     ref_enumerate_chambers,
     ref_is_crystallographic,
     ref_catalog_roots,
+    ref_extreme_rays,
     ref_mat_inverse_fraction,
 )
 
@@ -269,6 +271,28 @@ def test_walk_matches_reference_on_ladder(name):
     assert a.chambers == enumerate_chambers(a)
     assert is_crystallographic(a) == ref_is_crystallographic(a)
 
+
+
+def _ngon_names(t):
+    """About ten triangulation indices of the t-gon, all of them up to t = 7."""
+    from arrfan.surface import triangulations
+
+    n = len(triangulations(t))
+    return [f"ngon:{t}:{i}" for i in range(0, n, max(1, n // 10))]
+
+
+@pytest.mark.parametrize(
+    "names",
+    [[f"{x}_{r}"] for x, rs in (("A", range(3, 8)), ("B", range(3, 7)), ("D", (4, 5)))
+     for r in rs] + [_ngon_names(t) for t in range(3, 11)],
+    ids=lambda names: names[0].rsplit(":", 1)[0],
+)
+def test_walk_seed_rays_match_the_former_double_description(names):
+    """The walk's one double description, on its seed chamber's signed covectors."""
+    for name in names:
+        a = catalog(name)
+        rows = [la.vec_scale(x, c) for x, c in zip(_seed_sign_vector(a), a.positive_covectors)]
+        assert la.extreme_rays(rows) == ref_extreme_rays(rows), name
 
 
 _NOT_CRYSTALLOGRAPHIC = [

@@ -370,6 +370,12 @@ def test_catalog_sporadic_dir(tmp_path, capsys):
     assert json.loads(Path(out_path).read_text())["positive_covectors"] == [[0, 1], [1, 0], [1, 1]]
     code, _ = run(capsys, "catalog", "nothere", "--sporadic-dir", str(tmp_path))
     assert code == 3
+    # a name's file that cannot be read is an input error, not a traceback
+    (tmp_path / "E_6.json").mkdir()
+    code = main(["catalog", "E_6", "--sporadic-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: cannot read {tmp_path / 'E_6.json'}: ")
 
 
 @pytest.mark.parametrize("count", ["2", "13", "x", "٥", "５", "1_0", "1" * 5000])
@@ -611,6 +617,19 @@ def test_exit_code_table(monkeypatch, capsys, a2_file, error):
     assert code == _README_EXIT_CODES[error.__name__]
     assert captured.out == ""
     assert captured.err.startswith("error: injected\n")
+
+
+def test_an_interrupt_exits_130_without_a_traceback(monkeypatch, capsys, a2_file):
+    import arrfan.arrangement
+
+    def load_arrangement(data):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(arrfan.arrangement, "load_arrangement", load_arrangement)
+    code = main(["verify", a2_file])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (130, "")
+    assert captured.err.startswith("error: interrupted\n# elapsed_ms=")
 
 
 def test_a_type_error_is_not_a_verdict(monkeypatch, capsys, a2_file):

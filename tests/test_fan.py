@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 
@@ -42,6 +43,7 @@ from arrfan.poset import intersection_poset, restricted_arrangement
 from oracles import (
     ref_check_properties,
     ref_cone_h_rep,
+    ref_extreme_rays,
     ref_fan_automorphisms,
     ref_fan_from_arrangement,
     ref_insert_hyperplane,
@@ -413,7 +415,7 @@ def _assert_matches_reference(f, autos=True):
     assert _outcome(roots_from_fan, f) == _outcome(ref_roots_from_fan, f)
     for face in fan_faces(f):
         gens = f.cone_vectors(face)
-        assert _cone_h_rep(gens, f.rank) == ref_cone_h_rep(gens, f.rank)
+        assert _cone_h_rep(gens, la.dual_rays(gens), f.rank) == ref_cone_h_rep(gens, f.rank)
     if autos:
         assert _outcome(fan_automorphisms, f) == _outcome(ref_fan_automorphisms, f)
 
@@ -561,11 +563,22 @@ def test_pairwise_check_matches_one_double_description_per_pair(case, monkeypatc
     f = make_fan(rank, cones, check_faces=False)
     assert f.overlap == ()
     calls = _count_calls(monkeypatch, "extreme_rays")
+    inverses = _count_calls(monkeypatch, "dual_rays")
     pair = _pairwise_overlap(f)
     n, described = len(f.max_cones), len(calls)
+    # each cone's rows are its row of f.normals: the one inverse per double
+    # description is its own base's
+    assert len(inverses) == described
     assert pair == ref_overlapping_pair(f)
     if case == "A_3 less a cone":  # 176 of the 253 pairs need no double description
         assert described == n * (n - 1) // 2 - 176
+
+
+def test_double_description_matches_reference_on_every_cone_pair_of_b3():
+    f = fan_from_arrangement(catalog("B_3"))
+    reps = [_cone_h_rep(f.cone_vectors(c), hs, f.rank) for c, hs in zip(f.max_cones, f.normals)]
+    for x, y in itertools.combinations(reps, 2):
+        assert la.extreme_rays(x + y) == ref_extreme_rays(x + y)
 
 
 @settings(max_examples=200, deadline=None, database=None)

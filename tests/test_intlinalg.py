@@ -11,6 +11,7 @@ from arrfan.errors import NonPointedError
 from oracles import (
     brute_extreme_rays,
     ref_det,
+    ref_extreme_rays,
     ref_mat_inverse_fraction,
     ref_particular_solution,
     ref_rank,
@@ -127,6 +128,51 @@ def test_extreme_rays_against_subset_oracle():
             continue
         trials += 1
         assert la.extreme_rays(rows) == brute_extreme_rays(rows, r)
+
+
+@st.composite
+def _inequality_rows(draw):
+    """Random rows of width r, with duplicates, negated rows (an equality
+    pair: a lower-dimensional or non-pointed cone), zero rows and ragged rows."""
+    r = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r),
+                         min_size=1, max_size=8))
+    for kind, i in draw(st.lists(st.tuples(st.sampled_from("dnzr"), st.integers(0, 9)),
+                                 max_size=4)):
+        v = rows[i % len(rows)]
+        rows.append({"d": v, "n": [-x for x in v], "z": [0] * r, "r": v + [1]}[kind])
+    return r, rows
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_inequality_rows())
+def test_extreme_rays_match_the_former_double_description(data):
+    r, rows = data
+    try:
+        got = la.extreme_rays(rows)
+    except (NonPointedError, ValueError) as e:
+        with pytest.raises(type(e)):
+            ref_extreme_rays(rows)
+        return
+    assert got == ref_extreme_rays(rows) == brute_extreme_rays(rows, r)
+
+
+def test_extreme_rays_run_on_one_elimination(monkeypatch):
+    """No rank call: one elimination of the transposed rows gives the rank test
+    and the base rows, whose dual rays are the one inverse."""
+    def refuse(*args):
+        raise AssertionError("rank called")
+
+    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 2, -1), (2, -1, 2), (-1, 2, 2), (3, 3, 3)]
+    expected = ref_extreme_rays(rows)
+    dual, calls = la.dual_rays, []
+    monkeypatch.setattr(la, "rank", refuse)
+    monkeypatch.setattr(la, "dual_rays", lambda m: calls.append(m) or dual(m))
+    assert la.extreme_rays(rows) == expected
+    assert expected == ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+    assert calls == [[(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
+    with pytest.raises(NonPointedError):
+        la.extreme_rays([(1, 0, 0), (0, 1, 0), (0, -1, 0)])
 
 
 def test_extreme_rays_double_dual_regeneration():
