@@ -31,7 +31,7 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _read(path) -> bytes:
+def _read(path: str | Path) -> bytes:
     """The bytes of an input file; a file that cannot be read is an input error."""
     try:
         return Path(path).read_bytes()

@@ -7,10 +7,11 @@ inverse on top of it, `scaled_inverse` (m*D = d*I), serves inverses, linear
 solves and a simplicial cone's dual rays (facet normals, inequality rows).
 The double description, `extreme_rays`, reads its rank test and starting
 rows off one elimination of the transposed rows, seeds with their dual rays
-and keeps each ray's zero set as a bitmask.  Hermite forms come from one loop, which carries the transform only for
-`hnf`: `hermite_basis`, and with it the second step of `kernel_basis` and
-`saturation_basis`, reduces without building it.  Matrices are sequences of
-equal-length rows and are returned as tuples of tuples.
+and keeps each ray's zero set as a bitmask.  Hermite forms come from one
+loop, which carries the transform only for `hnf`: `hermite_basis`, and with
+it the second step of `kernel_basis` and `saturation_basis`, reduces without
+building it.  Matrices are sequences of equal-length rows and are returned
+as tuples of tuples.
 """
 from __future__ import annotations
 
@@ -385,13 +386,12 @@ def extreme_rays(inequalities: Sequence[Sequence[int]]) -> Mat:
     set, a bitmask of the rows added so far that vanish on it.  A ray
     positive on the new row and one negative on it are combined, into the
     point of their segment on the row's hyperplane, when they are adjacent:
-    no third ray vanishes on every row both vanish on (which takes at least
-    r - 2 such rows).  That test is exact while every kept ray is extreme,
-    and each step keeps them so: the rays kept are extreme in the smaller
-    cone, and a combination spans the meet of the hyperplane with the 2-face
-    of its pair, a different face for every pair.  Its zero set is the
-    pair's common one plus the new row.  So no ray is repeated and none
-    needs a final rank test.
+    no third ray vanishes on every row both vanish on.  That test is exact
+    while every kept ray is extreme, and each step keeps them so: the rays
+    kept are extreme in the smaller cone, and a combination spans the meet
+    of the hyperplane with the 2-face of its pair, a different face for
+    every pair.  Its zero set is the pair's common one plus the new row.  So
+    no ray is repeated and none needs a final rank test.
     """
     rows = [tuple(int(x) for x in r) for r in inequalities]
     rows = [r for r in rows if any(x != 0 for x in r)]
@@ -422,9 +422,8 @@ def extreme_rays(inequalities: Sequence[Sequence[int]]) -> Mat:
         for u, zu, a in pos:
             for w, zw, b in neg:
                 common = zu & zw
-                if common.bit_count() >= r - 2 and not any(
-                    common & zeros == common for v, zeros in rays if v is not u and v is not w
-                ):
+                if not any(common & zeros == common
+                           for v, zeros in rays if v is not u and v is not w):
                     kept.append((primitive([a * y - b * x for x, y in zip(u, w)]), common | bit))
         rays = kept
     return tuple(sorted(ray for ray, _ in rays))

@@ -274,7 +274,7 @@ def test_walk_matches_reference_on_ladder(name):
 
 
 def _ngon_names(t):
-    """About ten triangulation indices of the t-gon, all of them up to t = 7."""
+    """About ten triangulation indices of the t-gon, every one up to t = 6."""
     from arrfan.surface import triangulations
 
     n = len(triangulations(t))
