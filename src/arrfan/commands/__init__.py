@@ -108,12 +108,11 @@ def _load_any(data: bytes):
 
         return True, _fan_from_json(obj)
     if "weights" in obj:
-        w = obj["weights"]
-        if type(w) is not list or any(type(x) is not int for x in w):
+        if type(obj["weights"]) is not list:  # weights_to_fan checks each weight
             raise InputFormatError("'weights' must be a list of integers")
         from ..surface import weights_to_fan
 
-        return True, weights_to_fan(w)
+        return True, weights_to_fan(obj["weights"])
     raise InputFormatError("unrecognized input format")
 
 

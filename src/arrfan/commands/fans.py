@@ -93,7 +93,7 @@ def cmd_plot(args, data: bytes):
             labels = {ray: str(w) for ray, w in zip(g.rays, g.weights)}
         except ArrfanError:
             pass
-        svg = svgplot.render_fan(obj, labels)
+        svg = svgplot.render_rank2(obj.rays, labels)
     if args.out is None:
         sys.stdout.write(svg)
     else:

@@ -82,14 +82,20 @@ class Fan(_FanFields):
 
         Normal j vanishes on every generator but the j-th and is positive on
         that one.  Computed once per fan; cones share one tuple per distinct
-        normal.  `make_fan` fills the table from its simplicial check, and
-        `fan_from_arrangement` from the walk.
+        normal.  A cone whose generators are dependent has no such normals
+        and raises NotSimplicialError: `make_fan` reads the table as its
+        simplicial check, and `fan_from_arrangement` fills it from the walk.
         """
         shared: dict[Vec, Vec] = {}
-        return tuple(
-            tuple(shared.setdefault(h, h) for h in la.dual_rays(self.cone_vectors(c)))
-            for c in self.max_cones
-        )
+        rows = []
+        for c in self.max_cones:
+            gens = list(self.cone_vectors(c))
+            try:  # the cone's one elimination: singular exactly when not simplicial
+                hs = la.dual_rays(gens)
+            except ValueError:
+                raise NotSimplicialError(f"cone {gens} is not simplicial") from None
+            rows.append(tuple(shared.setdefault(h, h) for h in hs))
+        return tuple(rows)
 
     @cached_property
     def overlap(self) -> tuple[tuple[int, ...], ...] | None:
@@ -213,8 +219,8 @@ def make_fan(
     Rays are deduplicated and sorted; cones become sorted index tuples, sorted
     among themselves.  Each distinct ray is checked once, in order of first
     occurrence.  Every listed cone must be simplicial (independent
-    generators): its one elimination, `la.dual_rays`, fails on a singular
-    cone and otherwise gives the cone's row of `Fan.normals`.  With
+    generators): `Fan.normals`, one `la.dual_rays` per cone, is read first
+    and raises NotSimplicialError on a singular cone.  With
     check_faces=True any two cones that do not meet in a common face raise
     MalformedFanError.  A pure full-dimensional input whose
     facets each lie in exactly two cones is checked through the wall table:
@@ -239,15 +245,8 @@ def make_fan(
     rays = sorted(distinct)
     index = {v: i for i, v in enumerate(rays)}
     cone_idx = sorted({tuple(sorted({index[v] for v in cone})) for cone in cone_vecs})
-    shared: dict[Vec, Vec] = {}  # one tuple per distinct normal, as in `Fan.normals`
-    normals = []
-    for cone in cone_idx:
-        gens = [rays[i] for i in cone]
-        try:  # the cone's one elimination: singular exactly when not simplicial
-            hs = la.dual_rays(gens)
-        except ValueError:
-            raise NotSimplicialError(f"cone {gens} is not simplicial") from None
-        normals.append(tuple(shared.setdefault(h, h) for h in hs))
+    f = Fan(rank=rank, rays=tuple(rays), max_cones=tuple(cone_idx))
+    f.normals  # raises NotSimplicialError for a cone that is not simplicial
     # distinct cones of one size never contain each other, so a pure fan skips this
     by_size: dict[int, list[frozenset]] = {}
     for cone in cone_idx:
@@ -255,8 +254,6 @@ def make_fan(
     for lo, hi in itertools.combinations(sorted(by_size), 2):
         if any(s <= b for s in by_size[lo] for b in by_size[hi]):
             raise InputFormatError("listed cones must be mutually maximal")
-    f = Fan(rank=rank, rays=tuple(rays), max_cones=tuple(cone_idx))
-    vars(f)["normals"] = tuple(normals)
     if check_faces:
         pair = f.overlap if f.overlap != () else _pairwise_overlap(f)
         if pair is not None:

@@ -10,11 +10,10 @@ symmetric case.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import intlinalg as la
-from .errors import CertificationError, DoesNotCloseError, OrientationError
+from .errors import CertificationError, DoesNotCloseError, InputFormatError, OrientationError
 from .intlinalg import Mat, Vec
 
 if TYPE_CHECKING:  # the fan module is loaded by the functions that build a fan
@@ -104,31 +103,34 @@ def _wheel(ccw_rays: Mat) -> Fan:
     return make_fan(2, cones, check_faces=False)
 
 
+def _int_weights(weights) -> tuple[int, ...]:
+    """The weights as a tuple, each of type int (no float, string or bool)."""
+    w = tuple(weights)
+    if any(type(a) is not int for a in w):
+        raise InputFormatError("'weights' must be a list of integers")
+    return w
+
+
 def weights_to_fan(weights) -> Fan:
     """Reconstruct the fan from a weight sequence.
 
-    Starts from n_1 = (1,0), n_2 = (0,1) and iterates the recurrence; fails
-    with DoesNotCloseError when the sequence does not return to the start, or
-    OrientationError when the rays repeat or fail to wind around exactly once.
+    Starts from n_1 = (1,0), n_2 = (0,1) and iterates the recurrence up to
+    n_s; the CircularGraph constructor then checks it at the last and first
+    rays, which is closure, and fails with DoesNotCloseError when the
+    sequence does not return to the start.  Fails with OrientationError when
+    the rays repeat or fail to wind around exactly once, and with
+    InputFormatError when a weight is not an int.
     """
-    w = tuple(int(a) for a in weights)
-    s = len(w)
-    if s < 3:
-        raise DoesNotCloseError("need at least 3 weights")
+    w = _int_weights(weights)
     rays: list[Vec] = [(1, 0), (0, 1)]
-    for j in range(2, s + 1):
-        nxt = la.vec_sub(la.vec_neg(rays[j - 2]), la.vec_scale(w[j - 1], rays[j - 1]))
-        rays.append(nxt)
-    if rays[s] != rays[0]:
-        raise DoesNotCloseError(f"weights {w} do not close up")
-    if la.vec_add(la.vec_add(rays[s - 1], rays[1]), la.vec_scale(w[0], rays[0])) != (0, 0):
-        raise DoesNotCloseError(f"weights {w} violate the closing relation")
-    rays = rays[:s]
-    if len(set(rays)) != s:
+    for a in w[1:-1]:
+        rays.append(la.vec_sub(la.vec_neg(rays[-2]), la.vec_scale(a, rays[-1])))
+    ccw = CircularGraph(w, tuple(rays)).rays
+    if len(set(ccw)) != len(ccw):
         raise OrientationError(f"weights {w} revisit a ray")
-    if _rotate_to_lex_min(ccw_sorted(tuple(rays))) != _rotate_to_lex_min(tuple(rays)):
+    if _rotate_to_lex_min(ccw_sorted(ccw)) != _rotate_to_lex_min(ccw):
         raise OrientationError(f"weights {w} wind around more than once")
-    return _wheel(rays)
+    return _wheel(ccw)
 
 
 def verify_weight_identity(weights, mode: str) -> bool:
@@ -137,13 +139,14 @@ def verify_weight_identity(weights, mode: str) -> bool:
     mode="full": the product of (0 -1; 1 -a_j) over the whole sequence is the
     identity (the closing condition of a complete fan).  mode="half": the
     product is minus the identity (the condition satisfied by one half of a
-    centrally symmetric sequence).
+    centrally symmetric sequence).  A weight that is not an int raises
+    InputFormatError.
     """
     if mode not in ("full", "half"):
         raise ValueError("mode must be 'full' or 'half'")
     m = la.identity(2)
-    for a in weights:
-        m = la.mat_mul(((0, -1), (1, -int(a))), m)
+    for a in _int_weights(weights):
+        m = la.mat_mul(((0, -1), (1, -a)), m)
     target = la.identity(2) if mode == "full" else ((-1, 0), (0, -1))
     return m == target
 
@@ -158,43 +161,35 @@ def triangulations(t: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     if t < 3:
         raise ValueError("triangulations require t >= 3")
 
-    def sub(i: int, j: int) -> list[list[tuple[int, int, int]]]:
+    def sub(i: int, j: int) -> list[tuple[tuple[int, int], ...]]:
+        # the triangulations of the polygon i..j, whose side (i, j) is already drawn:
+        # its triangle (i, k, j) adds the sides (i, k) and (k, j) that are not edges
         if j - i < 2:
-            return [[]]
+            return [()]
         out = []
         for k in range(i + 1, j):
+            own = tuple((x, y) for x, y in ((i, k), (k, j)) if y - x > 1)
             for left in sub(i, k):
                 for right in sub(k, j):
-                    out.append([(i, k, j)] + left + right)
+                    out.append(own + left + right)
         return out
 
-    result = []
-    for tri_list in sub(1, t):
-        diagonals = set()
-        for a, b, c in tri_list:
-            for x, y in ((a, b), (b, c), (a, c)):
-                if y - x != 1 and not (x == 1 and y == t):
-                    diagonals.add((x, y))
-        result.append(tuple(sorted(diagonals)))
-    return tuple(result)
+    return tuple(tuple(sorted(diagonals)) for diagonals in sub(1, t))
 
 
 def triangulation_to_weights(t: int, diagonals) -> tuple[int, ...]:
-    """Weights a_i = -(number of triangles at polygon vertex i)."""
-    chords = {tuple(sorted(d)) for d in diagonals}
-    for i in range(1, t + 1):
-        j = i % t + 1
-        chords.add(tuple(sorted((i, j))))
-    triangles = [
-        (a, b, c)
-        for a, b, c in itertools.combinations(range(1, t + 1), 3)
-        if (a, b) in chords and (b, c) in chords and (a, c) in chords
-    ]
-    counts = [0] * (t + 1)
-    for tri in triangles:
-        for v in tri:
-            counts[v] += 1
-    return tuple(-counts[i] for i in range(1, t + 1))
+    """Weights a_i = -(number of triangles at polygon vertex i).
+
+    `diagonals` must triangulate the convex t-gon (its pairs may be listed
+    reversed or repeated, and polygon edges among them are ignored).  The
+    diagonals at vertex i separate its triangles, so a_i = -(1 + their number).
+    """
+    edges = {(i, i + 1) for i in range(1, t)} | {(1, t)}
+    degree = [0] * (t + 1)
+    for x, y in {tuple(sorted(d)) for d in diagonals} - edges:
+        degree[x] += 1
+        degree[y] += 1
+    return tuple(-1 - degree[i] for i in range(1, t + 1))
 
 
 def symmetrize(f: Fan) -> Fan:
@@ -301,27 +296,21 @@ def y_divisor_class(g: CircularGraph) -> tuple[DivisorClass, int]:
     t = _central_t(g)
     if t < 3:
         raise ValueError("divisor formula requires t >= 3")
-    ys = [y for _, y in _end_ray_coordinates(g, t)[1 : t - 1]]
-    if ys[0] != 1:
+    # ray nu's y-coordinate in (n_1, n_t): y_1 = 0 and y_t = 1
+    c = tuple(y for _, y in _end_ray_coordinates(g, t)) + (0,) * t
+    if c[1] != 1:
         raise CertificationError("y_2 != 1 contradicts the ray relations")
-    s = len(g.weights)
-    c = [0] * s
-    c[1] = 1
-    for nu in range(3, t):
-        c[nu - 1] = ys[nu - 2]
-    c[t - 1] = 1
-    m = intersection_numbers(g)
-    pairings = [sum(c[mu] * m[mu][nu] for mu in range(s)) for nu in range(s)]
-    for nu in range(s):
+    pairings = la.vec_mat(c, intersection_numbers(g))
+    for nu, pairing in enumerate(pairings):
         expected = 1 if nu in (0, t) else 0
-        if pairings[nu] != expected:
+        if pairing != expected:
             raise CertificationError(
-                f"class pairs with D_{nu + 1} as {pairings[nu]}, expected {expected}"
+                f"class pairs with D_{nu + 1} as {pairing}, expected {expected}"
             )
-    self_int = sum(c[nu] * pairings[nu] for nu in range(s))
+    self_int = la.vec_dot(c, pairings)
     if self_int != 0:
         raise CertificationError(f"self-intersection {self_int}, expected 0")
-    return DivisorClass(tuple(c)), self_int
+    return DivisorClass(c), self_int
 
 
 def verify_picard_presentation(g: CircularGraph) -> bool:

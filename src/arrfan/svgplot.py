@@ -13,7 +13,6 @@ from .intlinalg import Vec
 
 if TYPE_CHECKING:  # annotations only: each plot loads the module of its input alone
     from .arrangement import Arrangement
-    from .fan import Fan
 
 _SIZE = 600
 _CENTER = _SIZE // 2
@@ -135,9 +134,3 @@ def render_rank2_arrangement(a: Arrangement) -> str:
         rays.append(normal_dir)
         rays.append(la.vec_neg(normal_dir))
     return render_rank2(rays)
-
-
-def render_fan(f: Fan, labels: dict[Vec, str] | None = None) -> str:
-    if f.rank != 2:
-        raise ValueError("fan rendering supports rank 2 only")
-    return render_rank2(f.rays, labels)

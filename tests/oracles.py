@@ -1183,3 +1183,118 @@ def ref_catalog_roots(letter: str, r: int) -> list[tuple[int, ...]]:
                     for k in range(r)
                 ))
     return roots
+
+
+# Reference rank-2 classification: the routines `arrfan.surface` ran before it
+# read diagonals off the recursion, weights off diagonal degrees and closure
+# off the CircularGraph constructor.  The tests require equal results.
+
+
+def ref_triangulations(t: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """All triangulations of a convex t-gon, as lists of triangles whose sides
+    are then sorted into polygon edges and diagonals."""
+    if t < 3:
+        raise ValueError("triangulations require t >= 3")
+
+    def sub(i: int, j: int) -> list[list[tuple[int, int, int]]]:
+        if j - i < 2:
+            return [[]]
+        out = []
+        for k in range(i + 1, j):
+            for left in sub(i, k):
+                for right in sub(k, j):
+                    out.append([(i, k, j)] + left + right)
+        return out
+
+    result = []
+    for tri_list in sub(1, t):
+        diagonals = set()
+        for a, b, c in tri_list:
+            for x, y in ((a, b), (b, c), (a, c)):
+                if y - x != 1 and not (x == 1 and y == t):
+                    diagonals.add((x, y))
+        result.append(tuple(sorted(diagonals)))
+    return tuple(result)
+
+
+def ref_triangulation_to_weights(t: int, diagonals) -> tuple[int, ...]:
+    """Weights a_i = -(number of triangles at vertex i), the triangles found
+    among all vertex triples."""
+    chords = {tuple(sorted(d)) for d in diagonals}
+    for i in range(1, t + 1):
+        j = i % t + 1
+        chords.add(tuple(sorted((i, j))))
+    triangles = [
+        (a, b, c)
+        for a, b, c in itertools.combinations(range(1, t + 1), 3)
+        if (a, b) in chords and (b, c) in chords and (a, c) in chords
+    ]
+    counts = [0] * (t + 1)
+    for tri in triangles:
+        for v in tri:
+            counts[v] += 1
+    return tuple(-counts[i] for i in range(1, t + 1))
+
+
+def ref_weights_to_fan(weights):
+    """The fan of a weight sequence, with its own closure and closing-relation
+    tests (each weight read through int())."""
+    from arrfan import intlinalg as la
+    from arrfan.errors import DoesNotCloseError, OrientationError
+    from arrfan.surface import _rotate_to_lex_min, _wheel, ccw_sorted
+
+    w = tuple(int(a) for a in weights)
+    s = len(w)
+    if s < 3:
+        raise DoesNotCloseError("need at least 3 weights")
+    rays = [(1, 0), (0, 1)]
+    for j in range(2, s + 1):
+        nxt = la.vec_sub(la.vec_neg(rays[j - 2]), la.vec_scale(w[j - 1], rays[j - 1]))
+        rays.append(nxt)
+    if rays[s] != rays[0]:
+        raise DoesNotCloseError(f"weights {w} do not close up")
+    if la.vec_add(la.vec_add(rays[s - 1], rays[1]), la.vec_scale(w[0], rays[0])) != (0, 0):
+        raise DoesNotCloseError(f"weights {w} violate the closing relation")
+    rays = rays[:s]
+    if len(set(rays)) != s:
+        raise OrientationError(f"weights {w} revisit a ray")
+    if _rotate_to_lex_min(ccw_sorted(tuple(rays))) != _rotate_to_lex_min(tuple(rays)):
+        raise OrientationError(f"weights {w} wind around more than once")
+    return _wheel(rays)
+
+
+def ref_y_divisor_class(g):
+    """Divisor class of the line through ray 1, its pairings and
+    self-intersection summed over explicit index loops."""
+    from arrfan.errors import CertificationError
+    from arrfan.surface import (
+        DivisorClass,
+        _central_t,
+        _end_ray_coordinates,
+        intersection_numbers,
+    )
+
+    t = _central_t(g)
+    if t < 3:
+        raise ValueError("divisor formula requires t >= 3")
+    ys = [y for _, y in _end_ray_coordinates(g, t)[1 : t - 1]]
+    if ys[0] != 1:
+        raise CertificationError("y_2 != 1 contradicts the ray relations")
+    s = len(g.weights)
+    c = [0] * s
+    c[1] = 1
+    for nu in range(3, t):
+        c[nu - 1] = ys[nu - 2]
+    c[t - 1] = 1
+    m = intersection_numbers(g)
+    pairings = [sum(c[mu] * m[mu][nu] for mu in range(s)) for nu in range(s)]
+    for nu in range(s):
+        expected = 1 if nu in (0, t) else 0
+        if pairings[nu] != expected:
+            raise CertificationError(
+                f"class pairs with D_{nu + 1} as {pairings[nu]}, expected {expected}"
+            )
+    self_int = sum(c[nu] * pairings[nu] for nu in range(s))
+    if self_int != 0:
+        raise CertificationError(f"self-intersection {self_int}, expected 0")
+    return DivisorClass(tuple(c)), self_int

@@ -263,6 +263,16 @@ def test_surface_commands(tmp_path, capsys, a2_file):
     assert code == 4
 
 
+@pytest.mark.parametrize("weights", [[0.9, 0.5, 0.2, 0.7], ["0", 0, 0, 0], [True, 0, 0, 0], 5])
+def test_weights_file_of_non_integers_is_an_input_error(tmp_path, capsys, weights):
+    path = write(tmp_path, "w.json", {"weights": weights})
+    for argv in (["surface", "graph", path], ["surface", "from-weights", path], ["plot", path]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 'weights' must be a list of integers\n")
+
+
 def test_insert_and_embed(tmp_path, capsys, a2_file):
     out_path = str(tmp_path / "b2fan.json")
     code, out = run(capsys, "insert", a2_file, "--hyperplane", "1,2", "--out", out_path)

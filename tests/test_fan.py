@@ -574,6 +574,21 @@ def test_pairwise_check_matches_one_double_description_per_pair(case, monkeypatc
         assert described == n * (n - 1) // 2 - 176
 
 
+def test_make_fan_inverts_each_listed_cone_once(monkeypatch):
+    """The simplicial check is the normal table: one `dual_rays` per cone, which
+    the covering test and the properties read again without inverting."""
+    cones = [k.rays for k in catalog("B_3").chambers]
+    calls = _count_calls(monkeypatch, "dual_rays")
+    f = make_fan(3, cones + cones[:5])
+    assert sorted(tuple(map(tuple, args[0])) for args in calls) == sorted(
+        f.cone_vectors(c) for c in f.max_cones
+    )
+    assert check_properties(f).strongly_symmetric and len(calls) == len(f.max_cones) == 48
+    # a singular cone is reported before the one it contains is found not maximal
+    with pytest.raises(NotSimplicialError, match=r"^cone \[\(0, 1\), \(1, 0\), \(1, 1\)\] is"):
+        make_fan(2, [[(1, 0), (0, 1), (1, 1)], [(1, 0)]])
+
+
 def test_double_description_matches_reference_on_every_cone_pair_of_b3():
     f = fan_from_arrangement(catalog("B_3"))
     reps = [_cone_h_rep(f.cone_vectors(c), hs, f.rank) for c, hs in zip(f.max_cones, f.normals)]

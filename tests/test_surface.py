@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arrfan import intlinalg as la
 from arrfan.arrangement import catalog, make_arrangement
 from arrfan.errors import (
     CertificationError,
     DoesNotCloseError,
+    InputFormatError,
     NotSmoothError,
     OrientationError,
 )
@@ -33,6 +35,10 @@ from oracles import (
     equal_up_to_rotation,
     ref_hilbert_middle_rays,
     ref_solve_in_row_space,
+    ref_triangulation_to_weights,
+    ref_triangulations,
+    ref_weights_to_fan,
+    ref_y_divisor_class,
 )
 
 
@@ -256,3 +262,70 @@ def test_end_ray_coordinates_match_the_row_space_solve():
             basis = (g.rays[0], g.rays[t - 1])
             solved = tuple(ref_solve_in_row_space(basis, v) for v in g.rays[:t])
             assert _end_ray_coordinates(g, t) == solved
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:  # the exception type is the outcome being compared
+        return type(e)
+
+
+def test_triangulations_match_the_triangle_lists():
+    # the same diagonal tuples in the same order: ngon:t:i indexes into them
+    for t in range(3, 13):
+        assert triangulations(t) == ref_triangulations(t), t
+
+
+def test_triangulation_weights_match_the_triangle_count():
+    # every triangulation up to t = 12, as listed and with its pairs reversed,
+    # repeated and mixed with polygon edges
+    rng = random.Random(28)
+    for t in range(3, 13):
+        edges = [(i, i + 1) for i in range(1, t)] + [(1, t)]
+        for diag in triangulations(t):
+            assert triangulation_to_weights(t, diag) == ref_triangulation_to_weights(t, diag)
+            noisy = [d[::-1] if rng.random() < 0.5 else d for d in diag]
+            noisy += rng.sample(noisy, len(noisy) // 2)
+            noisy += [e[::-1] if rng.random() < 0.5 else e for e in rng.sample(edges, 3)]
+            rng.shuffle(noisy)
+            want = ref_triangulation_to_weights(t, noisy)
+            assert triangulation_to_weights(t, noisy) == want, (t, noisy)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.lists(st.integers(-3, 3), max_size=12))
+def test_weights_to_fan_matches_reference_on_integer_lists(w):
+    assert _outcome(weights_to_fan, w) == _outcome(ref_weights_to_fan, w)
+
+
+def test_weights_to_fan_matches_reference_on_doubled_triangulations():
+    cases = [(-1,) * 12, (1,) * 6, (0, 0, 0, 0), (0, 0), (), (-1, -1, -1), (-1, -1, -1, 0, 0)]
+    for t in range(3, 10):
+        for diag in triangulations(t):
+            half = triangulation_to_weights(t, diag)
+            cases += [half + half, half + half[:-1]]
+    for w in cases:
+        assert _outcome(weights_to_fan, w) == _outcome(ref_weights_to_fan, w), w
+
+
+@pytest.mark.parametrize("weights", [
+    [0.9, 0.5, 0.2, 0.7], [0.0, 0, 0, 0], ["0", 0, 0, 0], [True, 0, 0, 0], [-1.5] + [-1] * 5,
+])
+def test_weights_must_be_ints(weights):
+    # int() would read each of these as an integer weight
+    with pytest.raises(InputFormatError, match="'weights' must be a list of integers"):
+        weights_to_fan(weights)
+    for mode in ("full", "half"):
+        with pytest.raises(InputFormatError):
+            verify_weight_identity(weights, mode)
+
+
+def test_y_divisor_class_matches_the_index_loops():
+    graphs = [circular_graph(quadrant_fan()), circular_graph(weights_to_fan((-1, -1, -1, 0, 0)))]
+    for t in range(3, 9):
+        for diag in triangulations(t):
+            half = triangulation_to_weights(t, diag)
+            graphs.append(circular_graph(weights_to_fan(half + half)))
+    for g in graphs:
+        assert _outcome(y_divisor_class, g) == _outcome(ref_y_divisor_class, g), g
