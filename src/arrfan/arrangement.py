@@ -319,7 +319,7 @@ def enumerate_chambers(a: Arrangement) -> tuple[Chamber, ...]:
         s = signs(v)
         if s.pos & ~m or s.neg & m:
             raise NotSimplicialError(f"chamber {sign_tuple(m)} has more than {r} extreme rays")
-        new_walls[v] = walls[j]
+        new_walls[interned.setdefault(v, v)] = walls[j]
         new_rays = tuple(sorted(new_walls))
         return m, new_rays, [new_walls[x] for x in new_rays]
 
@@ -329,6 +329,8 @@ def enumerate_chambers(a: Arrangement) -> tuple[Chamber, ...]:
         raise NotSimplicialError(
             f"chamber with sign vector {seed} has {len(rays)} extreme rays (rank {r})"
         )
+    interned = {x: x for x in rays}  # every ray found, so records share one tuple per ray
+    pairs = [((i, -1), (i, 1)) for i in range(n)]  # basis pairs by covector and side bit
     zeros = [signs(x).zeros for x in rays]
     walls = [meet(zeros[:j] + zeros[j + 1:]).bit_length() - 1 for j in range(r)]
     if any(seed[i] * signs(ray).values[i] <= 0 for i, ray in zip(walls, rays)):
@@ -340,7 +342,7 @@ def enumerate_chambers(a: Arrangement) -> tuple[Chamber, ...]:
     while queue:
         m, rays, walls = queue.popleft()
         s = sign_tuple(m)
-        chambers.append(Chamber(len(chambers), rays, tuple((i, s[i]) for i in walls), s))
+        chambers.append(Chamber(len(chambers), rays, tuple(pairs[i][m >> i & 1] for i in walls), s))
         for j, i in enumerate(walls):
             t = m ^ (1 << i)
             if t not in seen:

@@ -126,17 +126,7 @@ def cmd_insert(args, data: bytes):
         args,
         data,
         {"rays": len(f.rays), "max_cones": len(f.max_cones), "splits": len(cert.entries)},
-        witnesses={
-            "splits": [
-                {
-                    "cone": [list(v) for v in e.cone],
-                    "ray_a": list(e.ray_a),
-                    "ray_b": list(e.ray_b),
-                    "new_ray": list(e.new_ray),
-                }
-                for e in cert.entries
-            ]
-        },
+        witnesses={"splits": [e._asdict() for e in cert.entries]},
         out=fan_to_json(f),
     )
 

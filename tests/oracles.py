@@ -1034,6 +1034,66 @@ def ref_insert_hyperplane(a, h):
     return f2, BlowupCertificate(tuple(entries))
 
 
+def ref_insert_hyperplane_by_signs(a, h):
+    """Read each split cone's two pieces off the enlarged arrangement's sign
+    vectors and check them by set algebra, cardinalities and a cone count."""
+    from arrfan import intlinalg as la
+    from arrfan.arrangement import is_crystallographic, make_arrangement
+    from arrfan.errors import (
+        BadReferenceError,
+        CertificationError,
+        InputFormatError,
+        NotCrystallographicError,
+    )
+    from arrfan.fan import fan_from_arrangement
+    from arrfan.fanmaps import BlowupCertificate, BlowupEntry
+
+    if not any(h):
+        raise InputFormatError("zero hyperplane")
+    hv = la.canonical_sign(la.primitive(tuple(h)))
+    if hv in a.positive_covectors:
+        raise BadReferenceError(f"hyperplane {tuple(h)} already in the arrangement")
+    a2 = make_arrangement(a.rank, a.positive_covectors + (hv,))
+    if not is_crystallographic(a).verdict:
+        raise NotCrystallographicError("base arrangement is not crystallographic")
+    if not is_crystallographic(a2).verdict:
+        raise NotCrystallographicError("enlarged arrangement is not crystallographic")
+    f2 = fan_from_arrangement(a2)
+    at = a2.positive_covectors.index(hv)
+    rays2 = {k.sign_vector: k.rays for k in a2.chambers}
+    entries = []
+    for k in sorted(a.chambers, key=lambda k: k.rays):  # the chamber fan's cone order
+        gens, s = k.rays, k.sign_vector
+        vals = [la.vec_dot(hv, g) for g in gens]
+        sides = (s[:at] + (1,) + s[at:], s[:at] + (-1,) + s[at:])
+        pieces = [rays2[e] for e in sides if e in rays2]
+        if any(x > 0 for x in vals) and any(x < 0 for x in vals):
+            if len(pieces) != 2:
+                raise CertificationError(
+                    f"cone {gens} split into {len(pieces)} pieces, expected 2"
+                )
+            p0, p1 = (set(p) for p in pieces)
+            new_rays = (p0 | p1) - set(gens)
+            only0 = (p0 - p1) & set(gens)
+            only1 = (p1 - p0) & set(gens)
+            if len(new_rays) != 1 or len(only0) != 1 or len(only1) != 1:
+                raise CertificationError(f"unexpected subdivision pattern in cone {gens}")
+            new_ray = next(iter(new_rays))
+            ray_a, ray_b = sorted([next(iter(only0)), next(iter(only1))])
+            if new_ray != la.vec_add(ray_a, ray_b):
+                raise CertificationError(
+                    f"new ray {new_ray} is not the generator sum {ray_a} + {ray_b}"
+                )
+            entries.append(
+                BlowupEntry(cone=gens, ray_a=ray_a, ray_b=ray_b, new_ray=new_ray)
+            )
+        elif pieces != [gens]:
+            raise CertificationError(f"untouched cone {gens} vanished")
+    if len(f2.max_cones) != len(a.chambers) + len(entries):
+        raise CertificationError("subdivision produced unexpected cone count")
+    return f2, BlowupCertificate(tuple(entries))
+
+
 def ref_fan_from_arrangement(a):
     """The chamber fan as `make_fan` builds it, its facet normals as the
     primitive columns of one `scaled_inverse` per cone, and its property

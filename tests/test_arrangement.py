@@ -272,6 +272,15 @@ def test_walk_matches_reference_on_ladder(name):
     assert is_crystallographic(a) == ref_is_crystallographic(a)
 
 
+@pytest.mark.parametrize("name", ["A_4", "B_4", "D_4", "ngon:10:1000"])
+def test_walk_records_share_their_rays_and_basis_pairs(name):
+    """One tuple per distinct ray and at most one per (covector, side) pair."""
+    a = catalog(name)
+    rays = [x for k in a.chambers for x in k.rays]
+    pairs = [p for k in a.chambers for p in k.basis]
+    assert len({id(x) for x in rays}) == len(set(rays))
+    assert len({id(p) for p in pairs}) <= 2 * a.n_hyperplanes
+
 
 def _ngon_names(t):
     """About ten triangulation indices of the t-gon, every one up to t = 6."""

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from arrfan import fan as fan_module, intlinalg as la
-from arrfan.arrangement import catalog, make_arrangement
+from arrfan.arrangement import catalog, is_crystallographic, make_arrangement
 from arrfan.errors import (
     BadReferenceError,
+    CertificationError,
     InputFormatError,
     MalformedFanError,
     NotCompleteError,
@@ -41,12 +42,14 @@ from arrfan.polytope import build_polytope, verify_normal_fan
 from arrfan.poset import intersection_poset, restricted_arrangement
 
 from oracles import (
+    catalan,
     ref_check_properties,
     ref_cone_h_rep,
     ref_extreme_rays,
     ref_fan_automorphisms,
     ref_fan_from_arrangement,
     ref_insert_hyperplane,
+    ref_insert_hyperplane_by_signs,
     ref_overlapping_pair,
     ref_restrict_fan,
     ref_roots_from_fan,
@@ -209,8 +212,6 @@ def test_star_central_symmetry_characterization():
 
 
 def test_crystallographic_iff_smooth():
-    from arrfan.arrangement import is_crystallographic
-
     cases = [
         catalog("A_2"),
         catalog("B_2"),
@@ -287,9 +288,81 @@ def test_insert_hyperplane_rank3():
     ],
 )
 def test_insert_hyperplane_matches_reference(base, h):
-    """Pieces read off the sign vectors equal the pieces found by scanning the fan."""
+    """The predicted blowup equals the pieces found by scanning the fan."""
     a = make_arrangement(2, [(1, 0), (0, 1)]) if base == "A_1xA_1" else catalog(base)
     assert _outcome(insert_hyperplane, a, h) == _outcome(ref_insert_hyperplane, a, h)
+
+
+def _reinsertion_corpus():
+    """Each covector of the small root systems and ngons, removed and put back."""
+    names = ["A_2", "B_2", "A_3", "B_3", "C_3", "D_4", "A_4", "B_4", "C_4"]
+    names += [f"ngon:{t}:{i}" for t in range(3, 9) for i in range(min(10, catalan(t - 2)))]
+    for name in names:
+        a = catalog(name)
+        for c in a.positive_covectors:
+            yield name, make_arrangement(a.rank, [v for v in a.positive_covectors if v != c]), c
+
+
+def _outcome_and_message(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:  # the exception type and text are the outcome being compared
+        return type(e), str(e)
+
+
+def test_reinsertion_matches_both_oracles():
+    """Removing a covector and inserting it again gives the fan scan's outcome
+    and, message included, the sign-vector pieces' outcome."""
+    cases = list(_reinsertion_corpus())
+    assert len(cases) == 331
+    succeeded = 0
+    for name, a, c in cases:
+        out = _outcome_and_message(insert_hyperplane, a, c)
+        assert out == _outcome_and_message(ref_insert_hyperplane_by_signs, a, c), (name, c)
+        ref = _outcome(ref_insert_hyperplane, a, c)
+        assert (out[0] if isinstance(out[0], type) else out) == ref, (name, c)
+        succeeded += not isinstance(out[0], type)
+    assert succeeded > 50
+
+
+def _enlarged_with_chambers(monkeypatch, edit):
+    """Make `insert_hyperplane` see the enlarged arrangement's chambers as `edit` leaves them."""
+    from arrfan import arrangement
+
+    build = arrangement.make_arrangement
+
+    def tampered(rank, covectors):
+        a2 = build(rank, covectors)
+        vars(a2)["chambers"] = edit(a2.chambers)
+        return a2
+
+    monkeypatch.setattr(arrangement, "make_arrangement", tampered)
+
+
+def test_insert_hyperplane_rejects_a_missing_chamber(monkeypatch):
+    a = catalog("A_3")
+    _enlarged_with_chambers(monkeypatch, lambda chambers: chambers[1:])
+    with pytest.raises(CertificationError, match="not the enlarged arrangement's"):
+        insert_hyperplane(a, (1, 0, 1))
+
+
+def test_insert_hyperplane_rejects_a_cut_with_two_positive_rays():
+    """A cut chamber must have one ray on each side; here one of A_3's has two
+    on the positive side, which no crystallographic enlargement allows."""
+    a, h = catalog("A_3"), (1, 0, 1)
+    assert is_crystallographic(a).verdict
+    chambers = list(a.chambers)
+    for j, k in enumerate(chambers):
+        vals = [la.vec_dot(h, g) for g in k.rays]
+        if min(vals) < 0 < max(vals):
+            assert vals.count(0) == 1
+            plus = k.rays[vals.index(max(vals))]
+            rays = [la.vec_add(g, plus) if x == 0 else g for g, x in zip(k.rays, vals)]
+            chambers[j] = k._replace(rays=tuple(sorted(rays)))
+            break
+    vars(a)["chambers"] = tuple(chambers)
+    with pytest.raises(CertificationError, match="unexpected subdivision pattern"):
+        insert_hyperplane(a, h)
 
 
 @pytest.mark.parametrize("name", ["A_3", "B_3", "D_4"])
