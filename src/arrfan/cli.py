@@ -25,10 +25,20 @@ library modules it uses when it runs.  Besides `arrfan`, `errors`,
   and `surface` unless they only read a fan file back (`from-weights`);
 - `plot` of a fan: `fan`, `surface`, `svgplot`; of an arrangement:
   `arrangement`, `svgplot`.
+
+The program entry of `python -m arrfan.cli` and of the `arrfan` script is
+`run()`, which raises `SystemExit` with `main`'s code.  A process whose report
+is written has nothing left to do, so `run` ends it once its streams are
+flushed, without the interpreter's teardown: two full collections and the
+clearing of every module, 9-12 ms of a 100-160 ms command on 2 shared CPUs.
+`main` itself never exits, so the tests and the benchmark's traced round call
+it in process.
 """
 from __future__ import annotations
 
 import argparse
+import atexit
+import os
 import sys
 import time
 from importlib import import_module
@@ -169,5 +179,32 @@ def main(argv=None) -> int:
     return code
 
 
+def _exit_flushed(code: int) -> None:
+    """At interpreter exit, run the exit handlers registered before this one,
+    flush stdout and stderr, and end the process with `code`.  A failed flush
+    leaves the exit, and its report of the failure, to the interpreter."""
+    atexit.unregister(_exit_flushed)
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        return
+    os._exit(code)
+
+
+def run() -> None:
+    """`sys.exit(main())`, and the process ends once its output is flushed.
+
+    The exit handler is registered last, so it runs first; whatever wraps the
+    program still sees the `SystemExit`.  An exception out of `main` (an
+    internal error, or argparse's exit for help and usage errors) registers
+    nothing, so the interpreter ends as it would without it."""
+    code = main()
+    atexit.register(_exit_flushed, code)
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

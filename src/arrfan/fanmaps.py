@@ -111,7 +111,7 @@ def restrict_fan(f: Fan, subspace_rows: Sequence[Sequence[int]]) -> Fan:
         raise BadReferenceError("subspace is not spanned by a cone of the fan")
     base = min(faces)
     basis, u = la.hnf(f.cone_vectors(base))
-    to_basis = la.hnf(u)[1]  # U^-1: the Hermite form of a unimodular U is I
+    to_basis = la.mat_inverse_unimodular(u)
     cones = []
     for face, hs in faces.items():  # each ray's coordinates on H, with its normal read on H
         pairs = sorted((la.vec_mat([la.vec_dot(g, f.rays[i]) for g in faces[base]], to_basis),

@@ -10,8 +10,9 @@ rows off one elimination of the transposed rows, seeds with their dual rays
 and keeps each ray's zero set as a bitmask.  Hermite forms come from one
 loop, which carries the transform only for `hnf`: `hermite_basis`, and with
 it the second step of `kernel_basis` and `saturation_basis`, reduces without
-building it.  Matrices are sequences of equal-length rows and are returned
-as tuples of tuples.
+building it; the transform of a unimodular matrix is its integer inverse
+(`mat_inverse_unimodular`).  Matrices are sequences of equal-length rows and
+are returned as tuples of tuples.
 """
 from __future__ import annotations
 
@@ -327,11 +328,12 @@ def dual_rays(m: Sequence[Sequence[int]]) -> Mat:
 
 
 def mat_inverse_unimodular(m: Sequence[Sequence[int]]) -> Mat:
-    """Integer inverse of a unimodular matrix."""
-    inv, d = scaled_inverse(m)
-    if d != 1 or len(inv) != len(m):
+    """Integer inverse of a unimodular matrix: the transform U of its Hermite
+    form H = U*m, which is the identity exactly when m is unimodular."""
+    h, u = hnf(m)
+    if h != identity(len(h)):
         raise ValueError("matrix is not unimodular")
-    return inv
+    return u
 
 
 def kernel_basis(m: Sequence[Sequence[int]]) -> Mat:

@@ -670,13 +670,18 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]), file=sys.stderr)
 """
 
 
-def _fresh(tmp_path, script, *argv):
-    """Run `python -c script argv...` in tmp_path with this checkout's arrfan."""
+def _checkout_env():
+    """The environment with this checkout's arrfan first on the import path."""
     src = str(Path(arrfan.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _fresh(tmp_path, script, *argv):
+    """Run `python -c script argv...` in tmp_path with this checkout's arrfan."""
     return subprocess.run(
         [sys.executable, "-c", script, *argv],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        cwd=tmp_path, env=_checkout_env(), capture_output=True, text=True,
     )
 
 
@@ -763,3 +768,84 @@ def test_digest_falls_back_to_hashlib(tmp_path):
     proc = _fresh(tmp_path, _WITHOUT_BUILTIN_SHA256, "verify", "neg.json")
     assert (proc.returncode, proc.stdout) == (10, expected + "\n")
     assert proc.stderr.splitlines()[-1] == "True"
+
+
+def _program(tmp_path, *args, stdout=subprocess.PIPE):
+    """Run `python args...` in tmp_path with this checkout's arrfan, as a shell
+    runs it: without PYTHONUNBUFFERED, stdout into a pipe is block-buffered,
+    so output left unflushed at exit is lost.  Returns bytes."""
+    env = _checkout_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE)
+
+
+def _no_elapsed(err: str) -> str:
+    return re.sub(r"^# elapsed_ms=[0-9.]+\n", "", err, flags=re.M)
+
+
+# one command line per exit code, run through the program entry and in process
+_EXITS = [
+    (["fan", "a2.json", "--out", "a2.fan.json"], 0),
+    (["verify", "missing.json"], 2),
+    (["verify", "a2.json", "--out", "x.json"], 2),  # a usage error, from argparse
+    (["catalog", "X_2"], 3),
+    (["surface", "graph", "c3.json"], 4),
+    (["insert", "a2.json", "--hyperplane", "3,1"], 10),
+    (["verify", "neg3.json"], 11),
+]
+
+
+@pytest.mark.parametrize("argv,expected", _EXITS, ids=[" ".join(argv) for argv, _ in _EXITS])
+def test_program_entry_gives_mains_output_and_code(tmp_path, capsys, monkeypatch, argv, expected):
+    """`python -m arrfan.cli` ends its process after its exit handlers and a
+    flush, with main's stdout bytes, stderr (less timing), files and code."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "catalog", "A_2", "--out", "a2.json")
+    write(tmp_path, "c3.json", {"rank": 3, "positive_covectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    write(tmp_path, "neg3.json",
+          {"rank": 3, "positive_covectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]})
+    proc = _program(tmp_path, "-m", "arrfan.cli", *argv)
+    written = sorted((f.name, f.read_bytes()) for f in tmp_path.iterdir())
+    for f in tmp_path.glob("*.fan.json"):
+        f.unlink()
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    assert proc.returncode == code == expected
+    assert proc.stdout == captured.out.encode()
+    assert _no_elapsed(proc.stderr.decode()) == _no_elapsed(captured.err)
+    assert written == sorted((f.name, f.read_bytes()) for f in tmp_path.iterdir())
+
+
+# exit handlers registered before the CLI runs as __main__, as coverage's are
+_HANDLER_THEN_MAIN = """
+import atexit, runpy, sys
+atexit.register(print, "handler ran", file=sys.stderr)
+runpy.run_module("arrfan.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_exit_handlers_registered_before_the_program_run_once(tmp_path, capsys):
+    run(capsys, "catalog", "A_2", "--out", str(tmp_path / "a2.json"))
+    proc = _program(tmp_path, "-c", _HANDLER_THEN_MAIN, "insert", "a2.json", "--hyperplane", "3,1")
+    assert proc.returncode == 10
+    assert proc.stderr.decode().splitlines().count("handler ran") == 1
+
+
+def test_report_into_a_closed_pipe_fails_as_the_interpreter_reports(tmp_path, capsys):
+    """A flush that fails leaves the exit to the interpreter: its message on
+    stderr and exit code 120, as without the program's own exit."""
+    run(capsys, "catalog", "A_2", "--out", str(tmp_path / "a2.json"))
+    read, write_end = os.pipe()
+    os.close(read)
+    try:
+        proc = _program(tmp_path, "-m", "arrfan.cli", "verify", "a2.json", stdout=write_end)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 120
+    assert "Exception ignored in: <_io.TextIOWrapper name='<stdout>'" in err
+    assert "BrokenPipeError" in err

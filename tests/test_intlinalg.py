@@ -288,5 +288,20 @@ def test_scaled_inverse_examples():
     assert la.dual_rays([[1, 1], [0, 1]]) == ((1, 0), (-1, 1))
     with pytest.raises(ValueError):
         la.scaled_inverse([[1, 2], [2, 4]])
+
+
+def test_unimodular_inverse_is_the_hermite_transform():
+    """The inverse of every transform of a Smith form is the fraction-free
+    inverse with d = 1; a matrix that is not unimodular has none."""
+    rng = random.Random(7)
+    for _ in range(300):
+        _, u, v = la.snf_with_transforms(_random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)))
+        for w in (u, v):
+            inv = la.mat_inverse_unimodular(w)
+            assert (inv, 1) == la.scaled_inverse(w)
+            assert la.mat_mul(w, inv) == la.identity(len(w))
+    for m in ([[2]], [[1, 1], [1, -1]], [[1, 2], [2, 4]], [[1, 0, 0], [0, 1, 0]], [[1], [0]]):
+        with pytest.raises(ValueError, match="not unimodular"):
+            la.mat_inverse_unimodular(m)
     with pytest.raises(ValueError):
         la.scaled_inverse([[1], [2]])
