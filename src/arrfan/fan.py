@@ -1,5 +1,5 @@
 """Simplicial rational fans: construction from arrangements and back,
-validation of imported fans, and the property checks.
+validation of fans built from cone lists, and the property checks.
 
 Fans are stored by their maximal cones over a sorted primitive ray list; all
 faces are generator subsets since every cone here is simplicial.  Non-simplicial
@@ -8,14 +8,17 @@ input is rejected.  Fan equality is structural equality of the canonical form
 
 Each fan's wall table (`Fan.walls`) lists, per facet of a maximal cone, the
 cones containing it and the position of the ray opposite it.  It serves the
-validation of imported fans, the completeness test, the normal-fan
+validation of cone lists, the completeness test, the normal-fan
 certificate and the automorphism search, so none of them loops over pairs of
 cones on a complete fan.  Its normal table (`Fan.normals`) holds each
 maximal cone's primitive facet normals: the walk's wall covectors for a
 chamber fan, read off the walk once per arrangement.  The covering test
-(`Fan.overlap`) and the property verdict (`Fan.properties`) run once per
-fan.  No face table is kept: `fan_faces` lists the faces when asked, and the
-certificates that need faces walk each chamber's ray subsets.
+(`Fan.overlap`), each property's own witness (`Fan.witnesses`) and the
+property verdict (`Fan.properties`) run once per fan.  No face table is
+kept: `fan_faces` lists the faces when asked, and the certificates that need
+faces walk each chamber's ray subsets.  `make_fan` checks every fan built
+from a cone list, imported or derived; `_seeded_fan`, the one trusted
+constructor, builds fans whose normals come from the walk or a restriction.
 
 The maps between fans (star, restriction, subdivisions, automorphisms) are
 in `fanmaps`.  This module imports `arrangement` only inside the functions
@@ -57,7 +60,7 @@ class Fan(_FanFields):
     """Rank, sorted primitive rays and sorted maximal cones as ray index tuples.
 
     The fields are a read-only NamedTuple; the instance dict holds the
-    cached wall, normal, covering and property tables.
+    cached wall, normal, covering, witness and property tables.
     """
 
     def cone_vectors(self, cone: Sequence[int]) -> Mat:
@@ -130,17 +133,77 @@ class Fan(_FanFields):
         return tuple(inside[:2]) if len(inside) > 1 else None
 
     @cached_property
+    def witnesses(self) -> dict[str, object]:
+        """Each property the fan lacks -> its own witness (None if it names none),
+        each property checked on its own, once per fan.
+
+        smooth: every maximal cone's generators extend to a lattice basis.  A
+        full-rank cone does so when each primitive facet normal is 1 on its
+        opposite generator (generators and normals are then inverse integer
+        matrices); a lower-dimensional one when its Smith form is all ones.
+        The witness is the first cone that does not.  complete: the covering
+        test (`Fan.overlap`); a pure fan's witness is the property alone.
+        centrally symmetric: rays and cones stable under negation.  strongly
+        symmetric: complete (else completeness's witness) and no maximal cone
+        has rays strictly on both sides of any facet normal.  Per ray, one
+        mask of the sorted distinct normals positive on it and one of those
+        negative; their ORs over a cone meet in the normals cutting it.  The
+        witness is the lowest such normal and the first cone it cuts.
+        """
+        lacks: dict[str, object] = {}
+        for cone, hs in zip(self.max_cones, self.normals):
+            gens = self.cone_vectors(cone)
+            if len(cone) == self.rank:
+                unimodular = all(la.vec_dot(h, g) == 1 for h, g in zip(hs, gens))
+            else:
+                unimodular = la.snf(gens) == (1,) * len(cone)
+            if not unimodular:
+                lacks["smooth"] = {"property": "smooth", "cone": gens}
+                break
+
+        if self.overlap is not None:
+            pure = bool(self.max_cones) and all(len(c) == self.rank for c in self.max_cones)
+            lacks["complete"] = {"property": "complete"} if pure else None
+
+        idx = {v: i for i, v in enumerate(self.rays)}
+        opposite = [idx.get(la.vec_neg(v)) for v in self.rays]
+        cone_set = set(self.max_cones)
+        if None in opposite or any(
+            tuple(sorted(opposite[i] for i in cone)) not in cone_set for cone in self.max_cones
+        ):
+            lacks["centrally_symmetric"] = {"property": "centrally_symmetric"}
+
+        if "complete" in lacks:
+            lacks["strongly_symmetric"] = lacks["complete"]
+            return lacks
+        normals = _hyperplanes(self)
+        vals = [[la.vec_dot(h, v) for h in normals] for v in self.rays]
+        pos = [sum(1 << j for j, x in enumerate(row) if x > 0) for row in vals]
+        neg = [sum(1 << j for j, x in enumerate(row) if x < 0) for row in vals]
+        cuts = [reduce(or_, map(pos.__getitem__, c)) & reduce(or_, map(neg.__getitem__, c))
+                for c in self.max_cones]
+        cut = reduce(or_, cuts)
+        if cut:
+            j = (cut & -cut).bit_length() - 1  # the first normal that cuts a cone
+            cone = next(c for c, m in zip(self.max_cones, cuts) if m >> j & 1)
+            lacks["strongly_symmetric"] = {"property": "strongly_symmetric",
+                                           "hyperplane": normals[j],
+                                           "cone": self.cone_vectors(cone)}
+        return lacks
+
+    @cached_property
     def properties(self) -> PropertyReport:
         """`check_properties(self)`, computed once per fan."""
         return check_properties(self)
 
     def require(self, *names: str) -> PropertyReport:
-        """The fan's properties; raises the error of the first named one it lacks."""
+        """The fan's properties; raises the error of the first named one it
+        lacks, citing that property's own witness from `Fan.witnesses`."""
         props = self.properties
         for name in names:
             if not getattr(props, name):
                 raise _MISSING[name](
-                    f"fan is not {name.replace('_', ' ')} (first failure: {props.failure_witness})"
+                    f"fan is not {name.replace('_', ' ')} (first failure: {self.witnesses[name]})"
                 )
         return props
 
@@ -208,28 +271,22 @@ def _pairwise_overlap(f: Fan) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     return None
 
 
-def make_fan(
-    rank: int,
-    cones: Iterable[Iterable[Vec]],
-    *,
-    check_faces: bool = True,
-) -> Fan:
+def make_fan(rank: int, cones: Iterable[Iterable[Vec]]) -> Fan:
     """Canonical fan from maximal cones given as generator collections.
 
     Rays are deduplicated and sorted; cones become sorted index tuples, sorted
     among themselves.  Each distinct ray is checked once, in order of first
     occurrence.  Every listed cone must be simplicial (independent
     generators): `Fan.normals`, one `la.dual_rays` per cone, is read first
-    and raises NotSimplicialError on a singular cone.  With
-    check_faces=True any two cones that do not meet in a common face raise
-    MalformedFanError.  A pure full-dimensional input whose
-    facets each lie in exactly two cones is checked through the wall table:
-    opposite sides at every facet and one cone over a generic point, which is
-    O(C·r) facet work over the fan's inverse table.  Any other input (an
-    incomplete fan, lower-dimensional cones) is checked pairwise: one double
-    description per cone pair that no facet normal of either cone separates.
-    Internal constructors whose cones tile by construction pass
-    check_faces=False.
+    and raises NotSimplicialError on a singular cone.  Any two cones that do
+    not meet in a common face raise MalformedFanError.  A pure
+    full-dimensional input whose facets each lie in exactly two cones is
+    checked by the covering test (`Fan.overlap`): opposite sides at every
+    facet and one cone over a generic point, which is O(C·r) facet work over
+    the fan's inverse table, and whose verdict the property check reads
+    again.  Any other input (an incomplete fan, lower-dimensional cones) is
+    checked pairwise: one double description per cone pair that no facet
+    normal of either cone separates.
     """
     cone_vecs = [tuple(tuple(v) for v in cone) for cone in cones]
     if rank == 0:
@@ -254,13 +311,10 @@ def make_fan(
     for lo, hi in itertools.combinations(sorted(by_size), 2):
         if any(s <= b for s in by_size[lo] for b in by_size[hi]):
             raise InputFormatError("listed cones must be mutually maximal")
-    if check_faces:
-        pair = f.overlap if f.overlap != () else _pairwise_overlap(f)
-        if pair is not None:
-            a, b = pair
-            raise MalformedFanError(
-                f"cones {f.cone_vectors(a)} and {f.cone_vectors(b)} overlap"
-            )
+    pair = f.overlap if f.overlap != () else _pairwise_overlap(f)
+    if pair is not None:
+        a, b = pair
+        raise MalformedFanError(f"cones {f.cone_vectors(a)} and {f.cone_vectors(b)} overlap")
     return f
 
 
@@ -300,7 +354,7 @@ def _fan_from_json(obj) -> Fan:
         cone_vecs.append([vecs[i] for i in c])
     if used != set(range(len(vecs))):
         raise InputFormatError("every ray must be used by some cone")
-    return make_fan(rank, cone_vecs, check_faces=True)
+    return make_fan(rank, cone_vecs)
 
 
 def fan_to_json(f: Fan) -> dict:
@@ -321,8 +375,8 @@ def fan_faces(f: Fan) -> tuple[tuple[int, ...], ...]:
 
 def _seeded_fan(rank: int, cones: Sequence[tuple[Mat, Mat]]) -> Fan:
     """The fan of cones given as (lex-sorted rays, the facet normal opposite
-    each), with its normal table filled in.  For cones that are simplicial
-    and tile by construction: nothing of `make_fan` is checked."""
+    each), with its normal table filled in.  The one trusted constructor, for
+    the chamber fan and the restriction fan: nothing of `make_fan` is checked."""
     rays = sorted({v for gens, _ in cones for v in gens})
     index = {v: i for i, v in enumerate(rays)}
     table = {tuple(index[v] for v in gens): hs for gens, hs in cones}
@@ -348,78 +402,22 @@ def fan_from_arrangement(a: Arrangement) -> Fan:
 
 
 def check_properties(f: Fan) -> PropertyReport:
-    """Smoothness, completeness, central and strong symmetry, with witnesses.
-
-    smooth: every maximal cone's generators extend to a lattice basis.  A
-    full-rank cone does so when each primitive facet normal is 1 on its
-    opposite generator (generators and normals are then inverse integer
-    matrices); a lower-dimensional one when its Smith form is all ones.
-    complete: the covering test (`Fan.overlap`), a pseudomanifold by the
-    wall table that covers one generic point once.  centrally symmetric:
-    rays and cones stable under negation.  strongly symmetric: complete and
-    no maximal cone has rays strictly on both sides of any facet normal.  Per
-    ray, one mask of the sorted distinct normals positive on it and one of
-    those negative; their ORs over a cone meet in the normals cutting it.
-    The witness is the lowest such normal and the first cone it cuts; else
-    the normals are the primitive hyperplanes.  Consumers read the report
-    once per fan from `Fan.properties`.
-    """
+    """The verdicts of `Fan.witnesses`, a strongly symmetric fan's sorted
+    canonical facet normals as `hyperplanes`, and the first witness, in the
+    order of the verdicts, as `failure_witness`.  Read once: `Fan.properties`."""
     if f.rank == 0:
         return PropertyReport(True, True, True, True, hyperplanes=())
-
-    smooth = True
-    witness: object = None
-    for cone, hs in zip(f.max_cones, f.normals):
-        gens = f.cone_vectors(cone)
-        if len(cone) == f.rank:
-            unimodular = all(la.vec_dot(h, g) == 1 for h, g in zip(hs, gens))
-        else:
-            unimodular = la.snf(gens) == (1,) * len(cone)
-        if not unimodular:
-            smooth = False
-            witness = {"property": "smooth", "cone": gens}
-            break
-
-    pure = bool(f.max_cones) and all(len(c) == f.rank for c in f.max_cones)
-    complete = f.overlap is None
-    if pure and not complete and witness is None:
-        witness = {"property": "complete"}
-
-    idx = {v: i for i, v in enumerate(f.rays)}
-    opposite = [idx.get(la.vec_neg(v)) for v in f.rays]
-    cone_set = set(f.max_cones)
-    centrally = None not in opposite and all(
-        tuple(sorted(opposite[i] for i in cone)) in cone_set for cone in f.max_cones
-    )
-    if not centrally and witness is None:
-        witness = {"property": "centrally_symmetric"}
-
-    strongly = complete
-    hyperplanes: tuple[Vec, ...] | None = None
-    if strongly:
-        normals = sorted({la.canonical_sign(h) for h in set().union(*f.normals)})
-        vals = [[la.vec_dot(h, v) for h in normals] for v in f.rays]
-        pos = [sum(1 << j for j, x in enumerate(row) if x > 0) for row in vals]
-        neg = [sum(1 << j for j, x in enumerate(row) if x < 0) for row in vals]
-        cuts = [reduce(or_, map(pos.__getitem__, c)) & reduce(or_, map(neg.__getitem__, c))
-                for c in f.max_cones]
-        cut = reduce(or_, cuts)
-        strongly = not cut
-        if cut and witness is None:
-            j = (cut & -cut).bit_length() - 1  # the first normal that cuts a cone
-            cone = next(c for c, m in zip(f.max_cones, cuts) if m >> j & 1)
-            witness = {"property": "strongly_symmetric", "hyperplane": normals[j],
-                       "cone": f.cone_vectors(cone)}
-        if strongly:
-            hyperplanes = tuple(normals)
+    lacks = f.witnesses
+    verdicts = [name not in lacks for name in PropertyReport._fields[:4]]
     return PropertyReport(
-        smooth=smooth,
-        complete=complete,
-        centrally_symmetric=centrally,
-        strongly_symmetric=strongly,
-        hyperplanes=hyperplanes,
-        failure_witness=witness,
+        *verdicts,
+        hyperplanes=_hyperplanes(f) if verdicts[3] else None,
+        failure_witness=next(filter(None, lacks.values()), None),
     )
+
+
+def _hyperplanes(f: Fan) -> tuple[Vec, ...]:
+    return tuple(sorted({la.canonical_sign(h) for h in set().union(*f.normals)}))
 
 
 def roots_from_fan(f: Fan) -> Arrangement:

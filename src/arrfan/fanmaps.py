@@ -74,7 +74,7 @@ def star_fan(f: Fan, delta: Sequence[int]) -> Fan:
                 la.primitive(kappa(f.rays[i])) for i in cone if i not in dl
             ]
             cones.append(imgs)
-    return make_fan(new_rank, cones, check_faces=False)
+    return make_fan(new_rank, cones)
 
 
 def restrict_fan(f: Fan, subspace_rows: Sequence[Sequence[int]]) -> Fan:
@@ -137,7 +137,7 @@ def star_subdivide(f: Fan, cone: Sequence[int]) -> Fan:
                 cones.append([g for i, g in enumerate(gens) if i != skip] + [center])
         else:
             cones.append(list(f.cone_vectors(c)))
-    return make_fan(f.rank, cones, check_faces=False)
+    return make_fan(f.rank, cones)
 
 
 def insert_hyperplane(a: Arrangement, h: Sequence[int]) -> tuple[Fan, BlowupCertificate]:

@@ -100,7 +100,7 @@ def _wheel(ccw_rays: Mat) -> Fan:
     from .fan import make_fan
 
     cones = [[u, w] for u, w in zip(ccw_rays, ccw_rays[1:] + ccw_rays[:1])]
-    return make_fan(2, cones, check_faces=False)
+    return make_fan(2, cones)
 
 
 def _int_weights(weights) -> tuple[int, ...]:

@@ -802,6 +802,21 @@ def ref_cone_h_rep(gens, rank):
     return rows
 
 
+def unchecked_fan(rank, cones):
+    """The canonical fan of `cones` as `make_fan` orders it, with none of its
+    input, maximality or face checks: for the tests of those checks, which
+    build cone lists that are not fans.  The normal table is `Fan.normals`,
+    read here, so a cone that is not simplicial raises NotSimplicialError."""
+    from arrfan.fan import Fan
+
+    rays = sorted({tuple(v) for cone in cones for v in cone})
+    index = {v: i for i, v in enumerate(rays)}
+    max_cones = sorted({tuple(sorted({index[tuple(v)] for v in cone})) for cone in cones})
+    f = Fan(rank=rank, rays=tuple(rays), max_cones=tuple(max_cones))
+    f.normals
+    return f
+
+
 def ref_overlapping_pair(f):
     """The first pair of cones that do not meet in a common face, or None."""
     from arrfan import intlinalg as la
@@ -1095,13 +1110,13 @@ def ref_insert_hyperplane_by_signs(a, h):
 
 
 def ref_fan_from_arrangement(a):
-    """The chamber fan as `make_fan` builds it, its facet normals as the
+    """The chamber fan as `unchecked_fan` builds it, its facet normals as the
     primitive columns of one `scaled_inverse` per cone, and its property
     report with each cone smooth exactly when that inverse has d = 1."""
     from arrfan import intlinalg as la
-    from arrfan.fan import check_properties, make_fan
+    from arrfan.fan import check_properties
 
-    f = make_fan(a.rank, [k.rays for k in a.chambers], check_faces=False)
+    f = unchecked_fan(a.rank, [k.rays for k in a.chambers])
     inverses = [la.scaled_inverse(f.cone_vectors(c)) for c in f.max_cones]
     normals = tuple(tuple(map(la.primitive, la.transpose(inv))) for inv, _ in inverses)
     vars(f)["normals"] = normals
@@ -1123,7 +1138,7 @@ def ref_restrict_fan(f, subspace_rows):
         NotSmoothError,
         NotStronglySymmetricError,
     )
-    from arrfan.fan import Fan, check_properties, fan_faces, make_fan
+    from arrfan.fan import Fan, check_properties, fan_faces
 
     props = check_properties(f)
     if not props.smooth:
@@ -1158,7 +1173,7 @@ def ref_restrict_fan(f, subspace_rows):
                 raise CertificationError(f"ray {f.rays[i]} is not a lattice point of the subspace")
             vecs.append(tuple(int(x) for x in coords))
         cones.append(vecs)
-    result = make_fan(d, cones, check_faces=False)
+    result = unchecked_fan(d, cones)
     rprops = check_properties(result)
     if not (rprops.smooth and rprops.strongly_symmetric and rprops.complete):
         raise CertificationError("restriction fan lost smoothness or symmetry")

@@ -1,5 +1,7 @@
 import argparse
 import ast
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import arrfan
 from arrfan import cli
@@ -416,6 +419,23 @@ def test_roots_of_fan_missing_a_cone_is_a_verdict(tmp_path, capsys):
     obj["max_cones"].pop()
     code, out = run(capsys, "roots", write(tmp_path, "missing.json", obj))
     assert code == 10 and out == ""
+
+
+def test_a_missing_property_is_reported_with_its_own_witness(tmp_path, capsys):
+    """P^2's fan fails central symmetry first, but `roots` reports the hyperplane
+    and cone that break strong symmetry; the one singular cone fails smoothness
+    first, but `autos` reports completeness."""
+    p2 = write(tmp_path, "p2.json", {"rank": 2, "rays": [[-1, -1], [0, 1], [1, 0]],
+                                     "max_cones": [[1, 2], [0, 1], [0, 2]]})
+    one_cone = write(tmp_path, "cone.json", {"rank": 2, "rays": [[1, 0], [1, 2]],
+                                             "max_cones": [[0, 1]]})
+    assert main(["roots", p2]) == 10
+    assert capsys.readouterr().err.startswith(
+        "error: fan is not strongly symmetric (first failure: {'property': "
+        "'strongly_symmetric', 'hyperplane': (0, 1), 'cone': ((-1, -1), (0, 1))})\n")
+    assert main(["autos", one_cone]) == 10
+    assert capsys.readouterr().err.startswith(
+        "error: fan is not complete (first failure: {'property': 'complete'})\n")
 
 
 def test_roots_of_a5_fan_file(tmp_path, capsys):
@@ -849,3 +869,96 @@ def test_report_into_a_closed_pipe_fails_as_the_interpreter_reports(tmp_path, ca
     assert proc.returncode == 120
     assert "Exception ignored in: <_io.TextIOWrapper name='<stdout>'" in err
     assert "BrokenPipeError" in err
+
+
+def _fuzz_documents():
+    """The documents the CLI fuzz test mutates, by the kind of file each is."""
+    from arrfan.arrangement import arrangement_to_json, catalog
+    from arrfan.fan import fan_from_arrangement, fan_to_json
+
+    return [
+        ("arrangement", arrangement_to_json(catalog("A_2"))),
+        ("arrangement", arrangement_to_json(catalog("B_2"))),
+        ("fan", fan_to_json(fan_from_arrangement(catalog("A_2")))),
+        ("weights", {"weights": [-1, -1, -1, -1, -1, -1]}),
+    ]
+
+
+# the commands that read a fan file also read a weights file and an arrangement,
+# as its chamber fan; `roots` reads fan files only
+_READS_A_FAN = [
+    ["star", "{path}", "--cone={cone}"], ["restrict", "{path}", "--subspace={subspace}"],
+    ["autos", "{path}"], ["plot", "{path}"],
+    *(["surface", name, "{path}"]
+      for name in ("graph", "from-weights", "symmetrize", "desingularize", "divisor", "picard")),
+]
+_FUZZ_COMMANDS = {
+    "arrangement": [*([name, "{path}"] for name in ("verify", "fan", "polytope", "poset",
+                                                    "embed", "decompose")),
+                    ["parabolic", "{path}", "--cone={cone}"],
+                    ["insert", "{path}", "--hyperplane={hyperplane}"], *_READS_A_FAN],
+    "fan": [["roots", "{path}"], *_READS_A_FAN],
+    "weights": _READS_A_FAN,
+}
+_REPLACEMENTS = st.sampled_from([0, 1, -1, 3, 0.5, "1", True, False, None, [], [1, 0], 2**80])
+
+
+def _slots(node):
+    """Every (container, key) of a JSON document, outermost first."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = range(len(node))
+    else:
+        return []
+    return [(node, k) for k in keys] + [slot for k in keys for slot in _slots(node[k])]
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A document with up to two mutations: an entry dropped, duplicated or
+    replaced, the rank changed, or the document nested in another.  Replacing
+    is the likeliest, as it most often leaves a document that commands read."""
+    kind, doc = draw(st.sampled_from(_fuzz_documents()))
+    for _ in range(draw(st.integers(0, 2))):
+        how = draw(st.sampled_from(["drop", "duplicate", "replace", "replace", "replace", "rank",
+                                    "nest"]))
+        slots = _slots(doc)
+        if how == "nest" or not slots:
+            doc = draw(st.sampled_from([[doc], {"document": doc}]))
+        elif how == "rank" and isinstance(doc, dict) and "rank" in doc:
+            doc["rank"] = draw(st.integers(-1, 4))
+        else:
+            container, key = draw(st.sampled_from(slots))
+            if how == "drop":
+                del container[key]
+            elif how == "duplicate" and isinstance(container, list):
+                container.insert(key, json.loads(json.dumps(container[key])))
+            else:
+                container[key] = draw(_REPLACEMENTS)
+    return kind, doc
+
+
+_OPTION_TEXT = st.text(alphabet="0123456789,-[] ", max_size=8)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None)
+@given(_mutated_documents(),
+       st.one_of(st.sampled_from(["0", "1", "0,1", "2", "-1", ""]), _OPTION_TEXT),
+       st.one_of(st.sampled_from(["[[1,0]]", "[[0,1]]", "[[1,1]]", "[]", "[[1,0],[0,1]]",
+                                  "[[1.0,0]]", "[[true,0]]", "{}"]), _OPTION_TEXT),
+       st.one_of(st.sampled_from(["1,2", "1,1", "1,0", "0,0", "3,1", "2"]), _OPTION_TEXT))
+def test_mutated_inputs_exit_with_a_documented_code(tmp_path_factory, case, cone, subspace,
+                                                    hyperplane):
+    """Every command that reads a mutated A_2, B_2, A_2-fan or weights file, with
+    drawn --cone, --subspace and --hyperplane strings, exits with a code of the
+    README's table and raises nothing out of `main`."""
+    kind, doc = case
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    for words in _FUZZ_COMMANDS[kind]:
+        argv = [w.format(path=path, cone=cone, subspace=subspace, hyperplane=hyperplane)
+                for w in words]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3, 4, 10, 11), (argv, doc)

@@ -53,6 +53,7 @@ from oracles import (
     ref_overlapping_pair,
     ref_restrict_fan,
     ref_roots_from_fan,
+    unchecked_fan,
 )
 from test_arrangement import _small_arrangements
 
@@ -445,26 +446,26 @@ def test_load_fan_validation():
 
 
 def test_face_checks_on_lower_dimensional_cones():
-    f = make_fan(2, [[(1, 0)], [(0, 1)]], check_faces=True)
+    f = make_fan(2, [[(1, 0)], [(0, 1)]])
     assert f.max_cones == ((0,), (1,))
-    g = make_fan(3, [[(1, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 0, 1)]], check_faces=True)
+    g = make_fan(3, [[(1, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 0, 1)]])
     assert len(g.max_cones) == 2
     with pytest.raises(MalformedFanError):
-        make_fan(3, [[(1, 0, 0), (0, 1, 0)], [(1, 1, 0), (1, -1, 0)]], check_faces=True)
-    mixed = make_fan(2, [[(1, 0), (0, 1)], [(-1, -1)]], check_faces=True)
+        make_fan(3, [[(1, 0, 0), (0, 1, 0)], [(1, 1, 0), (1, -1, 0)]])
+    mixed = make_fan(2, [[(1, 0), (0, 1)], [(-1, -1)]])
     assert ((1, 2) in mixed.max_cones) or ((0, 1) in mixed.max_cones)
     with pytest.raises(MalformedFanError):
-        make_fan(2, [[(1, 0), (0, 1)], [(1, 2)]], check_faces=True)
+        make_fan(2, [[(1, 0), (0, 1)], [(1, 2)]])
 
 
 def test_listed_face_of_another_cone_is_rejected():
     octant = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     mixed = [octant, [(-1, 0, 0), (0, -1, 0)], [(0, 0, -1)]]
-    f = make_fan(3, mixed + [octant[::-1]], check_faces=False)  # a repeat is merged
+    f = make_fan(3, mixed + [octant[::-1]])  # a repeat is merged
     assert sorted(len(c) for c in f.max_cones) == [1, 2, 3]
     for face in ([(0, 1, 0), (0, 0, 1)], [(1, 0, 0)], [(-1, 0, 0)]):
         with pytest.raises(InputFormatError):
-            make_fan(3, mixed + [face], check_faces=False)
+            make_fan(3, mixed + [face])
 
 
 def test_fan_faces():
@@ -598,11 +599,9 @@ def _cone_lists(draw):
 @given(_cone_lists())
 def test_face_check_matches_reference_on_random_cones(data):
     rank, cones = data
-    try:
-        f = make_fan(rank, cones, check_faces=False)
-    except (InputFormatError, NotSimplicialError):
-        assume(False)
     checked = _outcome(make_fan, rank, cones)
+    assume(checked not in (InputFormatError, NotSimplicialError))
+    f = unchecked_fan(rank, cones)
     assert (checked is MalformedFanError) == (ref_overlapping_pair(f) is not None)
     if checked is not MalformedFanError:
         assert checked == f
@@ -633,7 +632,7 @@ _PAIRWISE_CASES = {
 @pytest.mark.parametrize("case", _PAIRWISE_CASES)
 def test_pairwise_check_matches_one_double_description_per_pair(case, monkeypatch):
     rank, cones = _PAIRWISE_CASES[case]
-    f = make_fan(rank, cones, check_faces=False)
+    f = unchecked_fan(rank, cones)
     assert f.overlap == ()
     calls = _count_calls(monkeypatch, "extreme_rays")
     inverses = _count_calls(monkeypatch, "dual_rays")
@@ -673,10 +672,8 @@ def test_double_description_matches_reference_on_every_cone_pair_of_b3():
 @given(_cone_lists())
 def test_pairwise_check_matches_reference_on_random_cones(data):
     rank, cones = data
-    try:
-        f = make_fan(rank, cones, check_faces=False)
-    except (InputFormatError, NotSimplicialError):
-        assume(False)
+    assume(_outcome(make_fan, rank, cones) not in (InputFormatError, NotSimplicialError))
+    f = unchecked_fan(rank, cones)
     assume(f.overlap == ())
     assert _pairwise_overlap(f) == ref_overlapping_pair(f)
 
@@ -811,7 +808,7 @@ def test_failing_fans_match_reference_witnesses():
     """
     singular = singular_fan()
     a3 = fan_from_arrangement(catalog("A_3"))
-    missing = make_fan(3, [a3.cone_vectors(c) for c in a3.max_cones[1:]], check_faces=False)
+    missing = make_fan(3, [a3.cone_vectors(c) for c in a3.max_cones[1:]])
     cone = a3.cone_vectors(a3.max_cones[0])
     subdivided = star_subdivide(a3, a3.max_cones[0])
     subdivided = star_subdivide(subdivided, _cone_of(subdivided, *map(la.vec_neg, cone)))
@@ -891,10 +888,24 @@ def test_a_twice_wound_fan_is_not_complete():
     """
     r = [(1, 0), (1, 3), (-3, 2), (-3, -2), (1, -3)]
     cones = [[r[i], r[(i + 2) % 5]] for i in range(5)]
-    props = check_properties(make_fan(2, cones, check_faces=False))
+    props = check_properties(unchecked_fan(2, cones))
     assert not props.complete and not props.strongly_symmetric
     with pytest.raises(MalformedFanError, match="overlap"):
         make_fan(2, cones)
+
+
+@pytest.mark.parametrize("name", LADDER + ("ngon:3:0", "ngon:6:3", "ngon:9:100"))
+def test_derived_fans_carry_their_covering_verdict(name):
+    """Star fans, star subdivisions and rank-2 wheels are built by `make_fan`,
+    whose covering test is the completeness verdict their consumers read next."""
+    from arrfan.surface import circular_graph, desingularize, symmetrize, weights_to_fan
+
+    f = fan_from_arrangement(catalog(name))
+    derived = [star_fan(f, (0,)), star_subdivide(f, f.max_cones[0])]
+    if f.rank == 2:
+        derived += [weights_to_fan(circular_graph(f).weights), symmetrize(f), desingularize(f),
+                    desingularize(singular_fan())]
+    assert all("overlap" in vars(g) for g in derived)
 
 
 def test_fan_missing_a_cone_loads_but_has_no_roots():
@@ -953,7 +964,7 @@ def test_covering_check_matches_reference_on_random_fans(a, corruption, data):
         turn = tuple(la.identity(r)[1:]) + ((1, 1) + (0,) * (r - 2),)
         h = la.mat_mul(data.draw(_unimodular(r)), turn)
         cones += [[la.vec_mat(v, h) for v in cone] for cone in cones]
-    f = make_fan(r, cones, check_faces=False)
+    f = unchecked_fan(r, cones)
     checked = _outcome(make_fan, r, cones)
     assert (checked is MalformedFanError) == (ref_overlapping_pair(f) is not None)
     if checked is not MalformedFanError:
@@ -971,7 +982,7 @@ def test_load_fan_rejects_a_suspended_pentagram(monkeypatch):
     rays = [tuple(v) + (0,) for v in PENTAGRAM["rays"]]
     cones = [[rays[i], rays[j], (0, 0, pole)]
              for i, j in PENTAGRAM["max_cones"] for pole in (1, -1)]
-    f = make_fan(3, cones, check_faces=False)
+    f = unchecked_fan(3, cones)
     assert all(len(entries) == 2 for entries in f.walls.values())
     for (a, j), (b, k) in f.walls.values():
         normal = la.dual_rays(f.cone_vectors(f.max_cones[a]))[j]
@@ -991,7 +1002,7 @@ def test_load_fan_rejects_a_folded_cycle(monkeypatch):
     """
     quadrants = [[(1, 0), (0, 1)], [(0, 1), (-1, 0)], [(-1, 0), (0, -1)], [(0, -1), (1, 0)]]
     fold = [[(-3, -1), (-1, -1)], [(-1, -1), (-1, -3)], [(-1, -3), (-3, -1)]]
-    f = make_fan(2, quadrants + fold, check_faces=False)
+    f = unchecked_fan(2, quadrants + fold)
     assert all(len(entries) == 2 for entries in f.walls.values())
     assert ref_overlapping_pair(f) is not None
     calls = _count_calls(monkeypatch, "extreme_rays")
