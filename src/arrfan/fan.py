@@ -180,7 +180,7 @@ class Fan(_FanFields):
         vals = [[la.vec_dot(h, v) for h in normals] for v in self.rays]
         pos = [sum(1 << j for j, x in enumerate(row) if x > 0) for row in vals]
         neg = [sum(1 << j for j, x in enumerate(row) if x < 0) for row in vals]
-        cuts = [reduce(or_, map(pos.__getitem__, c)) & reduce(or_, map(neg.__getitem__, c))
+        cuts = [reduce(or_, map(pos.__getitem__, c), 0) & reduce(or_, map(neg.__getitem__, c), 0)
                 for c in self.max_cones]
         cut = reduce(or_, cuts)
         if cut:
@@ -203,7 +203,7 @@ class Fan(_FanFields):
         for name in names:
             if not getattr(props, name):
                 raise _MISSING[name](
-                    f"fan is not {name.replace('_', ' ')} (first failure: {self.witnesses[name]})"
+                    f"fan is not {name.replace('_', ' ')} (witness: {self.witnesses[name]})"
                 )
         return props
 
@@ -286,11 +286,9 @@ def make_fan(rank: int, cones: Iterable[Iterable[Vec]]) -> Fan:
     the fan's inverse table, and whose verdict the property check reads
     again.  Any other input (an incomplete fan, lower-dimensional cones) is
     checked pairwise: one double description per cone pair that no facet
-    normal of either cone separates.
+    normal of either cone separates.  [[]] at rank 0 is the origin fan.
     """
     cone_vecs = [tuple(tuple(v) for v in cone) for cone in cones]
-    if rank == 0:
-        return Fan(rank=0, rays=(), max_cones=((),))
     distinct = dict.fromkeys(v for cone in cone_vecs for v in cone)  # first-occurrence order
     for v in distinct:
         if len(v) != rank:
@@ -404,9 +402,8 @@ def fan_from_arrangement(a: Arrangement) -> Fan:
 def check_properties(f: Fan) -> PropertyReport:
     """The verdicts of `Fan.witnesses`, a strongly symmetric fan's sorted
     canonical facet normals as `hyperplanes`, and the first witness, in the
-    order of the verdicts, as `failure_witness`.  Read once: `Fan.properties`."""
-    if f.rank == 0:
-        return PropertyReport(True, True, True, True, hyperplanes=())
+    order of the verdicts, as `failure_witness`; the origin fan has every
+    property and `hyperplanes=()`.  Read once: `Fan.properties`."""
     lacks = f.witnesses
     verdicts = [name not in lacks for name in PropertyReport._fields[:4]]
     return PropertyReport(
@@ -427,10 +424,8 @@ def roots_from_fan(f: Fan) -> Arrangement:
     the dual bases of the maximal cones' generator matrices, so that
     fan_from_arrangement inverts this map exactly; for a unimodular cone the
     dual basis is its set of facet normals, so they are the hyperplanes that
-    `check_properties` reports.
+    `check_properties` reports.  Rank 0 fails `make_arrangement`'s rank check.
     """
-    if f.rank < 1:
-        raise ValueError("roots_from_fan requires rank >= 1")
     from .arrangement import make_arrangement
 
     return make_arrangement(f.rank, f.require("smooth", "strongly_symmetric").hyperplanes)

@@ -82,14 +82,14 @@ def restrict_fan(f: Fan, subspace_rows: Sequence[Sequence[int]]) -> Fan:
 
     `subspace_rows` must span the span of some cone of f; f must be smooth and
     strongly symmetric.  A ray lies in the subspace when the rows' kernel
-    vanishes on it.  As the cones are simplicial, the subspace (of dimension
-    d) is spanned by a cone exactly when some maximal cone has d rays inside,
-    and those d-ray faces are the restricted cones.  As f is smooth, the rays
-    of one face F are a basis of the subspace's lattice, and F's facet
-    normals give a ray's coordinates on F; U^-1 of the Hermite form H = U*F
-    maps them to the canonical basis H.  A restricted cone's facet normals
-    are those of a maximal cone holding it, read on H.  The result is
-    certified smooth and strongly symmetric, hence complete, of rank d.
+    vanishes on it.  As the cones are simplicial, the subspace (of dimension d)
+    is spanned by a cone exactly when some maximal cone has d rays inside, and
+    those d-ray faces are the restricted cones.  As f is smooth, the rays of
+    one face F are a basis of the subspace's lattice, and F's facet normals
+    give a ray's coordinates on F; U^-1 of the Hermite form H = U*F maps them
+    to the canonical basis H.  A restricted cone's facet normals are those of a
+    maximal cone holding it, read on H.  The result, the origin fan if d = 0,
+    is certified smooth and strongly symmetric, hence complete, of rank d.
     """
     rows = [tuple(r) for r in subspace_rows]
     if any(len(r) != f.rank for r in rows):
@@ -99,8 +99,6 @@ def restrict_fan(f: Fan, subspace_rows: Sequence[Sequence[int]]) -> Fan:
     d = f.rank - len(kernel)
     if d == f.rank:
         return f
-    if d == 0:
-        return Fan(rank=0, rays=(), max_cones=((),))
     inside = [not any(la.vec_dot(h, v) for h in kernel) for v in f.rays]
     faces = {}  # restricted cone -> its rays' opposite normals in a maximal cone holding it
     for cone, hs in zip(f.max_cones, f.normals):
@@ -116,7 +114,7 @@ def restrict_fan(f: Fan, subspace_rows: Sequence[Sequence[int]]) -> Fan:
     for face, hs in faces.items():  # each ray's coordinates on H, with its normal read on H
         pairs = sorted((la.vec_mat([la.vec_dot(g, f.rays[i]) for g in faces[base]], to_basis),
                         tuple(la.vec_dot(b, h) for b in basis)) for i, h in zip(face, hs))
-        cones.append(tuple(zip(*pairs)))
+        cones.append((tuple(v for v, _ in pairs), tuple(h for _, h in pairs)))
     result = _seeded_fan(d, cones)
     if not (result.properties.smooth and result.properties.strongly_symmetric):
         raise CertificationError("restriction fan lost smoothness or symmetry")
@@ -195,18 +193,17 @@ def fan_automorphisms(f: Fan) -> tuple[Mat, ...]:
     on (maximal cone, ordering) flags.  A candidate sending base cone 0 to
     (K, ordering) must send the ray across base wall j to the ray across K's
     wall at the image of generator j; these r rays, read off the wall table,
-    reject almost every candidate before the determinant and the map of every
-    ray and cone verify the rest.  All r! orderings of the base cone are
-    verified, which gives its whole stabiliser S.  Each later cone outside the
-    orbit of the base cone under the group found so far has its orderings
+    reject almost every candidate before the map of every ray and cone verifies
+    the rest.  One that passes is invertible and permutes the spanning rays, so
+    it has finite order: it is unimodular.  All r! orderings of the base cone
+    are verified, which gives its whole stabiliser S.  Each later cone outside
+    the orbit of the base cone under the group found so far has its orderings
     tried until one passes, which becomes a generator; when none passes, no
-    automorphism reaches that cone.  Every automorphism g is then s*t_K with
-    s in S and t_K the found element sending the base cone to K = g(base),
-    so the products s*t_K, held as ray permutations, are the whole group.
-    Requires a complete fan.
+    automorphism reaches that cone.  Every automorphism g is then s*t_K with s
+    in S and t_K the found element sending the base cone to K = g(base), so the
+    products s*t_K, held as ray permutations, are the whole group.  Requires a
+    complete fan; the origin fan's group is ((),).
     """
-    if f.rank == 0:
-        return ((),)
     f.require("complete")
     across = [[0] * f.rank for _ in f.max_cones]  # ray across each wall of each cone
     for (a, j), (b, k) in f.walls.values():
@@ -227,10 +224,8 @@ def fan_automorphisms(f: Fan) -> tuple[Mat, ...]:
     def verified(ci: int, perm: Sequence[int]) -> tuple[int, ...] | None:
         """Ray permutation of base generator j -> generator perm[j] of ci, if an automorphism."""
         gi = matrix([f.max_cones[ci][p] for p in perm])
-        if (
-            gi is None
-            or any(la.vec_mat(v, gi) != f.rays[across[ci][p]] for v, p in zip(base_across, perm))
-            or abs(la.det(gi)) != 1
+        if gi is None or any(
+            la.vec_mat(v, gi) != f.rays[across[ci][p]] for v, p in zip(base_across, perm)
         ):
             return None
         perm_map = tuple(ray_index.get(la.vec_mat(v, gi)) for v in f.rays)

@@ -431,11 +431,34 @@ def test_a_missing_property_is_reported_with_its_own_witness(tmp_path, capsys):
                                              "max_cones": [[0, 1]]})
     assert main(["roots", p2]) == 10
     assert capsys.readouterr().err.startswith(
-        "error: fan is not strongly symmetric (first failure: {'property': "
+        "error: fan is not strongly symmetric (witness: {'property': "
         "'strongly_symmetric', 'hyperplane': (0, 1), 'cone': ((-1, -1), (0, 1))})\n")
     assert main(["autos", one_cone]) == 10
     assert capsys.readouterr().err.startswith(
-        "error: fan is not complete (first failure: {'property': 'complete'})\n")
+        "error: fan is not complete (witness: {'property': 'complete'})\n")
+
+
+F1_FAN = {"rank": 2, "rays": [[-1, 1], [0, -1], [0, 1], [1, 0]],
+          "max_cones": [[2, 3], [0, 2], [0, 1], [1, 3]]}
+
+
+@pytest.mark.parametrize("argv, obj, code, err", [
+    (["roots"], {"rank": 2, "rays": [[0, 0], [1, 0]], "max_cones": [[0, 1]]}, 2, "zero ray"),
+    (["roots"], {"rank": 2, "rays": [[0, 1], [2, 0]], "max_cones": [[0, 1]]}, 2,
+     "ray (2, 0) is not primitive"),
+    (["roots"], {"rank": 2, "rays": [[0, 1], [1, 0]], "max_cones": [[0, 2]]}, 2,
+     "bad ray index 2"),
+    # F_1's fan is complete and smooth but not centrally symmetric
+    (["surface", "divisor"], F1_FAN, 10, "graph is not centrally symmetric"),
+    (["surface", "picard"], F1_FAN, 10, "graph is not centrally symmetric"),
+    (["surface", "from-weights"], {"weights": [1, 2, 2, 1, 3]}, 10,
+     "weights (1, 2, 2, 1, 3) wind around more than once"),
+])
+def test_rejected_input_exits_with_its_code_and_message(tmp_path, capsys, argv, obj, code, err):
+    assert main(argv + [write(tmp_path, "in.json", obj)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == f"error: {err}"
 
 
 def test_roots_of_a5_fan_file(tmp_path, capsys):

@@ -21,6 +21,7 @@ from arrfan.errors import (
 )
 from arrfan.fan import (
     Fan,
+    PropertyReport,
     _cone_h_rep,
     _pairwise_overlap,
     check_properties,
@@ -694,6 +695,46 @@ def test_automorphisms_of_a_singular_fan():
     autos = fan_automorphisms(sy)
     assert autos == ref_fan_automorphisms(sy)
     assert ((-1, 0), (0, -1)) in autos and len(autos) == 4
+
+
+@pytest.mark.parametrize("name", LADDER + ("wheel",))
+def test_automorphism_search_takes_no_determinant(name, monkeypatch):
+    """A candidate that passes the ray and cone checks is unimodular, so no
+    determinant is taken; the ladder's groups are compared with the reference
+    in `test_fan_routines_match_reference_on_ladder`.  The wheel is complete
+    and centrally symmetric, and each of its four cones has |det| 2."""
+    wheel = [(1, 0), (1, 2), (-1, 0), (-1, -2)]
+    f = (make_fan(2, [[wheel[i], wheel[i - 1]] for i in range(4)]) if name == "wheel"
+         else fan_from_arrangement(catalog(name)))
+    dets = _count_calls(monkeypatch, "det")
+    autos = fan_automorphisms(f)
+    assert dets == []
+    if name == "wheel":
+        assert not check_properties(f).smooth and check_properties(f).complete
+        assert autos == ref_fan_automorphisms(f) and len(autos) == 8
+    _assert_automorphisms(f, autos)
+
+
+@pytest.mark.parametrize("name", ["A_2", "A_3", "B_3", None])
+def test_rank_0_fans_take_the_general_path(name):
+    """The star fans at maximal cones, the restriction to the origin and the
+    one empty cone are the origin fan, with every property and no hyperplanes;
+    its automorphism group is the one empty matrix, and it has no arrangement.
+    A ray given at rank 0 fails the length check, as at every other rank."""
+    if name is None:
+        fans = [make_fan(0, [[]])]
+        with pytest.raises(InputFormatError, match=r"ray \(1,\) does not have length 0"):
+            make_fan(0, [[(1,)]])
+    else:
+        f = fan_from_arrangement(catalog(name))
+        fans = [star_fan(f, f.max_cones[0]), star_fan(f, f.max_cones[-1]), restrict_fan(f, [])]
+    for z in fans:
+        assert z == Fan(rank=0, rays=(), max_cones=((),)) and z.normals == ((),)
+        assert check_properties(z) == PropertyReport(True, True, True, True, hyperplanes=())
+        assert check_properties(z) == ref_check_properties(z)
+        assert fan_automorphisms(z) == ((),) == ref_fan_automorphisms(z)
+        with pytest.raises(InputFormatError, match="rank must be a positive integer"):
+            roots_from_fan(z)
 
 
 def _assert_automorphisms(f, autos, budget=10**6):

@@ -257,6 +257,21 @@ def test_a_chamber_with_a_moved_ray_fails_the_cut_out_check(name, at):
         build_polytope(a)
 
 
+@pytest.mark.parametrize("name, at", [("A_2", 3), ("A_3", 5), ("B_3", 17)])
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda ks, at: ks + (ks[at],), "duplicate chamber vertices"),
+    # the dropped chamber's vertex is gone, but not that of the opposite chamber
+    (lambda ks, at: ks[:at] + ks[at + 1:], "vertex set is not negation-stable"),
+], ids=["repeated", "dropped"])
+def test_a_repeated_or_dropped_chamber_record_fails_the_vertex_set_checks(
+        name, at, corrupt, message):
+    a = catalog(name)
+    assert is_crystallographic(a).verdict  # cached before the records are corrupted
+    vars(a)["chambers"] = corrupt(a.chambers, at)
+    with pytest.raises(CertificationError, match=message):
+        build_polytope(a)
+
+
 def test_integrality_report_is_computed_once_per_arrangement(monkeypatch):
     calls = []
     real = arrangement_module._integrality_report
