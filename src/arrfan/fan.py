@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 from . import intlinalg as la
 from .errors import (
     BadReferenceError,
-    CertificationError,
     InputFormatError,
     MalformedFanError,
     NotCompleteError,
@@ -109,7 +108,8 @@ class Fan(_FanFields):
         number of cones containing a point off every facet hyperplane is the same
         for all such points, and the cones form a complete fan exactly when that
         number is 1 (the covering characterisation of triangulations; De Loera,
-        Rambau and Santos, *Triangulations*, 2010).  The point is the first
+        Rambau and Santos, *Triangulations*, 2010).  The number is at least 1,
+        as each cone's interior holds such points.  The point is the first
         (1, t, t^2, ...) on which no facet normal vanishes; a normal vanishes for
         at most rank - 1 values of t.  Computed once per fan.
         """
@@ -128,21 +128,22 @@ class Fan(_FanFields):
             if 0 not in side.values():
                 break
         inside = [c for c, hs in zip(cones, self.normals) if all(side[h] > 0 for h in hs)]
-        if not inside:
-            raise CertificationError(f"no cone of a pseudomanifold fan contains {point}")
         return tuple(inside[:2]) if len(inside) > 1 else None
 
     @cached_property
     def witnesses(self) -> dict[str, object]:
-        """Each property the fan lacks -> its own witness (None if it names none),
-        each property checked on its own, once per fan.
+        """Each property the fan lacks -> its own witness, each property
+        checked on its own, once per fan.
 
         smooth: every maximal cone's generators extend to a lattice basis.  A
         full-rank cone does so when each primitive facet normal is 1 on its
         opposite generator (generators and normals are then inverse integer
         matrices); a lower-dimensional one when its Smith form is all ones.
         The witness is the first cone that does not.  complete: the covering
-        test (`Fan.overlap`); a pure fan's witness is the property alone.
+        test (`Fan.overlap`).  When the cones are no pseudomanifold, the witness
+        names the first maximal cone of dimension below the rank, else the
+        lowest facet, by ray indices, in other than two maximal cones; else it
+        is the property alone.
         centrally symmetric: rays and cones stable under negation.  strongly
         symmetric: complete (else completeness's witness) and no maximal cone
         has rays strictly on both sides of any facet normal.  Per ray, one
@@ -162,8 +163,13 @@ class Fan(_FanFields):
                 break
 
         if self.overlap is not None:
-            pure = bool(self.max_cones) and all(len(c) == self.rank for c in self.max_cones)
-            lacks["complete"] = {"property": "complete"} if pure else None
+            lacks["complete"] = {"property": "complete"}
+            low = [c for c in self.max_cones if len(c) < self.rank]
+            odd = sorted(facet for facet, entries in self.walls.items() if len(entries) != 2)
+            if low:
+                lacks["complete"]["cone"] = self.cone_vectors(low[0])
+            elif odd:
+                lacks["complete"]["facet"] = self.cone_vectors(odd[0])
 
         idx = {v: i for i, v in enumerate(self.rays)}
         opposite = [idx.get(la.vec_neg(v)) for v in self.rays]
@@ -409,7 +415,7 @@ def check_properties(f: Fan) -> PropertyReport:
     return PropertyReport(
         *verdicts,
         hyperplanes=_hyperplanes(f) if verdicts[3] else None,
-        failure_witness=next(filter(None, lacks.values()), None),
+        failure_witness=next(iter(lacks.values()), None),
     )
 
 

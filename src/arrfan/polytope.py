@@ -142,9 +142,9 @@ def phi_certificate(a: Arrangement) -> PhiCertificate:
 
     Builds the matrix of all 2n signed covectors in the coordinates of the
     base chamber's ray basis, wall basis first.  Its Smith form is all ones
-    once that top block is the identity, which is checked: on a
-    crystallographic arrangement the wall basis is a Z-basis and the rays are
-    its dual basis.  It then verifies that each chamber's full sign pattern
+    as that top block, b_p(r_q), is the identity: the integrality verdict
+    gives b_p(r_p) = 1, and the loop's check at chamber 0 gives 0 off the
+    diagonal.  The loop verifies that each chamber's full sign pattern
     cuts out exactly the chamber's closed cone (every signed covector is >= 0
     on its rays, and wall b_p is positive on ray r_q exactly when p = q).  A
     face F of chamber K is then K cut by the covectors vanishing on F, so it
@@ -164,8 +164,6 @@ def phi_certificate(a: Arrangement) -> PhiCertificate:
     signed = {la.vec_scale(sign, cov) for cov in a.positive_covectors for sign in (1, -1)}
     row_roots = tuple(basis_signed) + tuple(sorted(signed - set(basis_signed)))
     matrix = tuple(tuple(la.vec_dot(root, ray) for ray in base.rays) for root in row_roots)
-    if matrix[:a.rank] != la.identity(a.rank):
-        raise CertificationError(f"sign-map top block {matrix[:a.rank]} is not the identity")
 
     faces = 0
     for k in chambers:

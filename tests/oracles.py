@@ -873,7 +873,15 @@ def ref_check_properties(f):
                         stack.append(nb)
             complete = len(seen) == len(f.max_cones)
         if not complete and witness is None:
+            odd = sorted(facet for facet, cones in facet_count.items() if len(cones) != 2)
             witness = {"property": "complete"}
+            if odd:
+                witness["facet"] = f.cone_vectors(odd[0])
+    elif witness is None:
+        witness = {"property": "complete"}
+        low = [c for c in f.max_cones if len(c) < f.rank]
+        if low:
+            witness["cone"] = f.cone_vectors(low[0])
     centrally = {la.vec_neg(v) for v in f.rays} == set(f.rays)
     if centrally:
         idx = {v: i for i, v in enumerate(f.rays)}
@@ -1336,6 +1344,45 @@ def ref_weights_to_fan(weights):
     if _rotate_to_lex_min(ccw_sorted(tuple(rays))) != _rotate_to_lex_min(tuple(rays)):
         raise OrientationError(f"weights {w} wind around more than once")
     return _wheel(rays)
+
+
+def ref_verify_picard_presentation(g):
+    """The presentation's five facts, each checked by a matrix rank or product."""
+    from arrfan import intlinalg as la
+    from arrfan.errors import CertificationError
+    from arrfan.surface import _central_t, _end_ray_coordinates
+
+    t = _central_t(g)
+    if t < 3:
+        raise ValueError("presentation requires t >= 3")
+    q = _end_ray_coordinates(g, t)
+    rel = [[0] * t for _ in range(t)]
+    for j in range(t):
+        rel[j][j] = g.weights[j]
+        rel[j][(j + 1) % t] += 1 if j + 1 < t else -1
+        rel[j][(j - 1) % t] += 1 if j - 1 >= 0 else -1
+    rel_rows = la.freeze(rel)
+    if la.mat_mul(rel_rows, q) != la.freeze([[0, 0]] * t):
+        raise CertificationError("relation matrix does not annihilate the ray matrix")
+    if la.rank(rel_rows) != t - 2:
+        raise CertificationError("relation matrix rank is not t - 2")
+    stacked = q + tuple(la.vec_neg(r) for r in q)
+    if la.rank(stacked) != 2:
+        raise CertificationError("(Q, -Q) does not have rank 2")
+    # quotient map [[A, 0], [I, I]] with A = independent middle rows of the relations
+    a_block = rel_rows[1 : t - 1]
+    top = tuple(row + (0,) * t for row in a_block)
+    bottom = tuple(
+        tuple(int(j == i) for j in range(t)) + tuple(int(j == i) for j in range(t))
+        for i in range(t)
+    )
+    second = top + bottom
+    if la.rank(second) != 2 * t - 2:
+        raise CertificationError("quotient map rank is not 2t - 2")
+    composed = la.mat_mul(second, stacked)
+    if any(any(x != 0 for x in row) for row in composed):
+        raise CertificationError("composition of the presentation maps is nonzero")
+    return True
 
 
 def ref_y_divisor_class(g):

@@ -350,6 +350,27 @@ def test_polytope_poset_parabolic_autos_decompose(tmp_path, capsys, a2_file):
     assert json.loads(out)["verdicts"]["factors"] == 1
 
 
+def test_polytope_refuses_vertices_that_are_not_the_fans(monkeypatch, tmp_path, capsys):
+    """Two swapped vertices fail the normal-fan certificate wall by wall."""
+    from arrfan import polytope
+
+    build = polytope.build_polytope
+
+    def swapped(a):
+        p = build(a)
+        v = list(p.doubled_vertices)
+        v[0], v[1] = v[1], v[0]
+        return p._replace(doubled_vertices=tuple(v))
+
+    path = str(tmp_path / "b3.json")
+    assert run(capsys, "catalog", "B_3", "--out", path)[0] == 0
+    monkeypatch.setattr(polytope, "build_polytope", swapped)
+    assert main(["polytope", path]) == 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: polytope normal directions do not match the fan\n")
+
+
 def test_parabolic_of_a_maximal_cone_is_a_bad_reference(capsys, a2_file):
     """A maximal cone leaves a rank-0 quotient, like restricting to the zero flat."""
     code = main(["parabolic", a2_file, "--cone", "0,1"])
@@ -424,18 +445,24 @@ def test_roots_of_fan_missing_a_cone_is_a_verdict(tmp_path, capsys):
 def test_a_missing_property_is_reported_with_its_own_witness(tmp_path, capsys):
     """P^2's fan fails central symmetry first, but `roots` reports the hyperplane
     and cone that break strong symmetry; the one singular cone fails smoothness
-    first, but `autos` reports completeness."""
+    first, but `autos` reports completeness, naming the lowest facet in one
+    cone; a fan with a one-ray cone names that cone."""
     p2 = write(tmp_path, "p2.json", {"rank": 2, "rays": [[-1, -1], [0, 1], [1, 0]],
                                      "max_cones": [[1, 2], [0, 1], [0, 2]]})
     one_cone = write(tmp_path, "cone.json", {"rank": 2, "rays": [[1, 0], [1, 2]],
                                              "max_cones": [[0, 1]]})
+    low = write(tmp_path, "low.json", {"rank": 2, "rays": [[-1, -1], [0, 1], [1, 0]],
+                                       "max_cones": [[1, 2], [0]]})
     assert main(["roots", p2]) == 10
     assert capsys.readouterr().err.startswith(
         "error: fan is not strongly symmetric (witness: {'property': "
         "'strongly_symmetric', 'hyperplane': (0, 1), 'cone': ((-1, -1), (0, 1))})\n")
     assert main(["autos", one_cone]) == 10
     assert capsys.readouterr().err.startswith(
-        "error: fan is not complete (witness: {'property': 'complete'})\n")
+        "error: fan is not complete (witness: {'property': 'complete', 'facet': ((1, 0),)})\n")
+    assert main(["autos", low]) == 10
+    assert capsys.readouterr().err.startswith(
+        "error: fan is not complete (witness: {'property': 'complete', 'cone': ((-1, -1),)})\n")
 
 
 F1_FAN = {"rank": 2, "rays": [[-1, 1], [0, -1], [0, 1], [1, 0]],

@@ -247,6 +247,23 @@ def test_restrict_fan():
         restrict_fan(f, [(1, 1)])  # not a span of any cone
 
 
+def test_restrict_fan_rejects_a_restriction_with_a_doubled_ray(monkeypatch):
+    """The restriction's property check fires when a restricted cone's first
+    ray comes out twice too long, which no smooth restriction allows."""
+    from arrfan import fanmaps
+
+    seeded = fanmaps._seeded_fan
+
+    def doubled(rank, cones):
+        (gens, hs), *rest = cones
+        return seeded(rank, [((la.vec_scale(2, gens[0]),) + gens[1:], hs), *rest])
+
+    f = fan_from_arrangement(catalog("A_3"))
+    monkeypatch.setattr(fanmaps, "_seeded_fan", doubled)
+    with pytest.raises(CertificationError, match="restriction fan lost smoothness or symmetry"):
+        restrict_fan(f, f.cone_vectors(f.max_cones[0][:2]))
+
+
 def test_insert_hyperplane_examples():
     a11 = make_arrangement(2, [(1, 0), (0, 1)])
     f, cert = insert_hyperplane(a11, (1, 1))
@@ -842,10 +859,11 @@ def test_failing_fans_match_reference_witnesses():
     """Each failing property is reported with the witness the per-facet reference finds.
 
     The fans fail smoothness (a cone of |det| 2), completeness (A_3 less a
-    cone), strong symmetry (A_3 with two opposite cones star-subdivided) and
-    smoothness on a lower-dimensional cone, which the Smith form decides: the
-    first lower-dimensional cone is smooth although the d of its inverse, one
-    maximal minor, is 2.
+    cone, whose lowest facet in one cone is named, and a quadrant with a
+    one-ray cone, which is named), strong symmetry (A_3 with two opposite
+    cones star-subdivided) and smoothness on a lower-dimensional cone, which
+    the Smith form decides: the first lower-dimensional cone is smooth
+    although the d of its inverse, one maximal minor, is 2.
     """
     singular = singular_fan()
     a3 = fan_from_arrangement(catalog("A_3"))
@@ -856,9 +874,11 @@ def test_failing_fans_match_reference_witnesses():
     octant = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     lower = make_fan(3, [octant, [(-1, 0, 0), (0, -2, -1)], [(1, 0, -1), (1, -2, -1)]])
     assert la.scaled_inverse(lower.cone_vectors(lower.max_cones[0]))[1] == 2
+    one_ray = make_fan(2, [[(0, 1), (1, 0)], [(-1, -1)]])
     cases = [
         (singular, "smooth"),
         (missing, "complete"),
+        (one_ray, "complete"),
         (subdivided, "strongly_symmetric"),
         (lower, "smooth"),
     ]
@@ -867,6 +887,7 @@ def test_failing_fans_match_reference_witnesses():
         assert props == ref_check_properties(f)
         assert props.failure_witness["property"] == failing
     assert check_properties(lower).failure_witness["cone"] == ((1, -2, -1), (1, 0, -1))
+    assert check_properties(one_ray).failure_witness["cone"] == ((-1, -1),)
 
 
 def _opposite_cones_subdivided(name, at):

@@ -244,6 +244,32 @@ def test_parabolic_arrangement():
         parabolic_arrangement(a2, (0, 5))
 
 
+def test_parabolic_arrangement_rejects_a_non_primitive_projection(monkeypatch):
+    """Doubled quotient lifts project every covector to twice a primitive one."""
+    from arrfan import fanmaps
+
+    real = fanmaps.quotient_data
+
+    def doubled(gens, rank):
+        kappa, lifts, d = real(gens, rank)
+        return kappa, tuple(la.vec_scale(2, v) for v in lifts), d
+
+    monkeypatch.setattr(fanmaps, "quotient_data", doubled)
+    with pytest.raises(CertificationError, match="projects to a non-primitive"):
+        parabolic_arrangement(catalog("A_3"), (0,))
+
+
+def test_parabolic_arrangement_rejects_a_star_fan_it_disagrees_with(monkeypatch):
+    """A_3's rank-2 star is A_2's fan; B_2's chamber fan in its place has other
+    wall covectors.  Another star of A_3 would not do: they are isomorphic."""
+    from arrfan import fanmaps
+
+    b2 = fan_from_arrangement(catalog("B_2"))
+    monkeypatch.setattr(fanmaps, "star_fan", lambda f, delta: b2)
+    with pytest.raises(CertificationError, match="disagree with the star fan's wall covectors"):
+        parabolic_arrangement(catalog("A_3"), (0,))
+
+
 def test_parabolic_equals_star_side_everywhere():
     for name in ("A_3", "B_3"):
         a = catalog(name)

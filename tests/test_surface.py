@@ -17,6 +17,7 @@ from arrfan.surface import (
     CircularGraph,
     _end_ray_coordinates,
     _hilbert_middle_rays,
+    ccw_sorted,
     circular_graph,
     desingularize,
     intersection_numbers,
@@ -37,6 +38,7 @@ from oracles import (
     ref_solve_in_row_space,
     ref_triangulation_to_weights,
     ref_triangulations,
+    ref_verify_picard_presentation,
     ref_weights_to_fan,
     ref_y_divisor_class,
 )
@@ -185,6 +187,25 @@ def test_desingularize_symmetrize_always_strongly_symmetric():
         props = check_properties(out)
         assert props.smooth and props.complete
         assert props.centrally_symmetric and props.strongly_symmetric
+    # random complete wheels, half of them closed under negation: the result
+    # is smooth, and centrally symmetric whenever the input is
+    rng = random.Random(2)
+    seen = 0
+    while seen < 300:
+        rays = {la.primitive(v) for v in
+                ((rng.randint(-7, 7), rng.randint(-7, 7)) for _ in range(rng.randint(2, 6)))
+                if any(v)}
+        if rng.random() < 0.5:
+            rays |= {la.vec_neg(v) for v in rays}
+        ccw = ccw_sorted(tuple(rays))
+        cones = list(zip(ccw, ccw[1:] + ccw[:1]))
+        if len(ccw) < 3 or any(u[0] * w[1] - u[1] * w[0] <= 0 for u, w in cones):
+            continue
+        seen += 1
+        f = make_fan(2, cones)
+        props = check_properties(desingularize(f))
+        assert props.smooth and props.complete, ccw
+        assert props.centrally_symmetric or not f.properties.centrally_symmetric, ccw
 
 
 def test_centrally_symmetric_weights_repeat():
@@ -241,6 +262,13 @@ def test_picard_presentation():
     assert len(gb.weights) - 2 == 6
     with pytest.raises(ValueError):
         verify_picard_presentation(circular_graph(quadrant_fan()))
+    # the matrix facts the recurrence implies, on the centrally symmetric graph
+    # of every ngon:t:i with t <= 9
+    for t in range(3, 10):
+        for diag in triangulations(t):
+            half = triangulation_to_weights(t, diag)
+            g = circular_graph(weights_to_fan(half + half))
+            assert verify_picard_presentation(g) and ref_verify_picard_presentation(g), g
 
 
 def test_circular_graph_validation():
