@@ -16,8 +16,7 @@ library modules it uses when it runs.  Besides `arrfan`, `errors`,
 `intlinalg`, `arrfan.commands` and the family module, each command loads:
 
 - `catalog`, `verify`, `decompose`: `arrangement`; `fan`: and `fan`;
-  `polytope`: and `fan`, `polytope`; `embed`: and `polytope`; `insert`: and
-  `fan`, `fanmaps`;
+  `polytope`, `embed`: and `polytope`; `insert`: and `fan`, `fanmaps`;
 - `poset`: `arrangement`, `poset`; `parabolic`: and `fan`, `fanmaps`;
 - `roots`: `fan`, `arrangement`;
 - `star`, `restrict`, `autos`: `fan`, `fanmaps`;

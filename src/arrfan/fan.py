@@ -59,7 +59,7 @@ class Fan(_FanFields):
     """Rank, sorted primitive rays and sorted maximal cones as ray index tuples.
 
     The fields are a read-only NamedTuple; the instance dict holds the
-    cached wall, normal, covering, witness and property tables.
+    cached wall, normal, hyperplane, covering, witness and property tables.
     """
 
     def cone_vectors(self, cone: Sequence[int]) -> Mat:
@@ -98,6 +98,11 @@ class Fan(_FanFields):
                 raise NotSimplicialError(f"cone {gens} is not simplicial") from None
             rows.append(tuple(shared.setdefault(h, h) for h in hs))
         return tuple(rows)
+
+    @cached_property
+    def _hyperplanes(self) -> tuple[Vec, ...]:
+        """The sorted distinct canonical facet normals, computed once per fan."""
+        return tuple(sorted({la.canonical_sign(h) for h in set().union(*self.normals)}))
 
     @cached_property
     def overlap(self) -> tuple[tuple[int, ...], ...] | None:
@@ -182,7 +187,7 @@ class Fan(_FanFields):
         if "complete" in lacks:
             lacks["strongly_symmetric"] = lacks["complete"]
             return lacks
-        normals = _hyperplanes(self)
+        normals = self._hyperplanes
         vals = [[la.vec_dot(h, v) for h in normals] for v in self.rays]
         pos = [sum(1 << j for j, x in enumerate(row) if x > 0) for row in vals]
         neg = [sum(1 << j for j, x in enumerate(row) if x < 0) for row in vals]
@@ -414,13 +419,9 @@ def check_properties(f: Fan) -> PropertyReport:
     verdicts = [name not in lacks for name in PropertyReport._fields[:4]]
     return PropertyReport(
         *verdicts,
-        hyperplanes=_hyperplanes(f) if verdicts[3] else None,
+        hyperplanes=f._hyperplanes if verdicts[3] else None,
         failure_witness=next(iter(lacks.values()), None),
     )
-
-
-def _hyperplanes(f: Fan) -> tuple[Vec, ...]:
-    return tuple(sorted({la.canonical_sign(h) for h in set().union(*f.normals)}))
 
 
 def roots_from_fan(f: Fan) -> Arrangement:

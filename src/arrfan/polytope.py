@@ -6,8 +6,10 @@ normal-fan convention is outer/maximizing: the functional summing a chamber's
 rays attains its maximum over the vertex set exactly at that chamber's vertex.
 The embedding certificates are the finite shadows of the coordinatewise sign
 map: its matrix has all-ones Smith form and the sign vectors separate cones.
-Only the functions that read a fan import `fan`, so the embedding loads no
-fan code.
+Both rest on the cut-out and duality of the walk's chamber records, which
+the walk establishes and they do not check again.  Only `verify_normal_fan`,
+a checker for any polytope and fan, and `sign_vector` read a fan, so
+`polytope` and `embed` load no fan code.
 """
 from __future__ import annotations
 
@@ -56,22 +58,23 @@ def rho(a: Arrangement, k: Chamber) -> Vec:
     return la.vec_mat(k.sign_vector, a.positive_covectors)
 
 
-def _cut_out_mask(a: Arrangement, k: Chamber) -> int | None:
-    """The mask of the covectors positive on the chamber, if every covector
-    signed by the chamber is >= 0 on every ray of the chamber; else None."""
-    plus = sum(1 << i for i, s in enumerate(k.sign_vector) if s > 0)
-    return None if any(s.neg & plus or s.pos & ~plus for s in map(a.ray_signs, k.rays)) else plus
-
-
 def build_polytope(a: Arrangement) -> HalfLatticePolytope:
-    """All doubled chamber vertices, with the vertex condition verified per chamber.
+    """All doubled chamber vertices, whose normal fan is the chamber fan.
 
-    For chambers K, K' the vertex difference is v_K' - v_K = 2 * sum of
-    s'_i alpha_i over the covectors whose signs s_i, s'_i differ, by the
-    definition of rho.  Each term is nonnegative on the rays of K' once every
-    covector signed by K' is, so checking that once per chamber puts each
-    vertex in every other chamber's supporting cone.  The vertex multiset is
-    also checked to be negation-stable and duplicate-free.
+    Cut-out: every covector signed by a chamber is >= 0 on each of the rays
+    of its record (`enumerate_chambers`).  The seed's rays are the extreme
+    rays of the seed cone.  Each crossing raises NotSimplicialError unless
+    the new ray's sign masks match the new chamber's mask, and the r - 1 kept
+    rays lie on the crossed wall, the only covector whose sign changed.  With
+    the walls dual to the rays (`phi_certificate`), each chamber is the cone
+    over its record's rays.
+    Normal fan: for chambers K != K', v_K - v_K' = 2 * sum of s_i alpha_i
+    over the covectors whose signs s_i on K and s'_i on K' differ, by the
+    definition of rho.  Each term is > 0 on the interior of K, so v_K is the
+    unique maximum over the vertices of every functional there.  The
+    chambers' interiors fill space off the hyperplanes, so each chamber is
+    its vertex's normal cone.  The vertex multiset is checked to be
+    negation-stable and duplicate-free.
     """
     if not is_crystallographic(a).verdict:
         raise NotCrystallographicError("polytope requires a crystallographic arrangement")
@@ -81,11 +84,6 @@ def build_polytope(a: Arrangement) -> HalfLatticePolytope:
         raise CertificationError("duplicate chamber vertices")
     if {la.vec_neg(v) for v in vertices} != set(vertices):
         raise CertificationError("vertex set is not negation-stable")
-    for k in chambers:
-        if _cut_out_mask(a, k) is None:
-            raise CertificationError(
-                f"a covector signed by chamber {k.index} is negative on one of its rays"
-            )
     return HalfLatticePolytope(
         rank=a.rank,
         doubled_vertices=vertices,
@@ -104,7 +102,8 @@ def verify_normal_fan(p: HalfLatticePolytope, f: Fan) -> bool:
     across every wall, hence convex with the cones as its domains of
     linearity: f is exactly the normal fan (the local folding condition;
     De Loera, Rambau and Santos, *Triangulations*, 2010).  Mismatched inputs
-    return False rather than raising.
+    return False rather than raising.  `build_polytope`'s vertices and the
+    chamber fan pass by that function's proof, so `polytope` does not run it.
     """
     if f.rank != p.rank or len(f.max_cones) != len(p.doubled_vertices):
         return False
@@ -143,12 +142,17 @@ def phi_certificate(a: Arrangement) -> PhiCertificate:
     Builds the matrix of all 2n signed covectors in the coordinates of the
     base chamber's ray basis, wall basis first.  Its Smith form is all ones
     as that top block, b_p(r_q), is the identity: the integrality verdict
-    gives b_p(r_p) = 1, and the loop's check at chamber 0 gives 0 off the
-    diagonal.  The loop verifies that each chamber's full sign pattern
-    cuts out exactly the chamber's closed cone (every signed covector is >= 0
-    on its rays, and wall b_p is positive on ray r_q exactly when p = q).  A
-    face F of chamber K is then K cut by the covectors vanishing on F, so it
-    is {x : sign(x) <= s_F}, and distinct faces have distinct sign vectors.
+    gives b_p(r_p) = 1, and duality gives 0 off the diagonal.
+    Duality: in every record of the walk (`enumerate_chambers`), wall p
+    vanishes on ray q != p.  The seed's wall opposite ray j is drawn from the
+    covectors vanishing on the other seed rays.  A crossing keeps the crossed
+    wall, which vanishes on the kept rays; the wall opposite kept ray r_k is
+    drawn from the covectors that vanish on the other kept rays; and the new
+    ray is the combination on which every new wall vanishes.  With the
+    cut-out (`build_polytope`), each chamber's full sign pattern cuts out
+    exactly the chamber's closed cone.  A face F of chamber K is then K cut
+    by the covectors vanishing on F, so it is {x : sign(x) <= s_F}, and
+    distinct faces have distinct sign vectors.
     Each face is counted at its owner, the one chamber holding it on which
     every covector vanishing on it is positive (the chamber of
     y + d*(1, e, e^2, ...) for y inside the face and small e, d, as every
@@ -167,13 +171,7 @@ def phi_certificate(a: Arrangement) -> PhiCertificate:
 
     faces = 0
     for k in chambers:
-        plus, cols = _cut_out_mask(a, k), [a.ray_signs(ray) for ray in k.rays]
-        if plus is None or any(
-            (sign * col.values[i] > 0) != (p == q)
-            for p, (i, sign) in enumerate(k.basis)
-            for q, col in enumerate(cols)
-        ):
-            raise CertificationError(f"chamber {k.index} is not cut out by its sign pattern")
+        plus = sum(1 << i for i, s in enumerate(k.sign_vector) if s > 0)
         faces += sum(not m & ~plus for m in a.subset_zeros(k.rays))
     return PhiCertificate(
         matrix=matrix,

@@ -373,6 +373,53 @@ def test_walk_matches_reference_on_random_arrangements(a):
     assert is_crystallographic(a) == ref_is_crystallographic(a)
 
 
+def _records_cut_out_and_dual(a, chambers):
+    """Every covector signed by a chamber is >= 0 on each of its record's rays,
+    and wall p is > 0 on ray q exactly when p = q.  The walk establishes both
+    facts, and the polytope and embedding certificates read them unchecked."""
+    for k in chambers:
+        signed = [la.vec_scale(s, c) for s, c in zip(k.sign_vector, a.positive_covectors)]
+        if any(la.vec_dot(c, ray) < 0 for c in signed for ray in k.rays):
+            return False
+        if any((la.vec_dot(b, ray) > 0) != (p == q)
+               for p, b in enumerate(k.basis_covectors(a)) for q, ray in enumerate(k.rays)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "names",
+    [[name] for name in ("A_2", "A_3", "A_4", "A_5", "B_3", "B_4", "C_3", "C_4", "D_4", "D_5")]
+    + [[f"ngon:{t}:{i}" for i in range(count)]
+       for t, count in ((3, 1), (4, 2), (5, 5), (6, 14), (7, 42), (8, 132))],
+    ids=lambda names: names[0].rsplit(":", 1)[0],
+)
+def test_walk_records_are_cut_out_by_their_signs_and_dual_to_their_walls(names):
+    for name in names:
+        a = catalog(name)
+        assert _records_cut_out_and_dual(a, a.chambers), name
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_small_arrangements())
+def test_walk_records_on_random_arrangements_are_cut_out_and_dual(a):
+    chambers = _chambers_or_not_simplicial(enumerate_chambers, a)
+    assert chambers is NotSimplicialError or _records_cut_out_and_dual(a, chambers)
+
+
+def test_a_moved_ray_breaks_the_cut_out_but_not_the_diagonal():
+    """Ray 0 of A_3's chamber 5 moved to r_0 - r_1 keeps every b_k(r_k) = 1, so
+    the integrality test passes, but wall b_1 is negative on it."""
+    a = catalog("A_3")
+    k = a.chambers[5]
+    rays = (la.vec_sub(k.rays[0], k.rays[1]),) + k.rays[1:]
+    chambers = a.chambers[:5] + (k._replace(rays=rays),) + a.chambers[6:]
+    assert _records_cut_out_and_dual(a, a.chambers)
+    assert not _records_cut_out_and_dual(a, chambers)
+    vars(a)["chambers"] = chambers
+    assert is_crystallographic(a).verdict
+
+
 def test_decompose():
     a11 = make_arrangement(2, [(1, 0), (0, 1)])
     factors, partition = decompose(a11)
