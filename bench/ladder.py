@@ -115,6 +115,7 @@ def _tier1(root: Path, env: dict[str, str]) -> dict:
 
 def measure(root: Path, only: str | None, tier1: bool) -> dict:
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    # the children's stdout is block-buffered, whatever the caller's shell sets
     env.pop("PYTHONUNBUFFERED", None)
     chosen = [(cmd, name, is_fan) for cmd, name, is_fan in rungs()
               if only is None or re.search(only, f"{cmd} {_input_label(name, is_fan)}")]
