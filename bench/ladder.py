@@ -13,7 +13,9 @@ as the benchmark runs its children:
   D_4, D_5 and the first and last `ngon:t:i` for t = 3..10;
 - `fan`, `embed` and `polytope` on A_7, and `verify` on A_8;
 - `roots` and `autos` on the fan files of A_5, A_6 and A_7 (`autos` on
-  A_7's takes about 10 s a run).
+  A_7's takes about 10 s a run);
+- `restrict` on the fan files of A_5, A_6 and A_7 and on A_6, each to the
+  2-flat spanned by the first two rays of the fan's first cone.
 
 Each child is started by a small launcher, `python -S`, that times it from
 `posix_spawn` to its exit as `os.wait4` reports it, so the time includes the
@@ -49,6 +51,8 @@ SHORT_INPUTS = (["A_3", "A_4", "A_5", "A_6", "B_3", "B_4", "B_5", "D_4", "D_5"]
 SHORT_COMMANDS = ["verify", "fan", "poset", "embed", "polytope"]
 LONG_RUNGS = [("fan", "A_7"), ("embed", "A_7"), ("polytope", "A_7"), ("verify", "A_8")]
 FAN_RUNGS = [(cmd, name) for name in ("A_5", "A_6", "A_7") for cmd in ("roots", "autos")]
+RESTRICT_RUNGS = [("restrict", "A_5", True), ("restrict", "A_6", True), ("restrict", "A_7", True),
+                  ("restrict", "A_6", False)]
 RUNS = 3
 
 # one child per request line `[argv, stderr path]`; one reply line per child:
@@ -71,11 +75,21 @@ for line in sys.stdin:
 def rungs() -> list[tuple[str, str, bool]]:
     """(command, input name, whether the input is a fan file), in run order."""
     short = [(cmd, name, False) for name in SHORT_INPUTS for cmd in SHORT_COMMANDS]
-    return short + [(c, n, False) for c, n in LONG_RUNGS] + [(c, n, True) for c, n in FAN_RUNGS]
+    return (short + [(c, n, False) for c, n in LONG_RUNGS] + [(c, n, True) for c, n in FAN_RUNGS]
+            + RESTRICT_RUNGS)
 
 
 def _input_label(name: str, is_fan: bool) -> str:
     return f"{name} fan file" if is_fan else name
+
+
+def _arguments(cmd: str, fan_path: Path | None) -> list[str]:
+    """The options of a rung's command: a restriction's subspace is spanned by
+    the first two rays of the first cone of the input's fan file."""
+    if cmd != "restrict":
+        return []
+    fan = json.loads(fan_path.read_text())
+    return ["--subspace", json.dumps([fan["rays"][i] for i in fan["max_cones"][0][:2]])]
 
 
 class Launcher:
@@ -131,19 +145,20 @@ def measure(root: Path, only: str | None, tier1: bool) -> dict:
                     raise SystemExit(f"set-up failed: arrfan {' '.join(argv)}")
 
             files: dict[tuple[str, bool], Path] = {}
-            for _, name, is_fan in chosen:
+            for cmd, name, is_fan in chosen:
                 arr = work / f"{name.replace(':', '_')}.json"
                 if (name, False) not in files:
                     setup("catalog", name, "--out", str(arr))
                     files[name, False] = arr
-                if is_fan and (name, True) not in files:
+                if (is_fan or cmd == "restrict") and (name, True) not in files:
                     files[name, True] = work / f"{name.replace(':', '_')}.fan.json"
                     setup("fan", str(arr), "--out", str(files[name, True]))
             for cmd, name, is_fan in chosen:
+                argv = arrfan + [cmd, str(files[name, is_fan])] + _arguments(
+                    cmd, files.get((name, True)))
                 times, rss, codes = [], [], []
                 for _ in range(RUNS):
-                    seconds, rss_kb, code = launcher.run(
-                        arrfan + [cmd, str(files[name, is_fan])], work / "child.err")
+                    seconds, rss_kb, code = launcher.run(argv, work / "child.err")
                     times.append(round(seconds, 4))
                     rss.append(rss_kb)
                     codes.append(code)

@@ -19,7 +19,7 @@ library modules it uses when it runs.  Besides `arrfan`, `errors`,
   `polytope`, `embed`: and `polytope`; `insert`: and `fan`, `fanmaps`;
 - `poset`: `arrangement`, `poset`; `parabolic`: and `fan`, `fanmaps`;
 - `roots`: `fan`, `arrangement`;
-- `star`, `restrict`, `autos`: `fan`, `fanmaps`;
+- `star`, `autos`: `fan`, `fanmaps`; `restrict`: and `arrangement`, `poset`;
 - `surface triangulations`: `surface`; the other surface commands: `fan`,
   and `surface` unless they only read a fan file back (`from-weights`);
 - `plot` of a fan: `fan`, `surface`, `svgplot`; of an arrangement:

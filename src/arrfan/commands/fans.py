@@ -1,7 +1,7 @@
 """The commands that read a fan file: `roots`, `star`, `restrict`, `autos` and
-`plot`.  Only `roots`, and `plot` of an arrangement, load `arrangement`;
-`star`, `restrict` and `autos` also accept an arrangement, read as its chamber
-fan."""
+`plot`.  Only `roots`, `restrict`, and `plot` of an arrangement, load
+`arrangement`; `star`, `restrict` and `autos` also accept an arrangement, read
+as its chamber fan."""
 from __future__ import annotations
 
 import sys

@@ -17,13 +17,13 @@ chamber fan, read off the walk once per arrangement.  The covering test
 property verdict (`Fan.properties`) run once per fan.  No face table is
 kept: `fan_faces` lists the faces when asked, and the certificates that need
 faces walk each chamber's ray subsets.  `make_fan` checks every fan built
-from a cone list, imported or derived; `_seeded_fan`, the one trusted
-constructor, builds fans whose normals come from the walk or a restriction.
+from a cone list, imported or derived; the chamber fan, whose normals come
+from the walk, is the one fan built unchecked.
 
 The maps between fans (star, restriction, subdivisions, automorphisms) are
 in `fanmaps`.  This module imports `arrangement` only inside the functions
-that build or return an arrangement, so `star`, `restrict`, `autos`, `plot`
-and the surface commands never compile it.
+that build or return an arrangement, so `star`, `autos`, `plot` and the
+surface commands never compile it.
 """
 from __future__ import annotations
 
@@ -382,18 +382,6 @@ def fan_faces(f: Fan) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(faces | {()}, key=lambda c: (len(c), c)))
 
 
-def _seeded_fan(rank: int, cones: Sequence[tuple[Mat, Mat]]) -> Fan:
-    """The fan of cones given as (lex-sorted rays, the facet normal opposite
-    each), with its normal table filled in.  The one trusted constructor, for
-    the chamber fan and the restriction fan: nothing of `make_fan` is checked."""
-    rays = sorted({v for gens, _ in cones for v in gens})
-    index = {v: i for i, v in enumerate(rays)}
-    table = {tuple(index[v] for v in gens): hs for gens, hs in cones}
-    f = Fan(rank=rank, rays=tuple(rays), max_cones=tuple(sorted(table)))
-    vars(f)["normals"] = tuple(table[c] for c in f.max_cones)
-    return f
-
-
 def fan_from_arrangement(a: Arrangement) -> Fan:
     """The fan whose maximal cones are the closed chambers, read off the walk.
 
@@ -405,8 +393,12 @@ def fan_from_arrangement(a: Arrangement) -> Fan:
     if "fan" not in vars(a):
         signed = {(i, s): la.vec_scale(s, c)
                   for i, c in enumerate(a.positive_covectors) for s in (1, -1)}
-        cones = [(k.rays, tuple(map(signed.get, k.basis))) for k in a.chambers]
-        vars(a)["fan"] = _seeded_fan(a.rank, cones)
+        rays = sorted({v for k in a.chambers for v in k.rays})
+        index = {v: i for i, v in enumerate(rays)}
+        cones = sorted((tuple(map(index.get, k.rays)), tuple(map(signed.get, k.basis)))
+                       for k in a.chambers)
+        f = vars(a)["fan"] = Fan(a.rank, tuple(rays), tuple(c for c, _ in cones))
+        vars(f)["normals"] = tuple(hs for _, hs in cones)
     return vars(a)["fan"]
 
 

@@ -2,9 +2,10 @@
 single-hyperplane blowup with its certificate, and the automorphism group.
 
 Kept apart from `fan`, which every fan command loads, so that loading and
-checking a fan compiles none of them.  The automorphism search verifies the
-base cone's orderings and one ordering per further orbit of cones, and gets
-the rest of the group as products of ray permutations.
+checking a fan compiles none of them; `restrict_fan` alone loads `poset` and
+`arrangement`.  The automorphism search verifies the base cone's orderings
+and one ordering per further orbit of cones, and gets the rest of the group
+as products of ray permutations.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .errors import (
     InputFormatError,
     NotCrystallographicError,
 )
-from .fan import Fan, _require_face, _seeded_fan, fan_from_arrangement, make_fan
+from .fan import Fan, _require_face, fan_from_arrangement, make_fan, roots_from_fan
 from .intlinalg import Mat, Vec
 
 if TYPE_CHECKING:
@@ -78,47 +79,29 @@ def star_fan(f: Fan, delta: Sequence[int]) -> Fan:
 
 
 def restrict_fan(f: Fan, subspace_rows: Sequence[Sequence[int]]) -> Fan:
-    """The cones of f lying inside a cone-spanned subspace, in its own lattice.
+    """The cones of f inside the flat that `subspace_rows` span, in its lattice.
 
-    `subspace_rows` must span the span of some cone of f; f must be smooth and
-    strongly symmetric.  A ray lies in the subspace when the rows' kernel
-    vanishes on it.  As the cones are simplicial, the subspace (of dimension d)
-    is spanned by a cone exactly when some maximal cone has d rays inside, and
-    those d-ray faces are the restricted cones.  As f is smooth, the rays of
-    one face F are a basis of the subspace's lattice, and F's facet normals
-    give a ray's coordinates on F; U^-1 of the Hermite form H = U*F maps them
-    to the canonical basis H.  A restricted cone's facet normals are those of a
-    maximal cone holding it, read on H.  The result, the origin fan if d = 0,
-    is certified smooth and strongly symmetric, hence complete, of rank d.
+    A smooth, strongly symmetric f is the chamber fan of the crystallographic
+    A = `roots_from_fan(f)`.  A subspace is spanned by a cone exactly when it
+    is a flat of A: a chamber's walls through a face cut out its span, and a
+    hyperplane through a point inside a face holds the face.  The cones in a
+    flat X are the chambers of A^X (Orlik and Terao, 1992, 1.3) in X's
+    Hermite basis, and A^X is crystallographic (Cuntz, *Bull. LMS* 43, 2011).
+    The whole space gives f, the zero subspace the origin fan.
     """
+    from .poset import FlatSubspace, restricted_arrangement
+
     rows = [tuple(r) for r in subspace_rows]
     if any(len(r) != f.rank for r in rows):
         raise InputFormatError("row width does not match ambient dimension")
-    f.require("smooth", "strongly_symmetric")
+    a = roots_from_fan(f)
     kernel = la.kernel_basis(rows) if rows else la.identity(f.rank)
-    d = f.rank - len(kernel)
-    if d == f.rank:
+    if not kernel:
         return f
-    inside = [not any(la.vec_dot(h, v) for h in kernel) for v in f.rays]
-    faces = {}  # restricted cone -> its rays' opposite normals in a maximal cone holding it
-    for cone, hs in zip(f.max_cones, f.normals):
-        face = tuple(i for i in cone if inside[i])
-        if len(face) == d:
-            faces[face] = [h for i, h in zip(cone, hs) if inside[i]]
-    if not faces:
-        raise BadReferenceError("subspace is not spanned by a cone of the fan")
-    base = min(faces)
-    basis, u = la.hnf(f.cone_vectors(base))
-    to_basis = la.mat_inverse_unimodular(u)
-    cones = []
-    for face, hs in faces.items():  # each ray's coordinates on H, with its normal read on H
-        pairs = sorted((la.vec_mat([la.vec_dot(g, f.rays[i]) for g in faces[base]], to_basis),
-                        tuple(la.vec_dot(b, h) for b in basis)) for i, h in zip(face, hs))
-        cones.append((tuple(v for v, _ in pairs), tuple(h for _, h in pairs)))
-    result = _seeded_fan(d, cones)
-    if not (result.properties.smooth and result.properties.strongly_symmetric):
-        raise CertificationError("restriction fan lost smoothness or symmetry")
-    return result
+    if len(kernel) == f.rank:
+        return make_fan(0, [()])
+    flat = FlatSubspace(f.rank - len(kernel), la.kernel_basis(kernel))
+    return fan_from_arrangement(restricted_arrangement(a, flat))
 
 
 def star_subdivide(f: Fan, cone: Sequence[int]) -> Fan:

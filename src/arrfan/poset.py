@@ -8,8 +8,8 @@ covectors, so order and containment are set operations: X <= Y exactly when
 H(Y) is a subset of H(X).  The flats covered by X are the hyperplanes of the
 restricted arrangement A^X, the distinct traces of the others on X, and each
 is built from X's basis with a kernel of one row and one Hermite reduction.
-Only the functions that read fans import `fan`, so `intersection_poset`
-loads no fan code.
+Only the functions that read fans import `fan`, so `intersection_poset` and
+`restricted_arrangement`, read off the same traces, load no fan code.
 The toric-arrangement report verifies, purely on cones, the statements that
 make the family of flat subfans an embedded copy of the poset, in one pass
 over the chambers that keeps a count per face and a link per flat and sign
@@ -75,6 +75,18 @@ def _covectors(a: Arrangement, held: int) -> Mat:
     return tuple(cov for i, cov in enumerate(a.positive_covectors) if held >> i & 1)
 
 
+def _traces(values: Sequence[Vec], held: int) -> dict[Vec, int]:
+    """Trace on a flat X -> mask of the covectors off H(X) with that trace: a
+    covector's column of `values`, its values on X's basis rows, made
+    primitive with a canonical sign."""
+    traces: dict[Vec, int] = {}
+    for i, column in enumerate(zip(*values)):
+        if not held >> i & 1:
+            trace = la.canonical_sign(la.primitive(column))
+            traces[trace] = traces.get(trace, 0) | 1 << i
+    return traces
+
+
 def intersection_poset(a: Arrangement) -> IntersectionPoset:
     """All intersections of hyperplane subsets, with cover relations.
 
@@ -98,12 +110,7 @@ def intersection_poset(a: Arrangement) -> IntersectionPoset:
     found, covers = [0], []
     for held in found:  # `found` grows as it is read
         flat = flats[held]
-        traces: dict[Vec, int] = {}
-        for i, column in enumerate(zip(*map(values, flat.basis))):
-            if not held >> i & 1:
-                trace = la.canonical_sign(la.primitive(column))
-                traces[trace] = traces.get(trace, 0) | 1 << i
-        for trace, g in traces.items():
+        for trace, g in _traces(list(map(values, flat.basis)), held).items():
             if held | g not in flats:
                 basis = la.hermite_basis(la.mat_mul(la.kernel_basis([trace]), flat.basis))
                 flats[held | g] = FlatSubspace(len(basis), basis)
@@ -118,22 +125,20 @@ def intersection_poset(a: Arrangement) -> IntersectionPoset:
 
 
 def restricted_arrangement(a: Arrangement, e: FlatSubspace) -> Arrangement:
-    """The traces of the other hyperplanes on a flat, in the flat's own lattice.
-
-    Computed as the wall covectors of the fan restricted to the flat, which
-    is certified crystallographic.  The flat must belong to the poset and be
-    nonzero.
+    """The restriction A^X to a flat X, in X's own lattice: the traces on X
+    of the hyperplanes off H(X), read on X's basis rows (`_traces`).  X's
+    lattice is a direct summand of Z^r, so the traces generate the dual of
+    Z^dim X, as `make_arrangement` requires.  The flat must belong to the
+    poset and be nonzero; no chamber is walked.
     """
-    if flat_from_constraints(a.rank, _covectors(a, _held(a, e.basis))) != e:
+    held = _held(a, e.basis)
+    if flat_from_constraints(a.rank, _covectors(a, held)) != e:
         raise BadReferenceError("subspace is not a flat of the arrangement")
     if e.dim == 0:
         raise BadReferenceError("restriction to the zero flat has rank 0")
     if e.dim == a.rank:
         return a
-    from .fan import fan_from_arrangement, roots_from_fan
-    from .fanmaps import restrict_fan
-
-    return roots_from_fan(restrict_fan(fan_from_arrangement(a), e.basis))
+    return make_arrangement(e.dim, _traces([a.ray_signs(row).values for row in e.basis], held))
 
 
 def parabolic_arrangement(a: Arrangement, delta: Sequence[int]) -> Arrangement:

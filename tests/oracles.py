@@ -1188,6 +1188,66 @@ def ref_restrict_fan(f, subspace_rows):
     return result
 
 
+def _fan_with_normals(rank, cones):
+    """The fan of cones given as (lex-sorted rays, the facet normal opposite
+    each), with its normal table filled in and nothing of `make_fan` checked."""
+    from arrfan.fan import Fan
+
+    rays = sorted({v for gens, _ in cones for v in gens})
+    index = {v: i for i, v in enumerate(rays)}
+    table = {tuple(index[v] for v in gens): hs for gens, hs in cones}
+    f = Fan(rank=rank, rays=tuple(rays), max_cones=tuple(sorted(table)))
+    vars(f)["normals"] = tuple(table[c] for c in f.max_cones)
+    return f
+
+
+def ref_restrict_fan_by_faces(f, subspace_rows):
+    """The cones of f lying inside a cone-spanned subspace, in its own lattice.
+
+    `subspace_rows` must span the span of some cone of f; f must be smooth and
+    strongly symmetric.  A ray lies in the subspace when the rows' kernel
+    vanishes on it.  As the cones are simplicial, the subspace (of dimension d)
+    is spanned by a cone exactly when some maximal cone has d rays inside, and
+    those d-ray faces are the restricted cones.  As f is smooth, the rays of
+    one face F are a basis of the subspace's lattice, and F's facet normals
+    give a ray's coordinates on F; U^-1 of the Hermite form H = U*F maps them
+    to the canonical basis H.  A restricted cone's facet normals are those of a
+    maximal cone holding it, read on H.  The result, the origin fan if d = 0,
+    is certified smooth and strongly symmetric, hence complete, of rank d.
+    """
+    from arrfan import intlinalg as la
+    from arrfan.errors import BadReferenceError, CertificationError, InputFormatError
+
+    rows = [tuple(r) for r in subspace_rows]
+    if any(len(r) != f.rank for r in rows):
+        raise InputFormatError("row width does not match ambient dimension")
+    f.require("smooth", "strongly_symmetric")
+    kernel = la.kernel_basis(rows) if rows else la.identity(f.rank)
+    d = f.rank - len(kernel)
+    if d == f.rank:
+        return f
+    inside = [not any(la.vec_dot(h, v) for h in kernel) for v in f.rays]
+    faces = {}  # restricted cone -> its rays' opposite normals in a maximal cone holding it
+    for cone, hs in zip(f.max_cones, f.normals):
+        face = tuple(i for i in cone if inside[i])
+        if len(face) == d:
+            faces[face] = [h for i, h in zip(cone, hs) if inside[i]]
+    if not faces:
+        raise BadReferenceError("subspace is not spanned by a cone of the fan")
+    base = min(faces)
+    basis, u = la.hnf(f.cone_vectors(base))
+    to_basis = la.mat_inverse_unimodular(u)
+    cones = []
+    for face, hs in faces.items():  # each ray's coordinates on H, with its normal read on H
+        pairs = sorted((la.vec_mat([la.vec_dot(g, f.rays[i]) for g in faces[base]], to_basis),
+                        tuple(la.vec_dot(b, h) for b in basis)) for i, h in zip(face, hs))
+        cones.append((tuple(v for v, _ in pairs), tuple(h for _, h in pairs)))
+    result = _fan_with_normals(d, cones)
+    if not (result.properties.smooth and result.properties.strongly_symmetric):
+        raise CertificationError("restriction fan lost smoothness or symmetry")
+    return result
+
+
 def ref_hilbert_middle_rays(u, w):
     """Interior Hilbert basis members of the 2-cone (u, w), CCW from u.
 

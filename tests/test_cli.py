@@ -367,8 +367,8 @@ def test_restrict_command(tmp_path, capsys):
     code, out = run(capsys, "restrict", b2, "--subspace", "[[1,0]]")
     assert code == 0
     assert json.loads(out)["verdicts"]["rank"] == 1
-    code, _ = run(capsys, "restrict", b2, "--subspace", "[[1,3]]")
-    assert code == 3
+    assert main(["restrict", b2, "--subspace", "[[1,3]]"]) == 3
+    assert "error: subspace is not a flat of the arrangement" in capsys.readouterr().err
 
 
 def test_catalog_sporadic_dir(tmp_path, capsys):
@@ -743,7 +743,7 @@ def _imports_of(tmp_path, *argv):
 
 
 _ARR = {"commands.arrangements", "arrangement"}
-# the fan-file side: no command but `roots` loads `arrangement`
+# the fan-file side: no command but `roots` and `restrict` load `arrangement`
 _FANS = {"commands.fans", "fan"}
 _SURFACES = {"commands.surfaces", "fan", "surface"}
 
@@ -762,7 +762,8 @@ _IMPORT_CASES = [
     (["decompose", "a2.json"], _ARR),
     (["insert", "a2.json", "--hyperplane", "1,2"], _ARR | {"fan", "fanmaps"}),
     (["star", "a2.fan.json", "--cone", "0"], _FANS | {"fanmaps"}),
-    (["restrict", "a2.fan.json", "--subspace", "[[1,0]]"], _FANS | {"fanmaps"}),
+    (["restrict", "a2.fan.json", "--subspace", "[[1,0]]"],
+     _FANS | {"fanmaps", "arrangement", "poset"}),
     (["autos", "a2.fan.json"], _FANS | {"fanmaps"}),
     (["plot", "a2.fan.json"], _FANS | {"surface", "svgplot"}),
     (["surface", "from-weights", "a2.fan.json"], {"commands.surfaces", "fan"}),
@@ -789,7 +790,7 @@ def test_each_command_imports_only_its_modules(tmp_path, capsys, argv, extra):
     assert {m for m in loaded if m.split(".")[0] == "arrfan"} == _BASE | {
         f"arrfan.{m}" for m in extra
     }
-    if "a2.fan.json" in argv and argv[0] != "roots":
+    if "a2.fan.json" in argv and argv[0] not in ("roots", "restrict"):
         assert "arrfan.arrangement" not in loaded
     assert not loaded & {"dataclasses", "inspect"}
     # the report's digest comes from the builtin SHA-256: hashlib would load OpenSSL

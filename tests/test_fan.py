@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from arrfan import fan as fan_module, intlinalg as la
+from arrfan import intlinalg as la
 from arrfan.arrangement import catalog, is_crystallographic, make_arrangement
 from arrfan.errors import (
     BadReferenceError,
@@ -53,6 +53,7 @@ from oracles import (
     ref_insert_hyperplane_by_signs,
     ref_overlapping_pair,
     ref_restrict_fan,
+    ref_restrict_fan_by_faces,
     ref_roots_from_fan,
     unchecked_fan,
 )
@@ -247,23 +248,6 @@ def test_restrict_fan():
         restrict_fan(f, [(1, 1)])  # not a span of any cone
 
 
-def test_restrict_fan_rejects_a_restriction_with_a_doubled_ray(monkeypatch):
-    """The restriction's property check fires when a restricted cone's first
-    ray comes out twice too long, which no smooth restriction allows."""
-    from arrfan import fanmaps
-
-    seeded = fanmaps._seeded_fan
-
-    def doubled(rank, cones):
-        (gens, hs), *rest = cones
-        return seeded(rank, [((la.vec_scale(2, gens[0]),) + gens[1:], hs), *rest])
-
-    f = fan_from_arrangement(catalog("A_3"))
-    monkeypatch.setattr(fanmaps, "_seeded_fan", doubled)
-    with pytest.raises(CertificationError, match="restriction fan lost smoothness or symmetry"):
-        restrict_fan(f, f.cone_vectors(f.max_cones[0][:2]))
-
-
 def test_insert_hyperplane_examples():
     a11 = make_arrangement(2, [(1, 0), (0, 1)])
     f, cert = insert_hyperplane(a11, (1, 1))
@@ -397,6 +381,42 @@ def test_restrict_fan_matches_reference(name):
         if isinstance(out, Fan) and out.rank:
             # the normals read on the subspace equal one dual_rays per restricted cone
             assert out.normals == Fan(*out).normals, rows
+
+
+def _restriction_rows(a, f, rng):
+    """Rows spanning the flats of `a` and seeded row sets: spans of random
+    integer combinations of a cone's rays, which are flats, and random rows,
+    which mostly are not."""
+    rows = [flat.basis for flat in intersection_poset(a).flats]
+    for _ in range(10):
+        cone = f.cone_vectors(rng.choice(f.max_cones))
+        face = rng.sample(cone, rng.randint(1, a.rank))
+        rows.append([la.vec_mat([rng.randint(-2, 2) for _ in face], face)
+                     for _ in range(rng.randint(1, len(face)))])
+        rows.append([tuple(rng.randint(-2, 2) for _ in range(a.rank))
+                     for _ in range(rng.randint(0, a.rank))])
+    return rows
+
+
+@pytest.mark.parametrize("name", ["A_2", "A_3", "A_4", "A_5", "B_3", "B_4", "C_3", "C_4",
+                                  "D_4", "D_5", "ngon:8:77", "ngon:10:1000"])
+def test_restrict_fan_is_the_face_restriction(name):
+    """The chamber fan of the restricted arrangement is the fan of the cones
+    inside the subspace, read on its Hermite basis with their facet normals,
+    or both raise the same error: on every flat, on seeded cone spans and on
+    seeded row sets that span no cone."""
+    import random
+
+    a = catalog(name)
+    f = fan_from_arrangement(a)
+    outcomes = []
+    for rows in _restriction_rows(a, f, random.Random(name)):
+        out, ref = _outcome(restrict_fan, f, rows), _outcome(ref_restrict_fan_by_faces, f, rows)
+        assert out == ref, rows
+        if isinstance(out, Fan) and out.rank:
+            assert out.normals == ref.normals, rows
+        outcomes.append(out if isinstance(out, type) else out.rank)
+    assert BadReferenceError in outcomes and len(set(outcomes)) > 2
 
 
 def test_rank1_round_trip():
@@ -592,15 +612,13 @@ def test_imported_fan_runs_the_covering_test_once(monkeypatch):
     assert len(runs) == 1 and runs[0] is f
 
 
-def test_restricting_to_every_flat_checks_the_input_fan_once(monkeypatch):
-    a = catalog("D_4")
-    f = fan_from_arrangement(a)
-    checked = []
-    check = fan_module.check_properties
-    monkeypatch.setattr(fan_module, "check_properties", lambda g: checked.append(g) or check(g))
+def test_restricting_to_every_flat_walks_no_chamber():
+    """The restricted arrangement is read off the traces: neither the chambers
+    nor the chamber fan of the ambient arrangement is built."""
+    a = catalog("D_5")
     for e in intersection_poset(a).flats[1:]:  # every flat but the zero flat
         restricted_arrangement(a, e)
-    assert sum(g is f for g in checked) == 1
+    assert "chambers" not in vars(a) and "fan" not in vars(a)
 
 
 @st.composite

@@ -30,6 +30,7 @@ from oracles import (
     ref_flat_intersection,
     ref_flat_leq,
     ref_intersection_poset,
+    ref_restrict_fan_by_faces,
     ref_toric_arrangement_report,
 )
 from test_arrangement import _small_arrangements
@@ -132,8 +133,10 @@ def test_poset_makes_one_elimination_per_flat(monkeypatch):
 
 @pytest.mark.parametrize("name", LADDER + ("ngon:8:77", "ngon:10:1000"))
 def test_cover_traces_are_the_restricted_arrangement(name):
-    # the hyperplanes of A^X, read on X's basis rows, are the fan-side restriction
+    # the hyperplanes of A^X, read on X's basis rows, are the wall covectors of
+    # the fan's cones inside X, read on X's basis
     a = catalog(name)
+    f = fan_from_arrangement(a)
     for flat in intersection_poset(a).flats:
         if flat.dim == 0:
             continue
@@ -142,7 +145,18 @@ def test_cover_traces_are_the_restricted_arrangement(name):
             for cov in a.positive_covectors
             if any(la.vec_dot(cov, row) for row in flat.basis)
         }
-        assert tuple(sorted(traces)) == restricted_arrangement(a, flat).positive_covectors
+        restricted = restricted_arrangement(a, flat)
+        assert tuple(sorted(traces)) == restricted.positive_covectors
+        assert restricted == roots_from_fan(ref_restrict_fan_by_faces(f, flat.basis))
+
+
+def test_restriction_of_an_arrangement_the_walk_rejects():
+    """The traces need no chamber: a flat of a non-simplicial arrangement
+    still has its restricted arrangement."""
+    a = make_arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 0), (0, 1, 1)])
+    with pytest.raises(NotSimplicialError):
+        a.chambers
+    assert restricted_arrangement(a, FlatSubspace(1, ((0, 0, 1),))).positive_covectors == ((1,),)
 
 
 def test_cover_relations():
@@ -282,9 +296,11 @@ def test_parabolic_equals_star_side_everywhere():
                 assert is_crystallographic(pa).verdict
 
 
-def test_restriction_and_parabolic_closure_over_catalog():
+def test_restriction_and_parabolic_closure_over_catalog(restriction_corpus):
     # every flat gives a crystallographic restriction, every proper cone a
-    # crystallographic parabolic, across the low-rank catalog
+    # crystallographic parabolic, across the low-rank catalog; the restrictions
+    # of the rank-4 and rank-5 corpus are crystallographic, and their chamber
+    # fans give them back (the correspondence both ways)
     from arrfan.fanmaps import restrict_fan
     from arrfan.fan import check_properties
 
@@ -301,6 +317,10 @@ def test_restriction_and_parabolic_closure_over_catalog():
         for face in fan_faces(f):
             if 0 < len(face) < a.rank:
                 assert is_crystallographic(parabolic_arrangement(a, face)).verdict
+    assert len(restriction_corpus) == 89
+    for sub in restriction_corpus:
+        assert is_crystallographic(sub).verdict, sub
+        assert roots_from_fan(fan_from_arrangement(sub)) == sub
 
 
 def test_poset_order_isomorphism_across_catalog():
