@@ -16,6 +16,7 @@ as the benchmark runs its children:
   A_7's takes about 10 s a run);
 - `restrict` on the fan files of A_5, A_6 and A_7 and on A_6, each to the
   2-flat spanned by the first two rays of the fan's first cone.
+- `parabolic` on A_6 and D_5 at the fan's ray 0 (`--cone 0`).
 
 Each child is started by a small launcher, `python -S`, that times it from
 `posix_spawn` to its exit as `os.wait4` reports it, so the time includes the
@@ -53,6 +54,7 @@ LONG_RUNGS = [("fan", "A_7"), ("embed", "A_7"), ("polytope", "A_7"), ("verify", 
 FAN_RUNGS = [(cmd, name) for name in ("A_5", "A_6", "A_7") for cmd in ("roots", "autos")]
 RESTRICT_RUNGS = [("restrict", "A_5", True), ("restrict", "A_6", True), ("restrict", "A_7", True),
                   ("restrict", "A_6", False)]
+PARABOLIC_RUNGS = [("parabolic", "A_6", False), ("parabolic", "D_5", False)]
 RUNS = 3
 
 # one child per request line `[argv, stderr path]`; one reply line per child:
@@ -76,7 +78,7 @@ def rungs() -> list[tuple[str, str, bool]]:
     """(command, input name, whether the input is a fan file), in run order."""
     short = [(cmd, name, False) for name in SHORT_INPUTS for cmd in SHORT_COMMANDS]
     return (short + [(c, n, False) for c, n in LONG_RUNGS] + [(c, n, True) for c, n in FAN_RUNGS]
-            + RESTRICT_RUNGS)
+            + RESTRICT_RUNGS + PARABOLIC_RUNGS)
 
 
 def _input_label(name: str, is_fan: bool) -> str:
@@ -85,7 +87,10 @@ def _input_label(name: str, is_fan: bool) -> str:
 
 def _arguments(cmd: str, fan_path: Path | None) -> list[str]:
     """The options of a rung's command: a restriction's subspace is spanned by
-    the first two rays of the first cone of the input's fan file."""
+    the first two rays of the first cone of the input's fan file, and a
+    parabolic is taken at ray 0."""
+    if cmd == "parabolic":
+        return ["--cone", "0"]
     if cmd != "restrict":
         return []
     fan = json.loads(fan_path.read_text())

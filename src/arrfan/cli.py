@@ -17,7 +17,7 @@ library modules it uses when it runs.  Besides `arrfan`, `errors`,
 
 - `catalog`, `verify`, `decompose`: `arrangement`; `fan`: and `fan`;
   `polytope`, `embed`: and `polytope`; `insert`: and `fan`, `fanmaps`;
-- `poset`: `arrangement`, `poset`; `parabolic`: and `fan`, `fanmaps`;
+- `poset`: `arrangement`, `poset`; `parabolic`: and `fan`;
 - `roots`: `fan`, `arrangement`;
 - `star`, `autos`: `fan`, `fanmaps`; `restrict`: and `arrangement`, `poset`;
 - `surface triangulations`: `surface`; the other surface commands: `fan`,

@@ -3,14 +3,14 @@ single-hyperplane blowup with its certificate, and the automorphism group.
 
 Kept apart from `fan`, which every fan command loads, so that loading and
 checking a fan compiles none of them; `restrict_fan` alone loads `poset` and
-`arrangement`.  The automorphism search verifies the base cone's orderings
-and one ordering per further orbit of cones, and gets the rest of the group
-as products of ray permutations.
+`arrangement`, and `star_fan` reads its quotient off `intlinalg.quotient_data`.
+The automorphism search verifies the base cone's orderings and one ordering
+per further orbit of cones, and gets the rest of the group as products of ray
+permutations.
 """
 from __future__ import annotations
 
 import itertools
-from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import intlinalg as la
@@ -38,23 +38,6 @@ class BlowupCertificate(NamedTuple):
     entries: tuple[BlowupEntry, ...]
 
 
-def quotient_data(gens: Mat, rank: int):
-    """Deterministic quotient of Z^rank by the saturation of the generator span.
-
-    Returns (kappa, lifts, d): kappa maps x to its coordinates in the quotient
-    lattice, and lifts are the rank - d completing basis vectors whose classes
-    are the quotient's standard basis (so an annihilating covector alpha
-    induces the quotient covector (alpha(lift_j))_j).
-    """
-    w, v, d = la.complete_to_basis(gens, rank)
-    cols = [tuple(row[j] for row in v) for j in range(d, rank)]  # v's last rank - d columns
-
-    def kappa(x: Vec) -> Vec:
-        return tuple(sum(map(mul, x, col)) for col in cols)
-
-    return kappa, w[d:], d
-
-
 def star_fan(f: Fan, delta: Sequence[int]) -> Fan:
     """The fan of cones containing delta, in the quotient lattice N/(N n <delta>).
 
@@ -66,7 +49,7 @@ def star_fan(f: Fan, delta: Sequence[int]) -> Fan:
     if not dl:
         return f
     gens = f.cone_vectors(dl)
-    kappa, _, d = quotient_data(gens, f.rank)
+    kappa, _, d = la.quotient_data(gens, f.rank)
     new_rank = f.rank - d
     cones = []
     for cone in f.max_cones:

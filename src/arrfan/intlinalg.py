@@ -11,8 +11,8 @@ and keeps each ray's zero set as a bitmask.  Hermite forms come from one
 loop, which carries the transform only for `hnf`: `hermite_basis`, and with
 it the second step of `kernel_basis` and `saturation_basis`, reduces without
 building it; the transform of a unimodular matrix is its integer inverse
-(`mat_inverse_unimodular`).  Matrices are sequences of equal-length rows and
-are returned as tuples of tuples.
+(`mat_inverse_unimodular`), as in `complete_to_basis` and `quotient_data`.
+Matrices are sequences of equal-length rows, returned as tuples of tuples.
 """
 from __future__ import annotations
 
@@ -366,6 +366,23 @@ def complete_to_basis(rows: Sequence[Sequence[int]], ambient: int) -> tuple[Mat,
     k = sum(1 for i in range(min(len(s), ambient)) if s[i][i] != 0)
     w = mat_inverse_unimodular(v)
     return w, freeze(v), k
+
+
+def quotient_data(gens: Mat, rank: int):
+    """Deterministic quotient of Z^rank by the saturation of the generator span.
+
+    Returns (kappa, lifts, d): kappa maps x to its coordinates in the quotient
+    lattice, and lifts are the rank - d completing basis vectors whose classes
+    are the quotient's standard basis (so an annihilating covector alpha
+    induces the quotient covector (alpha(lift_j))_j).
+    """
+    w, v, d = complete_to_basis(gens, rank)
+    cols = [tuple(row[j] for row in v) for j in range(d, rank)]  # v's last rank - d columns
+
+    def kappa(x: Vec) -> Vec:
+        return tuple(sum(map(mul, x, col)) for col in cols)
+
+    return kappa, w[d:], d
 
 
 def saturation_basis(rows: Sequence[Sequence[int]], ambient: int) -> Mat:

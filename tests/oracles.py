@@ -511,7 +511,7 @@ def ref_toric_arrangement_report(a):
     from arrfan.arrangement import is_crystallographic
     from arrfan.errors import CertificationError, NotCrystallographicError
     from arrfan.fan import fan_faces, fan_from_arrangement
-    from arrfan.fanmaps import quotient_data
+    from arrfan.intlinalg import quotient_data
     from arrfan.poset import (
         FlatSubspace,
         ToricArrangementReport,
@@ -1135,6 +1135,42 @@ def ref_fan_from_arrangement(a):
             failure_witness={"property": "smooth", "cone": f.cone_vectors(singular[0])}
         )
     return f, normals, props._replace(smooth=not singular)
+
+
+def ref_parabolic_arrangement_by_star(a, delta):
+    """The covectors vanishing on a cone's span, pushed to the quotient lattice.
+
+    delta is a face of the fan of `a`, given by ray indices, of dimension
+    strictly below the rank.  The result is certified to equal the wall
+    covectors of the star fan at delta (the two descriptions of the same
+    arrangement), using the same deterministic quotient basis.
+    """
+    from arrfan import intlinalg as la
+    from arrfan.arrangement import make_arrangement
+    from arrfan.errors import BadReferenceError, CertificationError
+    from arrfan.fan import _require_face, fan_from_arrangement, roots_from_fan
+    from arrfan.fanmaps import star_fan
+    from arrfan.intlinalg import quotient_data
+    from arrfan.poset import _covectors, _held
+
+    f = fan_from_arrangement(a)
+    dl = _require_face(f, delta)
+    if not dl:
+        return a
+    if len(dl) == a.rank:
+        raise BadReferenceError("parabolic arrangement needs a cone of dimension below the rank")
+    gens = f.cone_vectors(dl)
+    _, lifts, d = quotient_data(gens, a.rank)
+    projected = set()
+    for cov in _covectors(a, _held(a, gens)):
+        img = tuple(la.vec_dot(cov, lift) for lift in lifts)
+        if img != la.primitive(img):
+            raise CertificationError(f"covector {cov} projects to a non-primitive {img}")
+        projected.add(la.canonical_sign(img))
+    result = make_arrangement(a.rank - d, sorted(projected))
+    if result != roots_from_fan(star_fan(f, dl)):
+        raise CertificationError("projected covectors disagree with the star fan's wall covectors")
+    return result
 
 
 def ref_restrict_fan(f, subspace_rows):

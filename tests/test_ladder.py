@@ -39,8 +39,10 @@ def test_ladder_writes_one_line_per_rung(tmp_path, capsys):
 def test_ladder_rungs_follow_the_ladder():
     ladder = _ladder()
     rungs = ladder.rungs()
-    assert len(rungs) == len(set(rungs)) == 24 * 5 + 4 + 6 + 4
+    assert len(rungs) == len(set(rungs)) == 24 * 5 + 4 + 6 + 4 + 2
     assert ("polytope", "A_7", False) in rungs and ("verify", "A_8", False) in rungs
     assert {name for _, name, fan in rungs if fan} == {"A_5", "A_6", "A_7"}
     assert [(name, fan) for cmd, name, fan in rungs if cmd == "restrict"] == [
         ("A_5", True), ("A_6", True), ("A_7", True), ("A_6", False)]
+    assert [(name, fan) for cmd, name, fan in rungs if cmd == "parabolic"] == [
+        ("A_6", False), ("D_5", False)]

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,13 +8,17 @@ from hypothesis import given, settings
 from arrfan import intlinalg as la, poset
 from arrfan.arrangement import Arrangement, catalog, is_crystallographic, make_arrangement
 from arrfan.errors import (
+    ArrfanError,
     BadReferenceError,
     CertificationError,
+    LatticeSpanError,
     NotCrystallographicError,
     NotSimplicialError,
+    NotSmoothError,
 )
 from arrfan.fan import fan_faces, fan_from_arrangement, roots_from_fan
-from arrfan.fanmaps import quotient_data, star_fan
+from arrfan.fanmaps import star_fan
+from arrfan.intlinalg import quotient_data
 from arrfan.poset import (
     FlatSubspace,
     flat_from_constraints,
@@ -30,6 +35,7 @@ from oracles import (
     ref_flat_intersection,
     ref_flat_leq,
     ref_intersection_poset,
+    ref_parabolic_arrangement_by_star,
     ref_restrict_fan_by_faces,
     ref_toric_arrangement_report,
 )
@@ -258,42 +264,94 @@ def test_parabolic_arrangement():
         parabolic_arrangement(a2, (0, 5))
 
 
-def test_parabolic_arrangement_rejects_a_non_primitive_projection(monkeypatch):
-    """Doubled quotient lifts project every covector to twice a primitive one."""
-    from arrfan import fanmaps
-
-    real = fanmaps.quotient_data
-
-    def doubled(gens, rank):
-        kappa, lifts, d = real(gens, rank)
-        return kappa, tuple(la.vec_scale(2, v) for v in lifts), d
-
-    monkeypatch.setattr(fanmaps, "quotient_data", doubled)
-    with pytest.raises(CertificationError, match="projects to a non-primitive"):
-        parabolic_arrangement(catalog("A_3"), (0,))
-
-
-def test_parabolic_arrangement_rejects_a_star_fan_it_disagrees_with(monkeypatch):
-    """A_3's rank-2 star is A_2's fan; B_2's chamber fan in its place has other
-    wall covectors.  Another star of A_3 would not do: they are isomorphic."""
-    from arrfan import fanmaps
-
-    b2 = fan_from_arrangement(catalog("B_2"))
-    monkeypatch.setattr(fanmaps, "star_fan", lambda f, delta: b2)
-    with pytest.raises(CertificationError, match="disagree with the star fan's wall covectors"):
-        parabolic_arrangement(catalog("A_3"), (0,))
-
-
 def test_parabolic_equals_star_side_everywhere():
     for name in ("A_3", "B_3"):
         a = catalog(name)
         f = fan_from_arrangement(a)
         for face in fan_faces(f):
             if 0 < len(face) < a.rank:
-                # equality with the star fan's covectors is asserted inside
+                # the projection is never compared with the star fan inside
                 pa = parabolic_arrangement(a, face)
                 assert pa == roots_from_fan(star_fan(f, face))
                 assert is_crystallographic(pa).verdict
+
+
+def _parabolic_or_error(parabolic, a, face):
+    try:
+        return parabolic(a, face)
+    except ArrfanError as e:
+        return type(e)
+
+
+def _agrees_with_the_star(a, face):
+    """The projection against the star fan's wall covectors: the same
+    arrangement or the same error, but where the star fan is singular on a
+    non-crystallographic input, the projection still returns A_X."""
+    got = _parabolic_or_error(parabolic_arrangement, a, face)
+    want = _parabolic_or_error(ref_parabolic_arrangement_by_star, a, face)
+    if got == want:
+        return True
+    return (want is NotSmoothError and isinstance(got, Arrangement)
+            and not is_crystallographic(a).verdict)
+
+
+@pytest.mark.parametrize(
+    "name", ["A_2", "A_3", "A_4", "B_3", "C_3", "D_4", "ngon:8:77", "ngon:10:1000"])
+def test_parabolic_equals_the_star_oracle_on_every_proper_face(name):
+    a = catalog(name)
+    faces = [face for face in fan_faces(fan_from_arrangement(a)) if 0 < len(face) < a.rank]
+    for face in faces:
+        assert parabolic_arrangement(a, face) == ref_parabolic_arrangement_by_star(a, face)
+
+
+def _random_rank_3(rng):
+    """Rank-3 arrangements with entries in [-1, 1], many of them simplicial;
+    the unit covectors are added when the drawn ones do not span Z^3."""
+    drawn = (tuple(rng.randint(-1, 1) for _ in range(3)) for _ in range(rng.randint(2, 6)))
+    covs = {la.canonical_sign(la.primitive(v)) for v in drawn if any(v)}
+    try:
+        return make_arrangement(3, sorted(covs))
+    except LatticeSpanError:
+        return make_arrangement(3, sorted(covs | set(la.identity(3))))
+
+
+def test_parabolic_equals_the_star_oracle_on_random_rank_3():
+    rng = random.Random(39)
+    faces = 0
+    for _ in range(150):
+        a = _random_rank_3(rng)
+        try:
+            f = fan_from_arrangement(a)
+        except NotSimplicialError:
+            continue
+        for face in fan_faces(f):
+            if 0 < len(face) < 3:
+                assert _agrees_with_the_star(a, face), (a, face)
+                faces += 1
+    assert faces > 1000
+
+
+def test_parabolic_of_a_singular_star_is_the_localization():
+    """A non-crystallographic simplicial arrangement whose star fan at ray 0
+    is singular: the localization is returned, where the star side raises."""
+    a = make_arrangement(3, [(0, 0, 1), (0, 1, -2), (0, 1, 0), (0, 1, 1), (1, 0, 0)])
+    assert not is_crystallographic(a).verdict
+    pa = parabolic_arrangement(a, (0,))
+    assert (pa.rank, pa.positive_covectors) == (2, ((0, 1), (1, -2), (1, 0), (1, 1)))
+    with pytest.raises(NotSmoothError):
+        ref_parabolic_arrangement_by_star(a, (0,))
+    assert _agrees_with_the_star(a, (0,))
+
+
+def test_parabolic_corpus_is_crystallographic_and_equals_the_star(parabolic_corpus):
+    # the distinct parabolics of the rank-4 and rank-5 corpus are
+    # crystallographic, their chamber fans give them back, and the star side
+    # gives each on the face that produced it
+    assert len(parabolic_corpus) == 189
+    for a, face, p in parabolic_corpus:
+        assert is_crystallographic(p).verdict, p
+        assert roots_from_fan(fan_from_arrangement(p)) == p
+        assert ref_parabolic_arrangement_by_star(a, face) == p
 
 
 def test_restriction_and_parabolic_closure_over_catalog(restriction_corpus):
@@ -552,9 +610,7 @@ def test_toric_report_rejects_stars_in_different_bases(monkeypatch, name):
 
         return project, lifts, d
 
-    import arrfan.fanmaps
-
-    monkeypatch.setattr(arrfan.fanmaps, "quotient_data", sheared)
+    monkeypatch.setattr(la, "quotient_data", sheared)
     _both_reject(catalog(name))
 
 
