@@ -270,7 +270,7 @@ def test_parabolic_equals_star_side_everywhere():
         f = fan_from_arrangement(a)
         for face in fan_faces(f):
             if 0 < len(face) < a.rank:
-                # the projection is never compared with the star fan inside
+                # parabolic_arrangement builds no star fan, so the equality is checked here
                 pa = parabolic_arrangement(a, face)
                 assert pa == roots_from_fan(star_fan(f, face))
                 assert is_crystallographic(pa).verdict
